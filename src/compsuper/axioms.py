@@ -1,19 +1,28 @@
 """Decision procedures for the defining identities.
 
-Quadratic identities are checked exhaustively when the pair count stays
-under 2^20 and otherwise on the basis plus all pairwise sums, which
-determines a quadratic polynomial map in every characteristic
-(diagonal coefficients from basis values, cross coefficients from the
-sums).  Multilinear identities are checked on basis tuples.
+Each identity is proved one way, by evaluation on a finite set that
+determines it in every characteristic:
+
+- Norm multiplicativity, q0(xy) = q0(x)q0(y) on the even part, is
+  checked on T x T, where T is the even basis plus all pairwise sums.
+  A quadratic form Q is fixed by its values on T (diagonal coefficients
+  from Q(b_i), cross coefficients from Q(b_i + b_j) - Q(b_i) - Q(b_j)).
+  For fixed y, f(x, y) = q0(xy) - q0(x)q0(y) is a quadratic form in x,
+  and for fixed x it is one in y.  So f = 0 on T x T gives f(x, .) = 0
+  for every x in T, hence f(., y) vanishes on T for every y, hence f = 0.
+- Identity (ii), b(x0 y, x0 z) = q0(x0) b(y, z) = b(y x0, z x0), is
+  quadratic in the even x0 and bilinear in y, z: it is checked for x0
+  in T and y, z in the basis.
+- Identity (iii) is multilinear and is checked on basis tuples.
 """
 
 from dataclasses import dataclass, field as dc_field
-from itertools import combinations, product
+from itertools import combinations
 
 from . import linalg
 from .superalgebra import is_regular_superform
 
-EXHAUSTIVE_PAIR_LIMIT = 2**20
+MODE = "polarized"  # how the quadratic identities are proved, see above
 
 
 @dataclass
@@ -34,54 +43,41 @@ class CheckReport:
         return out
 
 
-def _even_vectors(S):
-    F = S.field
-    ev = S.even_indices()
-    for coords in product(F.elements(), repeat=len(ev)):
-        v = [F.zero] * S.dim
-        for c, i in zip(coords, ev):
-            v[i] = c
-        yield tuple(v)
-
-
 def _even_test_set(S):
     """Even basis vectors and their pairwise sums."""
     F = S.field
-    ev = S.even_indices()
-    vecs = [S.basis_vector(i) for i in ev]
-    out = list(vecs)
-    for a, b in combinations(vecs, 2):
-        out.append(linalg.vec_add(F, a, b))
-    return out
+    vecs = [S.basis_vector(i) for i in S.even_indices()]
+    return vecs + [linalg.vec_add(F, a, b) for a, b in combinations(vecs, 2)]
 
 
-def _even_pair_mode(S):
-    if S.field.order is None:
-        return "polarized"
-    n_even = len(S.even_indices())
-    if (S.field.order ** n_even) ** 2 <= EXHAUSTIVE_PAIR_LIMIT:
-        return "exhaustive"
-    return "polarized"
+def _norm_failure(S, pool):
+    """First (x, y) in pool x pool with q0(xy) != q0(x)q0(y), or None."""
+    F = S.field
+    for x in pool:
+        qx = S.eval_q0(x)
+        for y in pool:
+            if S.eval_q0(S.mul(x, y)) != F.mul(qx, S.eval_q0(y)):
+                return x, y
+    return None
+
+
+def _basis_products(S):
+    """prod[i][j] = b_i * b_j."""
+    basis = S.basis()
+    return [[S.mul(x, y) for y in basis] for x in basis]
 
 
 def check_hurwitz(S):
     """Unit, regular superform, and q0(xy) = q0(x)q0(y) on the even part."""
-    F = S.field
     if S.unit() is None:
         return CheckReport("hurwitz", False, witness=("no unit",))
     if not is_regular_superform(S):
         return CheckReport("hurwitz", False, witness=("superform not regular",))
-    mode = _even_pair_mode(S)
-    pool = _even_vectors(S) if mode == "exhaustive" else _even_test_set(S)
-    pool = list(pool)
-    count = 0
-    for x in pool:
-        qx = S.eval_q0(x)
-        for y in pool:
-            count += 1
-            if S.eval_q0(S.mul(x, y)) != F.mul(qx, S.eval_q0(y)):
-                return CheckReport("hurwitz", False, mode, (S.fmt(x), S.fmt(y)))
-    return CheckReport("hurwitz", True, mode, detail={"pairs": count})
+    pool = _even_test_set(S)
+    bad = _norm_failure(S, pool)
+    if bad is not None:
+        return CheckReport("hurwitz", False, MODE, tuple(S.fmt(v) for v in bad))
+    return CheckReport("hurwitz", True, MODE, detail={"pairs": len(pool) ** 2})
 
 
 def check_composition_super(S):
@@ -89,49 +85,48 @@ def check_composition_super(S):
     F = S.field
     if not is_regular_superform(S):
         return CheckReport("composition", False, witness=("superform not regular",))
-    mode = _even_pair_mode(S)
-    pool = list(_even_vectors(S) if mode == "exhaustive" else _even_test_set(S))
-    for x in pool:
-        qx = S.eval_q0(x)
-        for y in pool:
-            if S.eval_q0(S.mul(x, y)) != F.mul(qx, S.eval_q0(y)):
-                return CheckReport("composition", False, mode, ("i", S.fmt(x), S.fmt(y)))
+    pool = _even_test_set(S)
+    bad = _norm_failure(S, pool)
+    if bad is not None:
+        return CheckReport("composition", False, MODE, ("i",) + tuple(S.fmt(v) for v in bad))
+    n = S.dim
     basis = S.basis()
+    polar = S.polar
     for x0 in pool:
         qx = S.eval_q0(x0)
-        for y in basis:
-            for z in basis:
-                lhs = S.eval_b(S.mul(x0, y), S.mul(x0, z))
-                mid = F.mul(qx, S.eval_b(y, z))
-                rhs = S.eval_b(S.mul(y, x0), S.mul(z, x0))
-                if lhs != mid or rhs != mid:
+        left = [S.mul(x0, y) for y in basis]
+        right = [S.mul(y, x0) for y in basis]
+        for j in range(n):
+            for k in range(n):
+                mid = F.mul(qx, polar[j][k])
+                if S.eval_b(left[j], left[k]) != mid or S.eval_b(right[j], right[k]) != mid:
                     return CheckReport(
-                        "composition", False, mode, ("ii", S.fmt(x0), S.fmt(y), S.fmt(z))
+                        "composition", False, MODE,
+                        ("ii", S.fmt(x0), S.basis_names[j], S.basis_names[k]),
                     )
-    n = S.dim
+    prod = _basis_products(S)
     par = S.parity
     for i in range(n):
         for j in range(n):
             for k in range(n):
                 for l in range(n):
-                    x, y, z, t = (S.basis_vector(m) for m in (i, j, k, l))
                     sgn1 = (par[i] * par[j] + par[i] * par[k] + par[j] * par[k]) % 2
                     sgn2 = (par[j] * par[k]) % 2
-                    lhs = S.eval_b(S.mul(x, y), S.mul(z, t))
-                    second = S.eval_b(S.mul(z, y), S.mul(x, t))
+                    lhs = S.eval_b(prod[i][j], prod[k][l])
+                    second = S.eval_b(prod[k][j], prod[i][l])
                     if sgn1:
                         second = F.neg(second)
-                    rhs = F.mul(S.eval_b(x, z), S.eval_b(y, t))
+                    rhs = F.mul(polar[i][k], polar[j][l])
                     if sgn2:
                         rhs = F.neg(rhs)
                     if F.add(lhs, second) != rhs:
                         return CheckReport(
                             "composition",
                             False,
-                            mode,
+                            MODE,
                             ("iii",) + tuple(S.basis_names[m] for m in (i, j, k, l)),
                         )
-    return CheckReport("composition", True, mode)
+    return CheckReport("composition", True, MODE)
 
 
 def check_symmetric(S):
@@ -164,55 +159,43 @@ def _is_para_unit(S, e):
     return True
 
 
-def find_para_units(S, mode="scan"):
-    """All even idempotents e with e*x = x*e = b(e,x)e - x.
+def find_para_units(S):
+    """All even idempotents e with e*x = x*e = b(e,x)e - x, sorted.
 
-    mode "scan": exhaustive over the even part (finite fields).
-    mode "solve": restrict to the linear subspace where e*x = x*e, then
-    solve the remaining quadratic conditions (symbolically over Q).
+    Every para-unit commutes with every x, so the search runs over the
+    commutant {e even : e*x = x*e for every basis x}, a nullspace: all of
+    its vectors over a finite field, the remaining quadratic conditions
+    solved symbolically over Q.
     """
     F = S.field
-    if mode == "scan":
-        assert F.order is not None, "scan mode needs a finite field"
-        return [e for e in _even_vectors(S) if _is_para_unit(S, e)]
-    if mode != "solve":
-        raise ValueError(f"unknown mode {mode!r}")
-    # linear condition: e*x - x*e = 0 for x in a basis
     ev = S.even_indices()
-    rows = []
-    basis = S.basis()
-    for x in basis:
-        for coord in range(S.dim):
-            rows.append(
-                tuple(
-                    F.sub(
-                        S.mul(S.basis_vector(i), x)[coord], S.mul(x, S.basis_vector(i))[coord]
-                    )
-                    for i in ev
-                )
-            )
-    K = linalg.nullspace(F, rows)  # coefficients over the even basis
+    prod = _basis_products(S)
+    rows = [
+        tuple(F.sub(prod[i][x][coord], prod[x][i][coord]) for i in ev)
+        for x in range(S.dim)
+        for coord in range(S.dim)
+    ]
     kvecs = []
-    for k in K:
+    for k in linalg.nullspace(F, rows):  # coefficients over the even basis
         v = [F.zero] * S.dim
         for c, i in zip(k, ev):
             v[i] = c
         kvecs.append(tuple(v))
     if not kvecs:
         return []
-    if F.order is not None:
-        out = []
-        for coeffs in linalg.all_vectors(F, len(kvecs)):
-            e = [F.zero] * S.dim
-            for c, v in zip(coeffs, kvecs):
-                if c != F.zero:
-                    for i, a in enumerate(v):
-                        e[i] = F.add(e[i], F.mul(c, a))
-            e = tuple(e)
-            if _is_para_unit(S, e):
-                out.append(e)
-        return out
-    return _solve_para_units_rational(S, kvecs)
+    if F.order is None:
+        return _solve_para_units_rational(S, kvecs)
+    out = []
+    for coeffs in linalg.all_vectors(F, len(kvecs)):
+        e = [F.zero] * S.dim
+        for c, v in zip(coeffs, kvecs):
+            if c != F.zero:
+                for i, a in enumerate(v):
+                    e[i] = F.add(e[i], F.mul(c, a))
+        e = tuple(e)
+        if _is_para_unit(S, e):
+            out.append(e)
+    return sorted(out)
 
 
 def _solve_para_units_rational(S, kvecs):

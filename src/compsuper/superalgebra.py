@@ -47,8 +47,20 @@ class SuperAlgebra:
         self.polar = tuple(tuple(row) for row in polar)
         self.basis_names = tuple(basis_names) if basis_names else tuple(f"b{i}" for i in range(n))
         self.name = name
-        assert len(self.table) == n and all(len(t) == n for t in self.table)
-        assert len(self.q0) == n and len(self.polar) == n
+        if any(p not in (0, 1) for p in self.parity):
+            raise ValueError("parity flags must be 0 or 1")
+        if len(self.table) != n or any(
+            len(t) != n or any(len(c) != n for c in t) for t in self.table
+        ):
+            raise ValueError(f"structure table must be {n} x {n} x {n}")
+        if len(self.q0) != n:
+            raise ValueError(f"q0 needs {n} values, got {len(self.q0)}")
+        if len(self.polar) != n or not all(len(row) == n for row in self.polar):
+            raise ValueError(f"polar form must be {n} x {n}")
+        if len(self.basis_names) != n:
+            raise ValueError(f"basis needs {n} names, got {len(self.basis_names)}")
+        self._even = tuple(i for i in range(n) if self.parity[i] == 0)
+        self._odd = tuple(i for i in range(n) if self.parity[i] == 1)
         self._sparse = tuple(
             tuple(tuple((k, c) for k, c in enumerate(self.table[i][j]) if c != z) for j in range(n))
             for i in range(n)
@@ -103,10 +115,10 @@ class SuperAlgebra:
         return [self.basis_vector(i) for i in range(self.dim)]
 
     def even_indices(self):
-        return [i for i in range(self.dim) if self.parity[i] == 0]
+        return self._even
 
     def odd_indices(self):
-        return [i for i in range(self.dim) if self.parity[i] == 1]
+        return self._odd
 
     def mul(self, x, y):
         F = self.field
@@ -143,11 +155,11 @@ class SuperAlgebra:
     def eval_q0(self, x):
         F = self.field
         z = F.zero
-        for i in self.odd_indices():
+        for i in self._odd:
             if x[i] != z:
                 raise OddArgument("q0 is only defined on even elements")
         acc = z
-        ev = self.even_indices()
+        ev = self._even
         for a, i in enumerate(ev):
             xi = x[i]
             if xi == z:
@@ -188,8 +200,8 @@ class SuperAlgebra:
     def parity_of(self, v):
         """0, 1 for parity-homogeneous nonzero v, None for mixed, 0 for zero."""
         z = self.field.zero
-        has_even = any(v[i] != z for i in self.even_indices())
-        has_odd = any(v[i] != z for i in self.odd_indices())
+        has_even = any(v[i] != z for i in self._even)
+        has_odd = any(v[i] != z for i in self._odd)
         if has_even and has_odd:
             return None
         return 1 if has_odd else 0

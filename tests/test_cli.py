@@ -101,6 +101,21 @@ def test_grading_file_round_trip(capsys, tmp_path):
     assert capsys.readouterr().out.strip() == "Z4"
 
 
+def test_malformed_algebra_json_exits_2(capsys, tmp_path):
+    from compsuper.catalog import build_entry
+    from compsuper.fields import GF
+
+    A, g = build_entry("eq3", GF(3))
+    algebra = A.to_json()
+    algebra["q0_values"] = algebra["q0_values"][:-1]
+    path = tmp_path / "grading.json"
+    path.write_text(json.dumps({"algebra": algebra, "grading": g.to_json()}))
+    code = run(["universal-group", "--grading-file", str(path), "--field", "GF(3)"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
 def test_unknown_construction_exits_2(capsys):
     assert run(["check", "--construction", "b12", "--field", "GF(7)"]) == 2
     assert run(["build", "--construction", "cd", "--base", "bogus", "--field", "GF(2)"]) == 2
