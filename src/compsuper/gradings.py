@@ -139,6 +139,35 @@ def support(grading):
     return [d for d, vs in grading.comps if vs]
 
 
+def _products(algebra, xs, ys):
+    """The nonzero products x*y, x in xs, y in ys."""
+    F = algebra.field
+    out = []
+    for x in xs:
+        for y in ys:
+            p = algebra.mul(x, y)
+            if not linalg.vec_is_zero(F, p):
+                out.append(p)
+    return out
+
+
+def _pair_relation(field, n, i, j, prods, spans, first=0):
+    """The relation i+j=k of one component pair whose nonzero products are
+    `prods`: k is `first` plus the position of the first of `spans` (rref,
+    pivots) holding every product.  () when there are no products, None
+    when no span holds them all."""
+    if not prods:
+        return ()
+    for k, (rr, piv) in enumerate(spans, first):
+        if all(linalg.in_span(field, rr, piv, p) for p in prods):
+            row = [0] * n
+            row[i] += 1
+            row[j] += 1
+            row[k] -= 1
+            return tuple(row)
+    return None
+
+
 def _set_grading_relations(algebra, comps):
     """Relations i+j=k for nonzero products of a component list, or None if
     some product does not land inside a single component."""
@@ -148,27 +177,11 @@ def _set_grading_relations(algebra, comps):
     n = len(comps)
     for i in range(n):
         for j in range(n):
-            prods = []
-            for x in comps[i]:
-                for y in comps[j]:
-                    p = algebra.mul(x, y)
-                    if not linalg.vec_is_zero(F, p):
-                        prods.append(p)
-            if not prods:
-                continue
-            k_found = None
-            for k in range(n):
-                rr, piv = spans[k]
-                if all(linalg.in_span(F, rr, piv, p) for p in prods):
-                    k_found = k
-                    break
-            if k_found is None:
+            row = _pair_relation(F, n, i, j, _products(algebra, comps[i], comps[j]), spans)
+            if row is None:
                 return None
-            row = [0] * n
-            row[i] += 1
-            row[j] += 1
-            row[k_found] -= 1
-            rels.append(tuple(row))
+            if row:
+                rels.append(row)
     return rels
 
 

@@ -253,7 +253,10 @@ class SuperAlgebra:
         n = data["dim"]
         z = F.zero
         table = [[[z] * n for _ in range(n)] for _ in range(n)]
-        for i, j, k, c in data["structure"]:
+        for entry in data["structure"]:
+            i, j, k, c = entry
+            if not all(isinstance(t, int) and 0 <= t < n for t in (i, j, k)):
+                raise ValueError(f"structure entry {entry} has an index outside 0..{n - 1}")
             table[i][j][k] = F.parse_elt(c)
         return SuperAlgebra(
             F,

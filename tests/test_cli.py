@@ -119,3 +119,27 @@ def test_malformed_algebra_json_exits_2(capsys, tmp_path):
 def test_unknown_construction_exits_2(capsys):
     assert run(["check", "--construction", "b12", "--field", "GF(7)"]) == 2
     assert run(["build", "--construction", "cd", "--base", "bogus", "--field", "GF(2)"]) == 2
+
+
+def test_nonpositive_budget_exits_2(capsys):
+    code = run(["fine", "--catalog", "eq7", "--field", "GF(2)", "--budget", "0"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("bad", [[99, 0, 0, "1"], [0, -1, 0, "1"]])
+def test_structure_index_out_of_range_exits_2(capsys, tmp_path, bad):
+    from compsuper.catalog import build_entry
+    from compsuper.fields import GF
+
+    A, g = build_entry("eq3", GF(3))
+    algebra = A.to_json()
+    algebra["structure"].append(bad)
+    path = tmp_path / "grading.json"
+    path.write_text(json.dumps({"algebra": algebra, "grading": g.to_json()}))
+    code = run(["universal-group", "--grading-file", str(path), "--field", "GF(3)"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    assert str(bad) in err

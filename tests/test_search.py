@@ -1,7 +1,8 @@
 import pytest
 
 from compsuper import linalg
-from compsuper.abelian import AbGroup
+from compsuper.abelian import AbGroup, presentation_to_group
+from compsuper.catalog import build_entry
 from compsuper.constructions import (
     b12,
     b12_lambda,
@@ -13,6 +14,7 @@ from compsuper.constructions import (
 from compsuper.fields import GF
 from compsuper.gradings import (
     coarsenings_enum,
+    _set_grading_relations,
     gamma_grading_b12,
     grading_from_components,
     grading_from_degrees,
@@ -22,6 +24,8 @@ from compsuper.gradings import (
 )
 from compsuper.search import (
     BudgetExhausted,
+    _parity_splits,
+    _split_relations,
     SearchBudget,
     enumerate_all_gradings,
     enumerate_automorphisms,
@@ -199,6 +203,123 @@ def test_fine_check_budget():
     C, _ = super_split_cayley(F4)
     with pytest.raises(BudgetExhausted):
         fine_check(main_grading(C), budget=SearchBudget(3))
+
+
+def _span_dedup_parity_splits(S, comp_vectors):
+    """Reference for `_parity_splits`: every ordered half of both blocks
+    built up front, unordered pairs deduplicated by the spans of W1, W2."""
+    F = S.field
+    ev = [v for v in comp_vectors if S.parity_of(v) == 0]
+    od = [v for v in comp_vectors if S.parity_of(v) == 1]
+
+    def halves(block):
+        res = [(list(block), []), ([], list(block))] if block else [([], [])]
+        for w1, w2 in linalg.complementary_pairs(F, block) if block else []:
+            res.append((w1, w2))
+            res.append((w2, w1))
+        return res
+
+    seen = set()
+    for e1, e2 in halves(ev):
+        for o1, o2 in halves(od):
+            w1 = e1 + o1
+            w2 = e2 + o2
+            if not w1 or not w2:
+                continue
+            key = frozenset((linalg.span_key(F, w1), linalg.span_key(F, w2)))
+            if key not in seen:
+                seen.add(key)
+                yield w1, w2
+
+
+def _reference_fine_check(grading, prune=True):
+    """Reference for `fine_check`: the relations of every candidate are
+    recomputed by `_set_grading_relations`; `prune=False` drops the
+    "incoming products span the component" rule."""
+    S = grading.algebra
+    F = S.field
+    comps = [list(vs) for _, vs in grading.comps]
+    degs = [d for d, _ in grading.comps]
+    deg_to_idx = {d: i for i, d in enumerate(degs)}
+    for ci, comp in enumerate(comps):
+        if len(comp) < 2:
+            continue
+        incoming = []
+        for j in range(len(comps)):
+            for k in range(len(comps)):
+                if j == ci or k == ci or deg_to_idx.get(degs[j] + degs[k]) != ci:
+                    continue
+                for x in comps[j]:
+                    for y in comps[k]:
+                        p = S.mul(x, y)
+                        if not linalg.vec_is_zero(F, p):
+                            incoming.append(p)
+        if prune and incoming and linalg.rank(F, incoming) == len(comp):
+            continue
+        for w1, w2 in _span_dedup_parity_splits(S, comp):
+            cand = comps[:ci] + comps[ci + 1:] + [w1, w2]
+            rels = _set_grading_relations(S, cand)
+            if rels is None:
+                continue
+            G, proj = presentation_to_group(len(cand), rels)
+            if len(set(proj)) != len(proj):
+                continue
+            witness = grading_from_components(S, G, list(zip(proj, cand)))
+            if validate(witness)[0]:
+                return "refinable", witness
+    return "fine", None
+
+
+# the GF(2) and GF(3) cases of the benchmark's fineness workload
+FINENESS_SMALL_CASES = (
+    [("eq1", 3), ("eq2", 3), ("eq5", 2), ("eq6", 2), ("eq7", 2), ("okuboeq1", 2),
+     ("okuboeq6", 2), ("main-okubo-nst", 2)]
+    + [("main-cd8", 2), ("main-b12", 3), ("main-cd4", 2), ("trivial-b12", 3),
+       ("trivial-b42", 3), ("trivial-cd4", 2), ("trivial-cd8", 2), ("trivial-okubo-nst", 2)]
+)
+
+
+def test_parity_splits_match_span_dedup():
+    """The index rule yields the same splits, in the same order, as
+    deduplicating every ordered split by its spans."""
+    for id, q in (("main-okubo-nst", 2), ("main-cd8", 2), ("trivial-cd4", 4),
+                  ("trivial-b12", 3), ("eq7", 4)):
+        _, g = build_entry(id, GF(q))
+        for _, comp in g.comps:
+            got = list(_parity_splits(g.algebra, comp))
+            assert got == list(_span_dedup_parity_splits(g.algebra, comp)), (id, q)
+
+
+def test_split_relations_match_set_grading_relations():
+    """Reusing the untouched pairs' targets across the splits of a
+    component gives the relations computed from scratch, split by split,
+    including pairs whose products must fit inside one part (eq7/GF(4)
+    has pairs landing in each part)."""
+    for id, q in (("eq7", 4), ("main-cd4", 4), ("main-cd8", 2)):
+        _, g = build_entry(id, GF(q))
+        S = g.algebra
+        comps = [list(vs) for _, vs in g.comps]
+        for ci, comp in enumerate(comps):
+            others = comps[:ci] + comps[ci + 1:]
+            spans = [linalg.rref(S.field, vs) for vs in others]
+            targets = {}
+            for w1, w2 in _parity_splits(S, comp):
+                want = _set_grading_relations(S, others + [w1, w2])
+                assert _split_relations(S, others, spans, targets, w1, w2) == want, (id, q, ci)
+
+
+def test_fine_check_matches_reference_with_and_without_prune():
+    """Same status and witness as the from-scratch reference on every
+    small case of the fineness workload.  Without the "incoming products
+    span the component" rule the reference reaches the same verdicts:
+    the rule's track record, since its soundness is still open."""
+    for id, q in FINENESS_SMALL_CASES:
+        _, g = build_entry(id, GF(q))
+        status, witness = fine_check(g)
+        ref_status, ref_witness = _reference_fine_check(g)
+        assert status == ref_status, (id, q)
+        assert (witness and witness.to_json()) == (ref_witness and ref_witness.to_json()), (id, q)
+        assert _reference_fine_check(g, prune=False)[0] == status, (id, q)
 
 
 def test_complement_enumeration_matches_scan_oracle():
