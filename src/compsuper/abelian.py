@@ -166,7 +166,10 @@ class AbGroup:
 
     def normalize(self, coords):
         coords = tuple(coords)
-        assert len(coords) == self.ngens
+        if len(coords) != self.ngens:
+            raise ValueError(
+                f"an element of {self} needs {self.ngens} coordinates, got {len(coords)}"
+            )
         free = coords[: self.rank]
         tor = tuple(c % d for c, d in zip(coords[self.rank:], self.torsion))
         return free + tor
@@ -279,10 +282,6 @@ class AbHom:
             if c:
                 acc = acc + c * img
         return acc
-
-
-def hom_apply(f, x):
-    return f(x)
 
 
 def presentation_to_group(n_generators, relations):

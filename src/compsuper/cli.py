@@ -10,6 +10,7 @@ import json
 import sys
 
 from . import acceptance, catalog
+from .abelian import group_from_string
 from .axioms import (
     check_composition_super,
     check_hurwitz,
@@ -31,7 +32,7 @@ from .constructions import (
     super_split_quaternion,
 )
 from .fields import FieldError, field_from_string
-from .gradings import Grading, support, universal_group, validate
+from .gradings import grading_from_components, universal_group, validate
 from .search import (
     BudgetExhausted,
     SearchBudget,
@@ -40,7 +41,7 @@ from .search import (
     find_graded_map,
     fine_check,
 )
-from .superalgebra import SuperAlgebra
+from .superalgebra import SuperAlgebra, json_member
 
 CONSTRUCTIONS = (
     "split2", "split4", "split8", "cd", "b12", "b42", "para",
@@ -177,17 +178,22 @@ def _grading_from_args(args, field):
     if args.grading_file:
         with open(args.grading_file) as fh:
             data = json.load(fh)
-        A = SuperAlgebra.from_json(data["algebra"])
-        from .abelian import group_from_string
-
-        G = group_from_string(data["grading"]["group"])
+        A = SuperAlgebra.from_json(json_member(data, "algebra", dict, "grading file"))
+        grading = json_member(data, "grading", dict, "grading file")
+        G = group_from_string(json_member(grading, "group", str, "grading"))
         comps = []
-        for comp in data["grading"]["components"]:
-            deg = G.element(tuple(comp["coords"]))
-            vs = [tuple(A.field.parse_elt(c) for c in v) for v in comp["basis"]]
+        for n, comp in enumerate(json_member(grading, "components", list, "grading")):
+            where = f"grading.components[{n}]"
+            coords = json_member(comp, "coords", list, where)
+            if len(coords) != G.ngens or not all(isinstance(c, int) for c in coords):
+                raise ValueError(f"{where}.coords must hold {G.ngens} integers for {G}")
+            deg = G.element(tuple(coords))
+            vs = []
+            for v in json_member(comp, "basis", list, where):
+                if not isinstance(v, list) or len(v) != A.dim:
+                    raise ValueError(f"{where}.basis vector {v} must have {A.dim} entries")
+                vs.append(tuple(A.field.parse_elt(c) for c in v))
             comps.append((deg, vs))
-        from .gradings import grading_from_components
-
         return A, grading_from_components(A, G, comps)
     raise UsageError("need --catalog ID or --grading-file FILE")
 

@@ -7,7 +7,6 @@ compatibility with the main grading holds by construction.
 """
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from . import linalg
 from .abelian import AbGroup, AbHom, presentation_to_group
@@ -151,6 +150,15 @@ def _products(algebra, xs, ys):
     return out
 
 
+def _relation_row(n, i, j, k):
+    """The relation i+j=k among n generators, as an integer row."""
+    row = [0] * n
+    row[i] += 1
+    row[j] += 1
+    row[k] -= 1
+    return tuple(row)
+
+
 def _pair_relation(field, n, i, j, prods, spans, first=0):
     """The relation i+j=k of one component pair whose nonzero products are
     `prods`: k is `first` plus the position of the first of `spans` (rref,
@@ -160,29 +168,122 @@ def _pair_relation(field, n, i, j, prods, spans, first=0):
         return ()
     for k, (rr, piv) in enumerate(spans, first):
         if all(linalg.in_span(field, rr, piv, p) for p in prods):
-            row = [0] * n
-            row[i] += 1
-            row[j] += 1
-            row[k] -= 1
-            return tuple(row)
+            return _relation_row(n, i, j, k)
     return None
+
+
+class _RelationBuilder:
+    """Relations of component lists whose components are sums of fixed
+    pieces, for the life of one enumeration.
+
+    `pieces` is a list of vector lists; a component is a tuple of piece
+    indices and spans the sum of those pieces.  `relations(comps)` returns
+    the rows of `_set_grading_relations` on the components' concatenated
+    vectors, in the same order, or None.  Components are numbered as they
+    are first met, and three things are memoized under integer keys:
+
+    - the nonzero products of each ordered pair of pieces (a, b), under
+      the pair index `a * len(pieces) + b`;
+    - the rref of each component, under its number;
+    - whether the products of a piece pair lie in a component, under
+      `component number * len(pieces)**2 + pair index`.
+
+    The products of two components are the products of their piece pairs,
+    so "every product lies in span(C_k)" holds iff it holds for each piece
+    pair.  Whether it holds for one pair depends only on that pair's
+    products and on span(C_k), and both are fixed for the builder's life:
+    the memoized answer is the in-span test that `_pair_relation` would
+    run again.
+    """
+
+    def __init__(self, algebra, pieces):
+        self.algebra = algebra
+        self.pieces = pieces
+        self._npairs = len(pieces) ** 2
+        self._products = {}  # pair index -> nonzero products of the piece pair
+        self._comp_ids = {}  # component -> its number
+        self._spans = []  # component number -> (rref rows, pivots), or None
+        self._inside = {}  # component number * npairs + pair index -> bool
+
+    def _comp_id(self, comp):
+        cid = self._comp_ids.get(comp)
+        if cid is None:
+            cid = self._comp_ids[comp] = len(self._spans)
+            self._spans.append(None)
+        return cid
+
+    def _pair_products(self, ci, cj):
+        """Indices of the piece pairs of ci x cj with a nonzero product."""
+        np = len(self.pieces)
+        out = []
+        for a in ci:
+            for b in cj:
+                pair = a * np + b
+                prods = self._products.get(pair)
+                if prods is None:
+                    prods = _products(self.algebra, self.pieces[a], self.pieces[b])
+                    self._products[pair] = prods
+                if prods:
+                    out.append(pair)
+        return out
+
+    def _holds(self, pair, comp, cid):
+        """Whether the products of piece pair `pair` lie in component
+        `comp`, whose number is `cid`; computed on a miss of the memo that
+        `relations` reads."""
+        F = self.algebra.field
+        span = self._spans[cid]
+        if span is None:
+            span = self._spans[cid] = linalg.rref(F, self.vectors(comp))
+        rr, piv = span
+        got = all(linalg.in_span(F, rr, piv, p) for p in self._products[pair])
+        self._inside[cid * self._npairs + pair] = got
+        return got
+
+    def vectors(self, comp):
+        """The concatenated vectors of a component's pieces."""
+        return [v for a in comp for v in self.pieces[a]]
+
+    def relations(self, comps):
+        """Relations i+j=k of the components `comps` (tuples of piece
+        indices), or None if some product does not land inside a single
+        component."""
+        n = len(comps)
+        cids = [self._comp_id(c) for c in comps]
+        inside = self._inside
+        npairs = self._npairs
+        rels = []
+        for i in range(n):
+            for j in range(n):
+                pairs = self._pair_products(comps[i], comps[j])
+                if not pairs:
+                    continue
+                for k in range(n):
+                    base = cids[k] * npairs
+                    for pair in pairs:
+                        got = inside.get(base + pair)
+                        if got is None:
+                            got = self._holds(pair, comps[k], cids[k])
+                        if not got:
+                            break
+                    else:
+                        rels.append(_relation_row(n, i, j, k))
+                        break
+                else:
+                    return None
+        return rels
 
 
 def _set_grading_relations(algebra, comps):
     """Relations i+j=k for nonzero products of a component list, or None if
-    some product does not land inside a single component."""
-    F = algebra.field
-    spans = [linalg.rref(F, list(vs)) for vs in comps]
-    rels = []
-    n = len(comps)
-    for i in range(n):
-        for j in range(n):
-            row = _pair_relation(F, n, i, j, _products(algebra, comps[i], comps[j]), spans)
-            if row is None:
-                return None
-            if row:
-                rels.append(row)
-    return rels
+    some product does not land inside a single component.
+
+    The rows are ordered by (i, j), and k is the first component holding
+    every product of components i and j.  This is a fresh
+    `_RelationBuilder` with one piece per component; enumerations that
+    try many component lists over the same pieces keep one builder.
+    """
+    return _RelationBuilder(algebra, comps).relations([(i,) for i in range(len(comps))])
 
 
 def universal_group(grading):
@@ -261,27 +362,29 @@ def coarsenings_enum(grading):
     Includes the grading itself (over its universal group).  Merges whose
     decomposition is not a set grading, or whose universal group does not
     separate the merged components, are discarded.
+
+    One `_RelationBuilder` over the grading's components serves every
+    partition: a merged component is the tuple of its block's indices, so
+    the products of each pair of original components, the rref of each
+    block and each "products of a pair lie in a block" test are computed
+    once per call rather than once per partition.
     """
     comps = [list(vs) for _, vs in grading.comps]
     if len(comps) > 8:
         raise SupportTooLarge(f"support of size {len(comps)} exceeds 8")
     A = grading.algebra
-    F = A.field
+    builder = _RelationBuilder(A, comps)
     out = []
     seen = set()
     for partition in _partitions(range(len(comps))):
-        merged = []
-        for block in partition:
-            vs = []
-            for i in block:
-                vs.extend(comps[i])
-            merged.append(vs)
-        rels = _set_grading_relations(A, merged)
+        blocks = [tuple(block) for block in partition]
+        rels = builder.relations(blocks)
         if rels is None:
             continue
-        G, proj = presentation_to_group(len(merged), rels)
+        G, proj = presentation_to_group(len(blocks), rels)
         if len(set(proj)) != len(proj):
             continue
+        merged = [builder.vectors(block) for block in blocks]
         cand = grading_from_components(A, G, list(zip(proj, merged)))
         key = cand.component_keys()
         if key in seen:

@@ -12,7 +12,7 @@ from itertools import combinations, permutations, product
 
 from . import linalg
 from .gradings import Grading, grading_from_components, main_grading, trivial_grading
-from .gradings import _pair_relation, _products, _set_grading_relations, validate
+from .gradings import _RelationBuilder, _pair_relation, _products, validate
 from .abelian import presentation_to_group
 from .superalgebra import Morphism, identity_morphism, is_morphism, CheckFailed
 
@@ -329,34 +329,64 @@ def enumerate_automorphisms(S, constraints=None, budget=None):
 
 
 def _decompositions_of_block(F, block_basis):
-    """All unordered direct-sum decompositions of span(block_basis)."""
+    """All unordered direct-sum decompositions of span(block_basis).
+
+    A decomposition lists its subspaces in increasing order of their span
+    keys; decompositions come in depth-first order over the subspaces of
+    each dimension, smallest dimension first.  Each step asks whether the
+    span of the subspaces chosen so far and the next subspace form a
+    direct sum.  The answer depends only on that span and that subspace,
+    and many choices reach the same span, so it is memoized: (span id,
+    subspace index) -> id of the rref of their sum, or None when they are
+    dependent, under the integer key `span id * len(subspaces) + subspace
+    index`.  Spans are numbered as they are first met.
+    """
     d = len(block_basis)
     if d == 0:
         return [()]
     subspaces = []
     for k in range(1, d + 1):
         subspaces.extend(linalg.subspaces_of_span(F, block_basis, k))
-    keys = {s: linalg.span_key(F, s) for s in subspaces}
+    keys = [linalg.span_key(F, s) for s in subspaces]
+    ns = len(subspaces)
+    spans = [()]  # span id -> rref rows; 0 is the zero space
+    span_ids = {(): 0}
+    sums = {}  # span id * ns + subspace index -> span id of the direct sum, or None
     out = []
-
-    def rec(chosen, dim_used, min_key):
-        if dim_used == d:
-            out.append(tuple(chosen))
-            return
-        for s in subspaces:
-            k = keys[s]
-            if min_key is not None and k <= min_key:
-                continue
-            if dim_used + len(s) > d:
-                continue
-            stacked = [v for c in chosen for v in c] + list(s)
-            if linalg.rank(F, stacked) != dim_used + len(s):
-                continue
-            chosen.append(s)
-            rec(chosen, dim_used + len(s), k)
+    chosen = []  # subspace indices of the current partial decomposition
+    stack = [[0, 0]]  # per depth: [span id of the chosen sum, next subspace index]
+    while stack:
+        frame = stack[-1]
+        sid, t = frame
+        if t == ns:
+            stack.pop()
+            if chosen:
+                chosen.pop()
+            continue
+        frame[1] = t + 1
+        if chosen and keys[t] <= keys[chosen[-1]]:
+            continue
+        span, s = spans[sid], subspaces[t]
+        if len(span) + len(s) > d:
+            continue
+        nid = sums.get(sid * ns + t, -1)
+        if nid == -1:
+            rr, _ = linalg.rref(F, list(span) + list(s))
+            nid = None
+            if len(rr) == len(span) + len(s):
+                rr = tuple(rr)
+                nid = span_ids.setdefault(rr, len(spans))
+                if nid == len(spans):
+                    spans.append(rr)
+            sums[sid * ns + t] = nid
+        if nid is None:
+            continue
+        chosen.append(t)
+        if len(spans[nid]) == d:
+            out.append(tuple([subspaces[c] for c in chosen]))
             chosen.pop()
-
-    rec([], 0, None)
+        else:
+            stack.append([nid, 0])
     return out
 
 
@@ -377,6 +407,13 @@ def enumerate_all_gradings(S, max_components=None, budget=None):
     valid set gradings whose universal group separates components, and
     deduplicates by component subspaces.  The result is complete unless
     the budget is exhausted.
+
+    The subspaces of the even and odd decompositions are the pieces of one
+    `_RelationBuilder` per call, and a candidate component is (even
+    piece,), (even piece, matched odd piece) or (odd piece,).  So the
+    products of each pair of pieces, the rref of each component and each
+    "products of a pair lie in a component" test are computed once per
+    call rather than once per candidate.
     """
     if S.dim > 4:
         raise DimensionTooLarge("exhaustive grading enumeration is limited to dim <= 4")
@@ -385,8 +422,14 @@ def enumerate_all_gradings(S, max_components=None, budget=None):
     nodes = 0
     ev = [S.basis_vector(i) for i in S.even_indices()]
     od = [S.basis_vector(i) for i in S.odd_indices()]
-    even_decomps = _decompositions_of_block(F, ev)
-    odd_decomps = _decompositions_of_block(F, od)
+    blocks = (_decompositions_of_block(F, ev), _decompositions_of_block(F, od))
+    pieces = list(dict.fromkeys(sub for block in blocks for dec in block for sub in dec))
+    piece_ids = {sub: i for i, sub in enumerate(pieces)}
+    even_decomps, odd_decomps = (
+        [tuple(piece_ids[sub] for sub in dec) for dec in block] for block in blocks
+    )
+    del blocks  # the index tuples replace the subspace tuples
+    builder = _RelationBuilder(S, pieces)
     out = []
     seen = set()
     for de in even_decomps:
@@ -398,22 +441,20 @@ def enumerate_all_gradings(S, max_components=None, budget=None):
                 comps = []
                 used_odd = set(matching.values())
                 for i, e in enumerate(de):
-                    vs = list(e)
-                    if i in matching:
-                        vs += list(do[matching[i]])
-                    comps.append(vs)
+                    comps.append((e, do[matching[i]]) if i in matching else (e,))
                 for j, o in enumerate(do):
                     if j not in used_odd:
-                        comps.append(list(o))
+                        comps.append((o,))
                 if max_components is not None and len(comps) > max_components:
                     continue
-                rels = _set_grading_relations(S, comps)
+                rels = builder.relations(comps)
                 if rels is None:
                     continue
                 G, proj = presentation_to_group(len(comps), rels)
                 if len(set(proj)) != len(proj):
                     continue
-                cand = grading_from_components(S, G, list(zip(proj, comps)))
+                vecs = [builder.vectors(c) for c in comps]
+                cand = grading_from_components(S, G, list(zip(proj, vecs)))
                 key = cand.component_keys()
                 if key in seen:
                     continue

@@ -33,6 +33,23 @@ class CheckFailed(ValueError):
         self.witness = witness
 
 
+_JSON_KINDS = {dict: "an object", list: "a list", str: "a string", int: "an integer"}
+
+
+def json_member(obj, key, kind, where):
+    """obj[key] from parsed JSON, checked to be of type `kind`; raises
+    ValueError naming `where.key` when obj is not an object, lacks the key
+    or holds another type there."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} must be an object, got {type(obj).__name__}")
+    if key not in obj:
+        raise ValueError(f"{where} is missing {key!r}")
+    value = obj[key]
+    if not isinstance(value, kind):
+        raise ValueError(f"{where}.{key} must be {_JSON_KINDS[kind]}, got {type(value).__name__}")
+    return value
+
+
 class SuperAlgebra:
     """Immutable after construction; all operations are pure."""
 
@@ -249,21 +266,28 @@ class SuperAlgebra:
 
     @staticmethod
     def from_json(data):
-        F = field_from_string(data["field"])
-        n = data["dim"]
+        """The algebra that `to_json` wrote.  Raises ValueError naming the
+        field when `data` lacks a key or holds a value of the wrong shape."""
+        F = field_from_string(json_member(data, "field", str, "algebra"))
+        n = json_member(data, "dim", int, "algebra")
         z = F.zero
         table = [[[z] * n for _ in range(n)] for _ in range(n)]
-        for entry in data["structure"]:
+        for entry in json_member(data, "structure", list, "algebra"):
+            if not isinstance(entry, list) or len(entry) != 4:
+                raise ValueError(f"structure entry {entry} must be [i, j, k, coefficient]")
             i, j, k, c = entry
             if not all(isinstance(t, int) and 0 <= t < n for t in (i, j, k)):
                 raise ValueError(f"structure entry {entry} has an index outside 0..{n - 1}")
             table[i][j][k] = F.parse_elt(c)
+        polar = json_member(data, "polar", list, "algebra")
+        if not all(isinstance(row, list) for row in polar):
+            raise ValueError("algebra.polar must be a list of rows")
         return SuperAlgebra(
             F,
-            data["parity"],
+            json_member(data, "parity", list, "algebra"),
             table,
-            [F.parse_elt(c) for c in data["q0_values"]],
-            [[F.parse_elt(c) for c in row] for row in data["polar"]],
+            [F.parse_elt(c) for c in json_member(data, "q0_values", list, "algebra")],
+            [[F.parse_elt(c) for c in row] for row in polar],
             basis_names=data.get("basis"),
             name=data.get("name", ""),
         )

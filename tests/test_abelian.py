@@ -135,6 +135,13 @@ def test_element_arithmetic_and_order():
     assert (-Z3.element(1)).coords == (2,)
 
 
+def test_element_rejects_wrong_coordinate_count():
+    with pytest.raises(ValueError, match="needs 2 coordinates, got 1"):
+        AbGroup(1, (2,)).element((1,))
+    with pytest.raises(ValueError):
+        AbGroup(0, (4,)).element(())
+
+
 def test_hom_apply():
     Z = AbGroup(1)
     Z4 = AbGroup(0, (4,))

@@ -143,3 +143,49 @@ def test_structure_index_out_of_range_exits_2(capsys, tmp_path, bad):
     assert code == 2
     assert err.startswith("error:") and len(err.strip().splitlines()) == 1
     assert str(bad) in err
+
+
+
+def _first_component(data):
+    return data["grading"]["components"][0]
+
+
+@pytest.mark.parametrize("edit, field", [
+    (lambda d: d["algebra"].pop("structure"), "structure"),
+    (lambda d: d.pop("grading"), "grading"),
+    (lambda d: d["grading"].pop("group"), "group"),
+    (lambda d: _first_component(d).pop("basis"), "basis"),
+    (lambda d: _first_component(d).update(coords=[]), "coords"),
+    (lambda d: d.update(algebra=3), "algebra"),
+    (lambda d: _first_component(d)["basis"][0].__delitem__(slice(1, None)), "basis"),
+], ids=["no-structure", "no-grading", "no-group", "no-basis", "empty-coords",
+        "algebra-not-object", "one-entry-basis-vector"])
+def test_malformed_grading_file_exits_2(capsys, tmp_path, edit, field):
+    from compsuper.catalog import build_entry
+    from compsuper.fields import GF
+
+    A, g = build_entry("eq3", GF(3))
+    data = {"algebra": A.to_json(), "grading": g.to_json()}
+    edit(data)
+    path = tmp_path / "grading.json"
+    path.write_text(json.dumps(data))
+    code = run(["universal-group", "--grading-file", str(path), "--field", "GF(3)"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    assert field in err
+
+
+def test_python_m_compsuper_runs():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run([sys.executable, "-m", "compsuper", "catalog", "list"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["entries"]

@@ -2,10 +2,19 @@ import pytest
 
 from compsuper import linalg
 from compsuper.abelian import AbGroup, AbHom
-from compsuper.constructions import b12, b42, split_hurwitz, super_split_cayley
+from compsuper.constructions import (
+    b12,
+    b42,
+    cayley_dickson_super,
+    split_hurwitz,
+    super_split_cayley,
+    super_split_quaternion,
+)
 from compsuper.fields import GF
 from compsuper.gradings import (
     TripleNotZeroSum,
+    _RelationBuilder,
+    _set_grading_relations,
     coarsenings_enum,
     gamma_equiv,
     gamma_grading_b12,
@@ -23,7 +32,7 @@ from compsuper.gradings import (
     validate,
 )
 
-F2, F3 = GF(2), GF(3)
+F2, F3, F4 = GF(2), GF(3), GF(4)
 Z = AbGroup(1)
 Z2 = AbGroup(0, (2,))
 ZZ = AbGroup(2)
@@ -213,3 +222,94 @@ def test_grading_json_round_trip_fields():
     data = g.to_json()
     assert data["group"] == "Z x Z2"
     assert all(len(c["coords"]) == 2 for c in data["components"])
+
+
+def _reference_relations(algebra, comps):
+    """Reference for the relation builder: the relations of a component
+    list computed from scratch, every product and in-span test redone for
+    each candidate."""
+    F = algebra.field
+    spans = [linalg.rref(F, list(vs)) for vs in comps]
+    n = len(comps)
+    rels = []
+    for i in range(n):
+        for j in range(n):
+            prods = [algebra.mul(x, y) for x in comps[i] for y in comps[j]]
+            prods = [p for p in prods if not linalg.vec_is_zero(F, p)]
+            if not prods:
+                continue
+            for k, (rr, piv) in enumerate(spans):
+                if all(linalg.in_span(F, rr, piv, p) for p in prods):
+                    row = [0] * n
+                    row[i] += 1
+                    row[j] += 1
+                    row[k] -= 1
+                    rels.append(tuple(row))
+                    break
+            else:
+                return None
+    return rels
+
+
+def _recorded_relations(monkeypatch, run):
+    """Run `run()` and return (builder, comps, relations) for every call of
+    `_RelationBuilder.relations` it makes."""
+    calls = []
+    original = _RelationBuilder.relations
+
+    def recording(self, comps):
+        got = original(self, comps)
+        calls.append((self, list(comps), got))
+        return got
+
+    monkeypatch.setattr(_RelationBuilder, "relations", recording)
+    run()
+    monkeypatch.undo()
+    return calls
+
+
+def _assert_matches_reference(calls):
+    for builder, comps, got in calls:
+        vectors = [[v for a in c for v in builder.pieces[a]] for c in comps]
+        assert got == _reference_relations(builder.algebra, vectors), comps
+
+
+def test_set_grading_relations_match_reference():
+    from compsuper.catalog import build_entry
+
+    for id, q in (("eq1", 3), ("eq2", 3), ("eq5", 2), ("eq7", 4), ("okuboeq3", 4),
+                  ("main-cd8", 2), ("trivial-b42", 3)):
+        _, g = build_entry(id, GF(q))
+        comps = [list(vs) for _, vs in g.comps]
+        assert _set_grading_relations(g.algebra, comps) == _reference_relations(g.algebra, comps)
+        # and a refinement candidate, whose products may straddle components
+        split = comps[:-1] + [comps[-1][:1], comps[-1][1:]] if len(comps[-1]) > 1 else comps
+        assert _set_grading_relations(g.algebra, split) == _reference_relations(g.algebra, split)
+
+
+def test_coarsening_relations_match_reference(monkeypatch):
+    """The shared builder gives the from-scratch relations, or None, on
+    every partition that `coarsenings_enum` tries."""
+    from compsuper.catalog import build_entry
+
+    for id, q in (("eq7", 2), ("eq2", 3), ("okuboeq3", 4)):
+        _, g = build_entry(id, GF(q))
+        calls = _recorded_relations(monkeypatch, lambda: coarsenings_enum(g))
+        bell = {4: 15, 5: 52, 6: 203, 7: 877, 8: 4140}
+        assert len(calls) == bell[len(g.comps)], (id, q)
+        assert any(got is None for _, _, got in calls), (id, q)
+        _assert_matches_reference(calls)
+
+
+def test_grading_enumeration_relations_match_reference(monkeypatch):
+    """The shared builder gives the from-scratch relations, or None, on
+    every candidate that `enumerate_all_gradings` builds."""
+    from compsuper.search import enumerate_all_gradings
+
+    for S in (split_hurwitz(4, F2)[0], b12(F3),
+              cayley_dickson_super(split_hurwitz(2, F4)[0], F4.one), super_split_quaternion(F2)[0]):
+        calls = _recorded_relations(monkeypatch, lambda: enumerate_all_gradings(S))
+        assert calls and any(got is None for _, _, got in calls), S
+        if S.odd_indices():  # some component joins an even and an odd piece
+            assert any(len(c) == 2 for _, comps, _ in calls for c in comps), S
+        _assert_matches_reference(calls)

@@ -24,6 +24,7 @@ from compsuper.gradings import (
 )
 from compsuper.search import (
     BudgetExhausted,
+    _decompositions_of_block,
     _parity_splits,
     _split_relations,
     SearchBudget,
@@ -344,6 +345,59 @@ def test_complement_enumeration_matches_scan_oracle():
                     if linalg.rank(F, list(w1) + list(w2)) == d:
                         oracle.add(frozenset((linalg.span_key(F, w1), linalg.span_key(F, w2))))
         assert got == oracle
+
+
+def _reference_decompositions_of_block(F, block_basis):
+    """Reference for `_decompositions_of_block`: a rank check of the
+    stacked vectors for every candidate subspace."""
+    d = len(block_basis)
+    if d == 0:
+        return [()]
+    subspaces = []
+    for k in range(1, d + 1):
+        subspaces.extend(linalg.subspaces_of_span(F, block_basis, k))
+    keys = {s: linalg.span_key(F, s) for s in subspaces}
+    out = []
+
+    def rec(chosen, dim_used, min_key):
+        if dim_used == d:
+            out.append(tuple(chosen))
+            return
+        for s in subspaces:
+            k = keys[s]
+            if min_key is not None and k <= min_key:
+                continue
+            if dim_used + len(s) > d:
+                continue
+            stacked = [v for c in chosen for v in c] + list(s)
+            if linalg.rank(F, stacked) != dim_used + len(s):
+                continue
+            chosen.append(s)
+            rec(chosen, dim_used + len(s), k)
+            chosen.pop()
+
+    rec([], 0, None)
+    return out
+
+
+def test_decompositions_of_block_match_rank_check():
+    """The memoized direct sums give the same decompositions, in the same
+    order, as a rank check per candidate, on whole spaces and on a block
+    spanned by some coordinates of a larger space."""
+    def unit(F, n, i):
+        return tuple(F.one if j == i else F.zero for j in range(n))
+
+    counts = {}
+    for q, d in ((2, 4), (3, 2), (4, 2), (9, 2), (2, 1), (2, 0)):
+        F = GF(q)
+        block = [unit(F, d, i) for i in range(d)]
+        got = _decompositions_of_block(F, block)
+        assert got == _reference_decompositions_of_block(F, block), (q, d)
+        counts[q, d] = len(got)
+    assert counts == {(2, 4): 2921, (3, 2): 7, (4, 2): 11, (9, 2): 46, (2, 1): 1, (2, 0): 1}
+    F = GF(3)
+    block = [unit(F, 5, 1), unit(F, 5, 3), unit(F, 5, 4)]
+    assert _decompositions_of_block(F, block) == _reference_decompositions_of_block(F, block)
 
 
 def test_dimension_guard():
