@@ -159,40 +159,46 @@ def _is_para_unit(S, e):
     return True
 
 
+def even_commutant(S, others):
+    """Basis of {z in S_0 : z*w = w*z for every w in `others`}, in S's
+    coordinates.
+
+    The unknowns are the coefficients of z over the even basis; each w
+    gives one row per coordinate of z*w - w*z, and the basis is the
+    nullspace of these rows, embedded into the even coordinates.
+    """
+    F = S.field
+    ev = S.even_indices()
+    even = [S.basis_vector(i) for i in ev]
+    rows = []
+    for w in others:
+        cols = [linalg.vec_sub(F, S.mul(x, w), S.mul(w, x)) for x in even]
+        rows.extend(tuple(c[r] for c in cols) for r in range(S.dim))
+    out = []
+    for coeffs in linalg.nullspace(F, rows):
+        z = [F.zero] * S.dim
+        for i, c in zip(ev, coeffs):
+            z[i] = c
+        out.append(tuple(z))
+    return out
+
+
 def find_para_units(S):
     """All even idempotents e with e*x = x*e = b(e,x)e - x, sorted.
 
     Every para-unit commutes with every x, so the search runs over the
-    commutant {e even : e*x = x*e for every basis x}, a nullspace: all of
-    its vectors over a finite field, the remaining quadratic conditions
-    solved symbolically over Q.
+    even commutant of the whole basis: all of its vectors over a finite
+    field, the remaining quadratic conditions solved symbolically over Q.
     """
     F = S.field
-    ev = S.even_indices()
-    prod = _basis_products(S)
-    rows = [
-        tuple(F.sub(prod[i][x][coord], prod[x][i][coord]) for i in ev)
-        for x in range(S.dim)
-        for coord in range(S.dim)
-    ]
-    kvecs = []
-    for k in linalg.nullspace(F, rows):  # coefficients over the even basis
-        v = [F.zero] * S.dim
-        for c, i in zip(k, ev):
-            v[i] = c
-        kvecs.append(tuple(v))
+    kvecs = even_commutant(S, S.basis())
     if not kvecs:
         return []
     if F.order is None:
         return _solve_para_units_rational(S, kvecs)
     out = []
     for coeffs in linalg.all_vectors(F, len(kvecs)):
-        e = [F.zero] * S.dim
-        for c, v in zip(coeffs, kvecs):
-            if c != F.zero:
-                for i, a in enumerate(v):
-                    e[i] = F.add(e[i], F.mul(c, a))
-        e = tuple(e)
+        e = linalg.lincomb(F, coeffs, kvecs, S.dim)
         if _is_para_unit(S, e):
             out.append(e)
     return sorted(out)

@@ -15,10 +15,12 @@ from .axioms import (
     check_conjugation_invariance,
     check_orthogonality,
     check_phi_invariance,
+    even_commutant,
 )
 from .constructions import (
     b12,
     b42,
+    _morphism_on_basis,
     okubo_super,
     para_hurwitz,
     super_split_cayley,
@@ -424,7 +426,7 @@ def _dim8_swap(A, cb):
         "v2": v["v1"],
         "v3": linalg.vec_scale(F, m, v["v3"]),
     }
-    return _images_on_standard(A, cb, assignment)
+    return _morphism_on_basis(A, cb, assignment)
 
 
 def _dim8_flip(A, cb):
@@ -440,7 +442,7 @@ def _dim8_flip(A, cb):
         "v2": v["u2"],
         "v3": v["u3"],
     }
-    return _images_on_standard(A, cb, assignment)
+    return _morphism_on_basis(A, cb, assignment)
 
 
 def _okubo_cross(A, cb):
@@ -456,23 +458,7 @@ def _okubo_cross(A, cb):
         "u3": v["v3"],
         "v3": v["u3"],
     }
-    return _images_on_standard(A, cb, assignment)
-
-
-def _images_on_standard(A, cb, assignment):
-    F = A.field
-    names = cb.names()
-    basis = [cb.vectors[nm] for nm in names]
-    images = []
-    for i in range(A.dim):
-        coeffs = linalg.coords_in_basis(F, basis, A.basis_vector(i))
-        acc = [F.zero] * A.dim
-        for c, nm in zip(coeffs, names):
-            if c != F.zero:
-                for k, a in enumerate(assignment[nm]):
-                    acc[k] = F.add(acc[k], F.mul(c, a))
-        images.append(tuple(acc))
-    return Morphism(A, A, tuple(images))
+    return _morphism_on_basis(A, cb, assignment)
 
 
 def iso_condition_small(kind, field, budget=None):
@@ -540,18 +526,7 @@ def _para_unit_certificate(S, phi):
     not a line holding one) and whether the left square of e is phi.
     """
     F = S.field
-    ev = S.even_indices()
-    even = [S.basis_vector(i) for i in ev]
-    rows = []
-    for y in even:
-        cols = [linalg.vec_sub(F, S.mul(x, y), S.mul(y, x)) for x in even]
-        rows.extend(tuple(c[r] for c in cols) for r in range(S.dim))
-    commutant = []
-    for coeffs in linalg.nullspace(F, rows):
-        z = [F.zero] * S.dim
-        for i, c in zip(ev, coeffs):
-            z[i] = c
-        commutant.append(tuple(z))
+    commutant = even_commutant(S, [S.basis_vector(i) for i in S.even_indices()])
     e = None
     if len(commutant) == 1:
         # z*z = c z with c != 0 gives the single nonzero idempotent z/c

@@ -41,7 +41,7 @@ from .search import (
     find_graded_map,
     fine_check,
 )
-from .superalgebra import SuperAlgebra, json_member
+from .superalgebra import SuperAlgebra, json_member, json_scalar
 
 CONSTRUCTIONS = (
     "split2", "split4", "split8", "cd", "b12", "b42", "para",
@@ -192,7 +192,7 @@ def _grading_from_args(args, field):
             for v in json_member(comp, "basis", list, where):
                 if not isinstance(v, list) or len(v) != A.dim:
                     raise ValueError(f"{where}.basis vector {v} must have {A.dim} entries")
-                vs.append(tuple(A.field.parse_elt(c) for c in v))
+                vs.append(tuple(json_scalar(A.field, c, f"{where}.basis") for c in v))
             comps.append((deg, vs))
         return A, grading_from_components(A, G, comps)
     raise UsageError("need --catalog ID or --grading-file FILE")

@@ -112,13 +112,11 @@ class CanonicalBasis:
         vecs = self.vectors
         for a in names:
             for b in names:
-                want = [F.zero] * A.dim
-                for res, sgn in CAYLEY_TABLE.get((a, b), []):
-                    cv = vecs[res]
-                    s = F.one if sgn == 1 else F.neg(F.one)
-                    want = [F.add(w, F.mul(s, c)) for w, c in zip(want, cv)]
-                got = A.mul(vecs[a], vecs[b])
-                if got != tuple(want):
+                terms = CAYLEY_TABLE.get((a, b), [])
+                want = linalg.lincomb(
+                    F, [F.from_int(sgn) for _, sgn in terms], [vecs[res] for res, _ in terms], A.dim
+                )
+                if A.mul(vecs[a], vecs[b]) != want:
                     raise NotSplit(f"table mismatch at {a}*{b}")
         for a in names:
             pa = A.parity_of(vecs[a])
@@ -418,37 +416,25 @@ def petersson_twist(C, phi, name=None):
     )
 
 
-def _morphism_on_basis(cb, assignment):
-    """Build a morphism from images of the canonical-basis vectors.
+def _morphism_on_basis(A, cb, assignment):
+    """The linear map A -> A sending each canonical-basis vector of `cb` to
+    its image in `assignment` (name -> coordinate tuple in A).
 
-    assignment maps canonical names to coordinate tuples; the result acts
-    on the standard basis via a change of basis.
+    Each standard basis vector of A is written in the canonical basis and
+    sent to the same combination of the images.  A is passed in rather
+    than read from `cb.algebra` because a Petersson twist keeps the space
+    of the algebra it twists: its maps are given on the canonical basis of
+    that algebra.
     """
-    A = cb.algebra
     F = A.field
     names = cb.names()
     basis = [cb.vectors[nm] for nm in names]
+    targets = [assignment[nm] for nm in names]
     images = []
     for i in range(A.dim):
         coeffs = linalg.coords_in_basis(F, basis, A.basis_vector(i))
-        acc = [F.zero] * A.dim
-        for c, nm in zip(coeffs, names):
-            if c != F.zero:
-                for k, a in enumerate(assignment[nm]):
-                    acc[k] = F.add(acc[k], F.mul(c, a))
-        images.append(tuple(acc))
+        images.append(linalg.lincomb(F, coeffs, targets, A.dim))
     return Morphism(A, A, tuple(images))
-
-
-def _lincomb(F, terms):
-    acc = None
-    for c, v in terms:
-        if acc is None:
-            acc = [F.zero] * len(v)
-        for i, a in enumerate(v):
-            if a != F.zero:
-                acc[i] = F.add(acc[i], F.mul(c, a))
-    return tuple(acc)
 
 
 def tau_st(cb):
@@ -464,7 +450,7 @@ def tau_st(cb):
         "v2": v["v3"],
         "v3": v["v1"],
     }
-    return _morphism_on_basis(cb, assignment)
+    return _morphism_on_basis(cb.algebra, cb, assignment)
 
 
 def tau_nst(cb):
@@ -477,13 +463,13 @@ def tau_nst(cb):
         "e1": v["e1"],
         "e2": v["e2"],
         "u1": v["u2"],
-        "u2": _lincomb(F, [(m, v["u1"]), (m, v["u2"])]),
+        "u2": linalg.lincomb(F, (m, m), (v["u1"], v["u2"]), A.dim),
         "u3": v["u3"],
-        "v1": _lincomb(F, [(m, v["v1"]), (o, v["v2"])]),
-        "v2": _lincomb(F, [(m, v["v1"])]),
+        "v1": linalg.lincomb(F, (m, o), (v["v1"], v["v2"]), A.dim),
+        "v2": linalg.vec_scale(F, m, v["v1"]),
         "v3": v["v3"],
     }
-    return _morphism_on_basis(cb, assignment)
+    return _morphism_on_basis(cb.algebra, cb, assignment)
 
 
 def tau_omega(cb, omega=None):
@@ -507,7 +493,7 @@ def tau_omega(cb, omega=None):
         "v2": linalg.vec_scale(F, w1, v["v2"]),
         "v3": v["v3"],
     }
-    return _morphism_on_basis(cb, assignment)
+    return _morphism_on_basis(cb.algebra, cb, assignment)
 
 
 def b12_lambda(field, lam):
@@ -522,7 +508,7 @@ def b12_lambda(field, lam):
     images = (
         B.basis_vector(0),
         B.basis_vector(1),
-        _lincomb(F, [(lam, B.basis_vector(1)), (F.one, B.basis_vector(2))]),
+        linalg.lincomb(F, (lam, F.one), (B.basis_vector(1), B.basis_vector(2)), B.dim),
     )
     phi = Morphism(B, B, images)
     S = petersson_twist(B, phi, name=f"B(1,2)_{F.fmt(lam)}")
@@ -615,7 +601,7 @@ def canonical_basis_find(C, a):
     w = C.mul(u1, u2)
     u3 = None
     for coeffs in linalg.all_vectors(F, 3):
-        cand = _lincomb(F, list(zip(coeffs, pd.U)))
+        cand = linalg.lincomb(F, coeffs, pd.U, C.dim)
         if C.eval_b(w, cand) == F.one:
             u3 = cand
             break
@@ -698,7 +684,7 @@ def adapt_basis_to_automorphism(C, phi):
     if label is None:
         label = "nst"
         for coeffs in linalg.nonzero_vectors(F, 2):
-            cand = _lincomb(F, list(zip(coeffs, u_odd)))
+            cand = linalg.lincomb(F, coeffs, u_odd, C.dim)
             img = phi.apply(cand)
             if linalg.rank(F, [cand, img]) == 2:
                 u1 = cand
@@ -757,8 +743,7 @@ def _intersect(F, space_a, space_b):
     ker = linalg.nullspace(F, rows)
     out = []
     for k in ker:
-        coeffs = k[: len(space_a)]
-        vec = _lincomb(F, list(zip(coeffs, space_a)))
+        vec = linalg.lincomb(F, k[: len(space_a)], space_a, n)
         if not linalg.vec_is_zero(F, vec):
             out.append(vec)
     rr, _ = linalg.rref(F, out) if out else ([], [])
@@ -780,7 +765,7 @@ def _eigenvectors_in(C, phi, space, eigval):
     ker = linalg.nullspace(F, rows)
     out = []
     for k in ker:
-        vec = _lincomb(F, list(zip(k, space)))
+        vec = linalg.lincomb(F, k, space, n)
         if not linalg.vec_is_zero(F, vec):
             out.append(vec)
     return out

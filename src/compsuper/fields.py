@@ -6,7 +6,6 @@ operations are pure and exact, so exhaustive axiom checks over q <= 9
 are cheap table lookups.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -15,10 +14,6 @@ class FieldError(ValueError):
 
 
 class DivisionByZero(FieldError, ZeroDivisionError):
-    pass
-
-
-class MixedFields(FieldError):
     pass
 
 
@@ -72,6 +67,18 @@ class Field:
         raise NotImplementedError
 
     def parse_elt(self, s):
+        """Raw value of a string such as "2", "-1/2" or "2x+1", or of an int
+        (read as a string of its digits).  Raises FieldError for any other
+        type, bool included, and for a string that names no element."""
+        if isinstance(s, bool) or not isinstance(s, (str, int)):
+            raise FieldError(f"{self.name} value must be a string or an integer, "
+                             f"got {type(s).__name__} {s!r}")
+        try:
+            return self._parse(str(s))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise FieldError(f"{s!r} is not an element of {self.name}") from exc
+
+    def _parse(self, s):
         raise NotImplementedError
 
     def primitive_cube_root_raw(self):
@@ -128,7 +135,7 @@ class RationalField(Field):
     def fmt(self, a):
         return str(Fraction(a))
 
-    def parse_elt(self, s):
+    def _parse(self, s):
         return Fraction(s)
 
 
@@ -169,7 +176,7 @@ class PrimeField(Field):
     def fmt(self, a):
         return str(a)
 
-    def parse_elt(self, s):
+    def _parse(self, s):
         return int(s) % self.p
 
 
@@ -257,7 +264,7 @@ class QuadraticField(Field):
         xs = "x" if a1 == 1 else f"{a1}x"
         return xs if a0 == 0 else f"{xs}+{a0}"
 
-    def parse_elt(self, s):
+    def _parse(self, s):
         s = s.replace(" ", "")
         if "x" not in s:
             return int(s) % self.p
@@ -295,67 +302,3 @@ def field_from_string(s):
         return GF(int(s[3:-1]))
     raise FieldError(f"unknown field {s!r}")
 
-
-@dataclass(frozen=True)
-class Scalar:
-    """A field element tagged with its field; arithmetic checks the tag."""
-
-    field: Field
-    value: object
-
-    def _coerce(self, other):
-        if isinstance(other, Scalar):
-            if other.field != self.field:
-                raise MixedFields(f"{self.field} vs {other.field}")
-            return other.value
-        return self.field.from_int(other)
-
-    def __add__(self, other):
-        return Scalar(self.field, self.field.add(self.value, self._coerce(other)))
-
-    def __sub__(self, other):
-        return Scalar(self.field, self.field.sub(self.value, self._coerce(other)))
-
-    def __mul__(self, other):
-        return Scalar(self.field, self.field.mul(self.value, self._coerce(other)))
-
-    def __neg__(self):
-        return Scalar(self.field, self.field.neg(self.value))
-
-    def inv(self):
-        return Scalar(self.field, self.field.inv(self.value))
-
-    def __eq__(self, other):
-        if isinstance(other, Scalar):
-            return self.field == other.field and self.value == other.value
-        return self.value == self.field.from_int(other)
-
-    def __hash__(self):
-        return hash((self.field, self.value))
-
-    def __str__(self):
-        return self.field.fmt(self.value)
-
-
-def field_arith(a, b, op):
-    """Binary/unary field operation on Scalars: add | mul | inv | neg."""
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "neg":
-        return -a
-    if op == "inv":
-        return a.inv()
-    raise FieldError(f"unknown op {op!r}")
-
-
-def enumerate_elements(field):
-    """All elements of a finite field as Scalars, each exactly once."""
-    return [Scalar(field, v) for v in field.elements()]
-
-
-def primitive_cube_root(field):
-    """Scalar w != 1 with w^3 = 1, or None if the field has none."""
-    raw = field.primitive_cube_root_raw()
-    return None if raw is None else Scalar(field, raw)

@@ -9,7 +9,7 @@ compatibility with the main grading holds by construction.
 from dataclasses import dataclass
 
 from . import linalg
-from .abelian import AbGroup, AbHom, presentation_to_group
+from .abelian import AbGroup, AbHom, WrongGroup, presentation_to_group
 
 
 class SupportTooLarge(ValueError):
@@ -31,7 +31,8 @@ class Grading:
     comps: tuple  # ((AbElement, (vector, ...)), ...)
 
     def __post_init__(self):
-        assert all(vs for _, vs in self.comps), "components must be nonzero"
+        if not all(vs for _, vs in self.comps):
+            raise ValueError("grading components must be nonzero")
 
     def degrees(self):
         return [d for d, _ in self.comps]
@@ -67,8 +68,9 @@ class Grading:
 
 
 def grading_from_components(algebra, group, comps):
-    """comps: iterable of (AbElement, [vectors]); empty components dropped,
-    component bases replaced by their reduced echelon form."""
+    """comps: iterable of (AbElement, [vectors]).  Zero vectors are dropped,
+    then components left empty; the remaining vectors are kept as given,
+    in order, as the component's basis (they are not put in echelon form)."""
     F = algebra.field
     out = []
     for deg, vs in comps:
@@ -307,7 +309,10 @@ def over_universal_group(grading):
 
 def induce(grading, hom):
     """Coarsening along a group homomorphism; equal images merge."""
-    assert isinstance(hom, AbHom) and hom.source == grading.group
+    if not isinstance(hom, AbHom):
+        raise ValueError(f"induce needs an AbHom, got {type(hom).__name__}")
+    if hom.source != grading.group:
+        raise WrongGroup(f"hom source {hom.source} is not the grading group {grading.group}")
     merged = {}
     order = []
     for d, vs in grading.comps:
@@ -321,7 +326,8 @@ def induce(grading, hom):
 
 def is_refinement(fine, coarse):
     """True when every component of `fine` sits inside a component of `coarse`."""
-    assert fine.algebra is coarse.algebra
+    if fine.algebra is not coarse.algebra:
+        raise ValueError("is_refinement compares gradings of one algebra")
     F = fine.algebra.field
     spans = [linalg.rref(F, list(vs)) for _, vs in coarse.comps]
     for _, vs in fine.comps:
@@ -396,13 +402,15 @@ def coarsenings_enum(grading):
 
 def gamma_grading_b12(algebra, G, g):
     """deg(1)=0, deg(u)=g, deg(v)=-g on the 3-dimensional superalgebra."""
-    assert algebra.dim == 3
+    if algebra.dim != 3:
+        raise ValueError(f"gamma_grading_b12 needs dimension 3, got {algebra.dim}")
     return grading_from_degrees(algebra, G, [G.zero(), g, -g])
 
 
 def gamma_grading_b42(algebra, G, g):
     """deg(e_j)=0, deg(u)=g, deg(v)=-g, deg(x)=2g, deg(y)=-2g."""
-    assert algebra.dim == 6
+    if algebra.dim != 6:
+        raise ValueError(f"gamma_grading_b42 needs dimension 6, got {algebra.dim}")
     z = G.zero()
     return grading_from_degrees(algebra, G, [z, z, 2 * g, -(2 * g), g, -g])
 

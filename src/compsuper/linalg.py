@@ -8,10 +8,6 @@ comparison.
 from itertools import combinations, product
 
 
-def zero_vector(field, n):
-    return (field.zero,) * n
-
-
 def vec_is_zero(field, v):
     z = field.zero
     return all(c == z for c in v)
@@ -37,6 +33,24 @@ def vec_neg(field, v):
     return tuple(neg(a) for a in v)
 
 
+def lincomb(field, coeffs, vectors, n):
+    """The length-n tuple sum(c * v) over zip(coeffs, vectors).
+
+    Zero coefficients and zero entries are skipped, so a vector paired
+    with a zero coefficient is never read.  `n` is the length of the
+    result, which the vectors cannot supply when there are none.
+    """
+    z = field.zero
+    add, mul = field.add, field.mul
+    acc = [z] * n
+    for c, v in zip(coeffs, vectors):
+        if c != z:
+            for i, a in enumerate(v):
+                if a != z:
+                    acc[i] = add(acc[i], mul(c, a))
+    return tuple(acc)
+
+
 def mat_vec(field, rows, v):
     """rows is m x n, v length n; returns length-m tuple."""
     add, mul, z = field.add, field.mul, field.zero
@@ -48,20 +62,6 @@ def mat_vec(field, rows, v):
                 acc = add(acc, mul(a, b))
         out.append(acc)
     return tuple(out)
-
-
-def mat_mul(field, A, B):
-    Bt = list(zip(*B))
-    return tuple(tuple(_dot(field, row, col) for col in Bt) for row in A)
-
-
-def _dot(field, u, v):
-    add, mul, z = field.add, field.mul, field.zero
-    acc = z
-    for a, b in zip(u, v):
-        if a != z and b != z:
-            acc = add(acc, mul(a, b))
-    return acc
 
 
 def identity_matrix(field, n):
@@ -248,20 +248,7 @@ def subspaces_of_span(field, basis, k):
         yield ()
         return
     for prof in rref_profiles(field, k, d):
-        yield tuple(
-            _combine(field, row, basis) for row in prof
-        )
-
-
-def _combine(field, coeffs, basis):
-    n = len(basis[0])
-    acc = [field.zero] * n
-    for c, bv in zip(coeffs, basis):
-        if c != field.zero:
-            for i, a in enumerate(bv):
-                if a != field.zero:
-                    acc[i] = field.add(acc[i], field.mul(c, a))
-    return tuple(acc)
+        yield tuple(lincomb(field, row, basis, len(basis[0])) for row in prof)
 
 
 def complementary_pairs(field, basis):
@@ -273,6 +260,7 @@ def complementary_pairs(field, basis):
     constructed directly instead of filtered by rank.
     """
     d = len(basis)
+    n = len(basis[0]) if basis else 0
     z = field.zero
     o = field.one
     for k in range(1, d // 2 + 1):
@@ -285,19 +273,13 @@ def complementary_pairs(field, basis):
             for graph in product(field.elements(), repeat=m * k):
                 w2_prof = []
                 for a, j in enumerate(nonpiv):
-                    row = [z] * d
-                    row[j] = o
-                    for i in range(k):
-                        c = graph[a * k + i]
-                        if c != z:
-                            for t in range(d):
-                                if prof[i][t] != z:
-                                    row[t] = field.add(row[t], field.mul(c, prof[i][t]))
+                    row = list(lincomb(field, graph[a * k:(a + 1) * k], prof, d))
+                    row[j] = field.add(row[j], o)
                     w2_prof.append(tuple(row))
                 if k == d - k:
                     rr, _ = rref(field, w2_prof)
                     if tuple(rr) < tuple(prof):
                         continue  # unordered: keep one of the two orders
-                w1 = [_combine(field, row, basis) for row in prof]
-                w2 = [_combine(field, row, basis) for row in w2_prof]
+                w1 = [lincomb(field, row, basis, n) for row in prof]
+                w2 = [lincomb(field, row, basis, n) for row in w2_prof]
                 yield w1, w2

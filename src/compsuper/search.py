@@ -14,6 +14,7 @@ from . import linalg
 from .gradings import Grading, grading_from_components, main_grading, trivial_grading
 from .gradings import _RelationBuilder, _pair_relation, _products, validate
 from .abelian import presentation_to_group
+from .fields import InfiniteField
 from .superalgebra import Morphism, identity_morphism, is_morphism, CheckFailed
 
 
@@ -71,7 +72,10 @@ class _GradedMapSearch:
         self.nodes = 0
         F = A.field
         self.F = F
-        assert F == B.field and F.order is not None, "finite fields only"
+        if F != B.field:
+            raise ValueError(f"graded maps need one field, got {F} and {B.field}")
+        if F.order is None:
+            raise InfiniteField(f"graded map search needs a finite field, got {F}")
 
     def _tick(self):
         self.nodes += 1
@@ -97,19 +101,20 @@ class _GradedMapSearch:
         )
         src_vecs = [src_vecs[t] for t in order]
         src_comp = [src_comp[t] for t in order]
-        # products of source vectors expanded in the source-vector basis
+        # products of source vectors expanded in the source-vector basis,
+        # listed (in (i, j) order) under their depth: the largest index of
+        # a source vector they involve, the slot at which they are checked
         m = len(src_vecs)
-        prod_coeffs = {}
+        by_depth = [[] for _ in range(m)]
         z = F.zero
         for i in range(m):
             for j in range(m):
                 p = A.mul(src_vecs[i], src_vecs[j])
                 coeffs = linalg.coords_in_basis(F, src_vecs, p)
                 support = [k for k, c in enumerate(coeffs) if c != z]
-                depth = max([i, j] + support)
-                prod_coeffs[(i, j)] = (coeffs, support, depth)
+                by_depth[max([i, j] + support)].append((i, j, coeffs, support))
         tgt_rrefs = [linalg.rref(F, span) for span in tgt_spans]
-        return src_vecs, src_comp, prod_coeffs, tgt_spans, tgt_rrefs
+        return src_vecs, src_comp, by_depth, tgt_spans, tgt_rrefs
 
     def run(self, comp_target, collect=None):
         """Search with a fixed component assignment; returns a Morphism or None.
@@ -117,36 +122,28 @@ class _GradedMapSearch:
         With collect (a list), every solution is appended and None returned.
         """
         A, B, F = self.A, self.B, self.F
-        src_vecs, src_comp, prod_coeffs, tgt_spans, tgt_rrefs = self._prepare(comp_target)
+        src_vecs, src_comp, by_depth, tgt_spans, tgt_rrefs = self._prepare(comp_target)
         m = len(src_vecs)
+        n = B.dim
         images = [None] * m
         z = F.zero
+        span_vectors = {}  # target component -> its nonzero vectors, built on first use
 
         def candidates(t):
             # a product of two assigned vectors may force the image
-            for (i, j), (coeffs, support, depth) in prod_coeffs.items():
-                if depth != t or i == t or j == t or coeffs[t] == z:
+            for i, j, coeffs, support in by_depth[t]:
+                if i == t or j == t or coeffs[t] == z:
                     continue
                 lhs = B.mul(images[i], images[j])
-                acc = list(lhs)
-                for k in support:
-                    if k != t:
-                        for s, a in enumerate(images[k]):
-                            if a != z:
-                                acc[s] = F.sub(acc[s], F.mul(coeffs[k], a))
-                inv = F.inv(coeffs[t])
-                return [tuple(F.mul(inv, a) for a in acc)]
-            span = tgt_spans[comp_target[src_comp[t]]]
-            out = []
-            for coeffs in linalg.nonzero_vectors(F, len(span)):
-                acc = [z] * B.dim
-                for c, bv in zip(coeffs, span):
-                    if c != z:
-                        for s, a in enumerate(bv):
-                            if a != z:
-                                acc[s] = F.add(acc[s], F.mul(c, a))
-                out.append(tuple(acc))
-            return out
+                rest = [k for k in support if k != t]
+                known = linalg.lincomb(F, [coeffs[k] for k in rest], [images[k] for k in rest], n)
+                return [linalg.vec_scale(F, F.inv(coeffs[t]), linalg.vec_sub(F, lhs, known))]
+            ci = comp_target[src_comp[t]]
+            if ci not in span_vectors:
+                span = tgt_spans[ci]
+                span_vectors[ci] = [linalg.lincomb(F, coeffs, span, n)
+                                    for coeffs in linalg.nonzero_vectors(F, len(span))]
+            return span_vectors[ci]
 
         def consistent(t):
             v = images[t]
@@ -166,19 +163,9 @@ class _GradedMapSearch:
                         return False
             if linalg.rank(F, [im for im in images[: t + 1]]) != t + 1:
                 return False
-            for i in range(t + 1):
-                for j in range(t + 1):
-                    coeffs, support, depth = prod_coeffs[(i, j)]
-                    if depth != t:
-                        continue
-                    lhs = B.mul(images[i], images[j])
-                    acc = [z] * B.dim
-                    for k in support:
-                        for s, a in enumerate(images[k]):
-                            if a != z:
-                                acc[s] = F.add(acc[s], F.mul(coeffs[k], a))
-                    if lhs != tuple(acc):
-                        return False
+            for i, j, coeffs, _ in by_depth[t]:
+                if B.mul(images[i], images[j]) != linalg.lincomb(F, coeffs, images, n):
+                    return False
             return True
 
         def finish():
@@ -186,13 +173,7 @@ class _GradedMapSearch:
             base = src_vecs
             for i in range(A.dim):
                 coeffs = linalg.coords_in_basis(F, base, A.basis_vector(i))
-                acc = [z] * B.dim
-                for c, im in zip(coeffs, images):
-                    if c != z:
-                        for s, a in enumerate(im):
-                            if a != z:
-                                acc[s] = F.add(acc[s], F.mul(c, a))
-                imgs[i] = tuple(acc)
+                imgs[i] = linalg.lincomb(F, coeffs, images, n)
             f = Morphism(A, B, tuple(imgs))
             try:
                 checks = ["algebra-hom", "parity-preserving", "bijective"]
@@ -303,7 +284,8 @@ def enumerate_automorphisms(S, constraints=None, budget=None):
     """
     budget = budget or SearchBudget()
     F = S.field
-    assert F.order is not None, "finite fields only"
+    if F.order is None:
+        raise InfiniteField(f"automorphism search needs a finite field, got {F}")
     if constraints is None:
         total = F.order ** (S.dim * S.dim)
         if total > budget.max_nodes:

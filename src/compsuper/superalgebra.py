@@ -7,11 +7,10 @@ the polar form because quadratic forms in characteristic 2 are not
 determined by their polarization.
 """
 
-import json
 from dataclasses import dataclass, field as dc_field
 
 from . import linalg
-from .fields import field_from_string
+from .fields import FieldError, field_from_string
 
 
 class MixedAlgebras(ValueError):
@@ -48,6 +47,15 @@ def json_member(obj, key, kind, where):
     if not isinstance(value, kind):
         raise ValueError(f"{where}.{key} must be {_JSON_KINDS[kind]}, got {type(value).__name__}")
     return value
+
+
+def json_scalar(field, value, where):
+    """`field.parse_elt(value)` for a scalar read from JSON; raises
+    FieldError naming `where` when the value is not one of the field."""
+    try:
+        return field.parse_elt(value)
+    except FieldError as exc:
+        raise FieldError(f"{where}: {exc}") from None
 
 
 class SuperAlgebra:
@@ -278,7 +286,7 @@ class SuperAlgebra:
             i, j, k, c = entry
             if not all(isinstance(t, int) and 0 <= t < n for t in (i, j, k)):
                 raise ValueError(f"structure entry {entry} has an index outside 0..{n - 1}")
-            table[i][j][k] = F.parse_elt(c)
+            table[i][j][k] = json_scalar(F, c, "algebra.structure")
         polar = json_member(data, "polar", list, "algebra")
         if not all(isinstance(row, list) for row in polar):
             raise ValueError("algebra.polar must be a list of rows")
@@ -286,9 +294,10 @@ class SuperAlgebra:
             F,
             json_member(data, "parity", list, "algebra"),
             table,
-            [F.parse_elt(c) for c in json_member(data, "q0_values", list, "algebra")],
-            [[F.parse_elt(c) for c in row] for row in polar],
-            basis_names=data.get("basis"),
+            [json_scalar(F, c, "algebra.q0_values")
+             for c in json_member(data, "q0_values", list, "algebra")],
+            [[json_scalar(F, c, "algebra.polar") for c in row] for row in polar],
+            basis_names=json_member(data, "basis", list, "algebra") if "basis" in data else None,
             name=data.get("name", ""),
         )
 
@@ -343,22 +352,6 @@ class Element:
         return self.algebra.fmt(self.coords)
 
 
-def multiply(x, y):
-    return x * y
-
-
-def eval_q0(x):
-    return x.q0()
-
-
-def eval_b(x, y):
-    return x.b(y)
-
-
-def conjugate(x):
-    return x.conj()
-
-
 @dataclass(frozen=True)
 class Morphism:
     """Linear map recorded by the images of the source basis vectors."""
@@ -369,14 +362,7 @@ class Morphism:
     attrs: frozenset = dc_field(default_factory=frozenset)
 
     def apply(self, x):
-        F = self.target.field
-        acc = [F.zero] * self.target.dim
-        for c, img in zip(x, self.images):
-            if c != F.zero:
-                for i, a in enumerate(img):
-                    if a != F.zero:
-                        acc[i] = F.add(acc[i], F.mul(c, a))
-        return tuple(acc)
+        return linalg.lincomb(self.target.field, x, self.images, self.target.dim)
 
     def __call__(self, x):
         if isinstance(x, Element):
@@ -422,10 +408,6 @@ class Morphism:
 
 def identity_morphism(A):
     return Morphism(A, A, tuple(A.basis_vector(i) for i in range(A.dim)))
-
-
-def morphism_from_images(A, B, images):
-    return Morphism(A, B, tuple(tuple(v) for v in images))
 
 
 KNOWN_CHECKS = ("algebra-hom", "parity-preserving", "isometry", "involution-commuting", "bijective")
@@ -502,7 +484,3 @@ def is_regular_superform(S):
             if S.eval_q0(tuple(full)) == F.zero:
                 return False
     return True
-
-
-def algebra_to_json_str(A):
-    return json.dumps(A.to_json(), indent=2)

@@ -158,8 +158,12 @@ def _first_component(data):
     (lambda d: _first_component(d).update(coords=[]), "coords"),
     (lambda d: d.update(algebra=3), "algebra"),
     (lambda d: _first_component(d)["basis"][0].__delitem__(slice(1, None)), "basis"),
+    (lambda d: d["algebra"]["q0_values"].__setitem__(0, ["1"]), "q0_values"),
+    (lambda d: d["algebra"]["structure"][0].__setitem__(3, 1.5), "structure"),
+    (lambda d: d["algebra"].update(basis=5), "basis"),
 ], ids=["no-structure", "no-grading", "no-group", "no-basis", "empty-coords",
-        "algebra-not-object", "one-entry-basis-vector"])
+        "algebra-not-object", "one-entry-basis-vector", "list-q0-value",
+        "float-structure-coefficient", "basis-names-not-list"])
 def test_malformed_grading_file_exits_2(capsys, tmp_path, edit, field):
     from compsuper.catalog import build_entry
     from compsuper.fields import GF
@@ -174,6 +178,21 @@ def test_malformed_grading_file_exits_2(capsys, tmp_path, edit, field):
     assert code == 2
     assert err.startswith("error:") and len(err.strip().splitlines()) == 1
     assert field in err
+
+
+def test_autos_over_q_exits_2(capsys, tmp_path):
+    from compsuper.constructions import split_hurwitz
+    from compsuper.fields import QQ
+    from compsuper.gradings import main_grading
+
+    A, _ = split_hurwitz(4, QQ)
+    path = tmp_path / "grading.json"
+    path.write_text(json.dumps({"algebra": A.to_json(), "grading": main_grading(A).to_json()}))
+    code = run(["autos", "--grading-file", str(path), "--field", "Q"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    assert "finite field" in err
 
 
 def test_python_m_compsuper_runs():

@@ -6,13 +6,9 @@ from compsuper.fields import (
     GF,
     QQ,
     DivisionByZero,
+    FieldError,
     InfiniteField,
-    MixedFields,
-    Scalar,
-    enumerate_elements,
-    field_arith,
     field_from_string,
-    primitive_cube_root,
 )
 
 FINITE = [GF(2), GF(3), GF(4), GF(9)]
@@ -57,23 +53,19 @@ def test_field_axioms_exhaustive(F):
         assert sorted(F.mul(a, b) for b in nz) == sorted(nz)
 
 
-def test_enumerate_elements_counts():
-    assert [s.value for s in enumerate_elements(GF(2))] == [0, 1]
-    assert len(enumerate_elements(GF(4))) == 4
-    assert len(enumerate_elements(GF(9))) == 9
+def test_elements_counts():
+    assert list(GF(2).elements()) == [0, 1]
+    for q in (3, 4, 7, 9):
+        assert len(set(GF(q).elements())) == q
     with pytest.raises(InfiniteField):
-        enumerate_elements(QQ)
+        QQ.elements()
 
 
-def test_primitive_cube_roots():
-    w = primitive_cube_root(GF(4))
-    assert w is not None and w.value == GF(4).parse_elt("x")
-    assert primitive_cube_root(GF(2)) is None
-    assert primitive_cube_root(GF(3)) is None
-    assert primitive_cube_root(GF(9)) is None
-    assert primitive_cube_root(QQ) is None
-    w7 = primitive_cube_root(GF(7))
-    assert w7.value == 2 and pow(2, 3, 7) == 1
+def test_primitive_cube_root_raw():
+    assert GF(4).primitive_cube_root_raw() == GF(4).parse_elt("x")
+    assert GF(7).primitive_cube_root_raw() == 2 and pow(2, 3, 7) == 1
+    for F in (GF(2), GF(3), GF(9), QQ):
+        assert F.primitive_cube_root_raw() is None
 
 
 @pytest.mark.parametrize("q", [4, 7, 13])
@@ -86,20 +78,26 @@ def test_cube_root_satisfies_quadratic(q):
         assert F.add(F.add(F.mul(w, w), w), F.one) == F.zero
 
 
-def test_scalar_arithmetic_and_errors():
-    a = Scalar(GF(3), 2)
-    b = Scalar(GF(3), 2)
-    assert (a + b).value == 1
-    assert (a * b).value == 1
-    assert (-a).value == 1
-    assert field_arith(a, b, "mul").value == 1
-    assert field_arith(a, None, "inv").value == 2
-    with pytest.raises(MixedFields):
-        a + Scalar(GF(2), 1)
+def test_inverse_of_zero_raises():
+    F = GF(3)
+    assert F.add(2, 2) == 1 and F.mul(2, 2) == 1 and F.neg(2) == 1 and F.inv(2) == 2
     with pytest.raises(DivisionByZero):
-        Scalar(GF(3), 0).inv()
+        F.inv(0)
     with pytest.raises(DivisionByZero):
         QQ.inv(Fraction(0))
+
+
+@pytest.mark.parametrize("F", [GF(2), GF(3), GF(4), GF(9), QQ], ids=lambda f: f.name)
+def test_parse_elt_accepts_only_strings_and_ints(F):
+    assert F.parse_elt("1") == F.one and F.parse_elt(1) == F.one
+    assert F.parse_elt(-1) == F.parse_elt("-1") == F.neg(F.one)
+    assert F.parse_elt(0) == F.zero
+    for bad in ([1], ["1"], {"1": 1}, None, 1.5, 1.0, True, False, Fraction(1)):
+        with pytest.raises(FieldError):
+            F.parse_elt(bad)
+    for bad in ("", "one", "1.5.2", "1/0"):
+        with pytest.raises(FieldError):
+            F.parse_elt(bad)
 
 
 def test_rational_field():

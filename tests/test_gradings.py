@@ -1,7 +1,7 @@
 import pytest
 
 from compsuper import linalg
-from compsuper.abelian import AbGroup, AbHom
+from compsuper.abelian import AbGroup, AbHom, WrongGroup
 from compsuper.constructions import (
     b12,
     b42,
@@ -12,6 +12,7 @@ from compsuper.constructions import (
 )
 from compsuper.fields import GF
 from compsuper.gradings import (
+    Grading,
     TripleNotZeroSum,
     _RelationBuilder,
     _set_grading_relations,
@@ -122,6 +123,24 @@ def test_induce_identity_is_identity():
     eq1 = gamma_grading_b12(B, Z, Z.element(1))
     ident = AbHom(Z, Z, (Z.element(1),))
     assert induce(eq1, ident).comps == eq1.comps
+
+
+def _eq1():
+    return gamma_grading_b12(b12(F3), Z, Z.element(1))
+
+
+@pytest.mark.parametrize("call, exc", [
+    (lambda: Grading(b12(F3), Z, ((Z.element(0), ()),)), ValueError),
+    (lambda: induce(_eq1(), "not a hom"), ValueError),
+    (lambda: induce(_eq1(), AbHom(Z2, Z2, (Z2.element(1),))), WrongGroup),
+    (lambda: is_refinement(main_grading(b12(F3)), main_grading(b12(F3))), ValueError),
+    (lambda: gamma_grading_b12(b42(F3), Z, Z.element(1)), ValueError),
+    (lambda: gamma_grading_b42(b12(F3), Z, Z.element(1)), ValueError),
+], ids=["empty-component", "induce-not-a-hom", "induce-wrong-source",
+        "refinement-of-two-algebras", "b12-wrong-dimension", "b42-wrong-dimension"])
+def test_bad_caller_data_raises(call, exc):
+    with pytest.raises(exc):
+        call()
 
 
 def test_is_refinement():
