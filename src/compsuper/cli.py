@@ -171,14 +171,18 @@ def cmd_catalog(args):
     return 0 if ok else 1
 
 
-def _grading_from_args(args, field):
+def _grading_from_args(args):
+    """(algebra, grading) from --catalog over --field, or from --grading-file
+    over the file's field, which a given --field must name."""
     if args.catalog:
-        A, g = catalog.build_entry(args.catalog, field)
-        return A, g
+        return catalog.build_entry(args.catalog, field_from_string(args.field or "GF(2)"))
     if args.grading_file:
         with open(args.grading_file) as fh:
             data = json.load(fh)
         A = SuperAlgebra.from_json(json_member(data, "algebra", dict, "grading file"))
+        if args.field is not None and field_from_string(args.field) != A.field:
+            raise UsageError(
+                f"--field {args.field} does not match the grading file's field {A.field.name}")
         grading = json_member(data, "grading", dict, "grading file")
         G = group_from_string(json_member(grading, "group", str, "grading"))
         comps = []
@@ -199,8 +203,7 @@ def _grading_from_args(args, field):
 
 
 def cmd_universal_group(args):
-    field = field_from_string(args.field)
-    A, g = _grading_from_args(args, field)
+    A, g = _grading_from_args(args)
     ok, witness = validate(g)
     if not ok:
         _emit({"valid": False, "witness": [str(w) for w in witness]}, args.out)
@@ -217,7 +220,7 @@ def cmd_universal_group(args):
 
 
 def cmd_equiv(args):
-    field = field_from_string(args.field)
+    field = field_from_string(args.field or "GF(2)")
     A, ga = catalog.build_entry(args.catalog, field)
     B, gb = catalog.build_entry(args.catalog2, field)
     budget = SearchBudget(args.budget)
@@ -240,8 +243,7 @@ def cmd_equiv(args):
 
 
 def cmd_autos(args):
-    field = field_from_string(args.field)
-    A, g = _grading_from_args(args, field)
+    A, g = _grading_from_args(args)
     budget = SearchBudget(args.budget)
     autos = enumerate_automorphisms(A, constraints=g, budget=budget)
     payload = {
@@ -271,8 +273,7 @@ def cmd_enumerate(args):
 
 
 def cmd_fine(args):
-    field = field_from_string(args.field)
-    A, g = _grading_from_args(args, field)
+    A, g = _grading_from_args(args)
     try:
         status, witness = fine_check(g, budget=SearchBudget(args.budget))
     except BudgetExhausted as exc:
@@ -302,7 +303,12 @@ def make_parser():
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp, construction=False, grading=False, two=False):
-        sp.add_argument("--field", default="GF(2)", help='"Q", "GF(2)", "GF(3)", "GF(4)", "GF(9)"')
+        fields = '"Q", "GF(2)", "GF(3)", "GF(4)", "GF(9)"'
+        if grading:
+            sp.add_argument("--field", default=None,
+                            help=fields + "; default GF(2), or the grading file's field")
+        else:
+            sp.add_argument("--field", default="GF(2)", help=fields)
         sp.add_argument("--out", default=None, help="write JSON to this path")
         sp.add_argument("--budget", type=int, default=2_000_000)
         if construction:

@@ -420,8 +420,9 @@ def _morphism_on_basis(A, cb, assignment):
     """The linear map A -> A sending each canonical-basis vector of `cb` to
     its image in `assignment` (name -> coordinate tuple in A).
 
-    Each standard basis vector of A is written in the canonical basis and
-    sent to the same combination of the images.  A is passed in rather
+    Each standard basis vector of A is written in the canonical basis (a
+    column of the basis inverse) and sent to the same combination of the
+    images.  A is passed in rather
     than read from `cb.algebra` because a Petersson twist keeps the space
     of the algebra it twists: its maps are given on the canonical basis of
     that algebra.
@@ -430,11 +431,9 @@ def _morphism_on_basis(A, cb, assignment):
     names = cb.names()
     basis = [cb.vectors[nm] for nm in names]
     targets = [assignment[nm] for nm in names]
-    images = []
-    for i in range(A.dim):
-        coeffs = linalg.coords_in_basis(F, basis, A.basis_vector(i))
-        images.append(linalg.lincomb(F, coeffs, targets, A.dim))
-    return Morphism(A, A, tuple(images))
+    inverse = linalg.basis_inverse(F, basis)
+    return Morphism(A, A, tuple(linalg.lincomb(F, coeffs, targets, A.dim)
+                                for coeffs in zip(*inverse)))
 
 
 def tau_st(cb):

@@ -145,6 +145,28 @@ def coords_in_basis(field, basis, v):
     return tuple(sol)
 
 
+def basis_inverse(field, basis):
+    """The inverse of the matrix whose columns are `basis`, as rows.
+
+    `basis` must be n independent vectors of length n.  Row k of the
+    result dotted with v is the k-th coordinate of v in `basis`, so
+    `mat_vec(field, inverse, v)` writes v in the basis, and column i holds
+    the coordinates of the i-th standard basis vector.  One rref of
+    [basis as columns | identity]; raises ValueError when the vectors are
+    not a basis of F^n.
+    """
+    n = len(basis)
+    if any(len(v) != n for v in basis):
+        raise ValueError(f"a basis of F^{n} needs {n} vectors of length {n}")
+    z, o = field.zero, field.one
+    aug = [tuple(v[i] for v in basis) + tuple(o if j == i else z for j in range(n))
+           for i in range(n)]
+    rr, pivots = rref(field, aug)
+    if pivots != list(range(n)):
+        raise ValueError("basis vectors are dependent")
+    return tuple(row[n:] for row in rr)
+
+
 def solve(field, A, b):
     """One solution x of A x = b (A given as rows), or None."""
     m = len(A)

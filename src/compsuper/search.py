@@ -62,6 +62,15 @@ class _GradedMapSearch:
     norm preservation, linear independence, and multiplicativity on every
     product already expressible in assigned vectors.  Products that force
     the next image are used directly instead of enumerating candidates.
+
+    Each `run` builds its tables once, in `_prepare`: the source basis is
+    inverted with one rref; every source product is written in that basis
+    by one `mat_vec` with the inverse and listed under the slot that checks
+    it; and the inverse's columns, which write each standard basis vector
+    in the source basis, turn a solution's images into the images of the
+    standard basis without a further solve.  The rref of each target
+    component, and on first use its nonzero vectors, are built once per
+    run too.
     """
 
     def __init__(self, A, ga, B, gb, budget, isometry=True):
@@ -72,8 +81,6 @@ class _GradedMapSearch:
         self.nodes = 0
         F = A.field
         self.F = F
-        if F != B.field:
-            raise ValueError(f"graded maps need one field, got {F} and {B.field}")
         if F.order is None:
             raise InfiniteField(f"graded map search needs a finite field, got {F}")
 
@@ -105,16 +112,18 @@ class _GradedMapSearch:
         # listed (in (i, j) order) under their depth: the largest index of
         # a source vector they involve, the slot at which they are checked
         m = len(src_vecs)
+        inverse = linalg.basis_inverse(F, src_vecs)
         by_depth = [[] for _ in range(m)]
         z = F.zero
         for i in range(m):
             for j in range(m):
-                p = A.mul(src_vecs[i], src_vecs[j])
-                coeffs = linalg.coords_in_basis(F, src_vecs, p)
+                coeffs = linalg.mat_vec(F, inverse, A.mul(src_vecs[i], src_vecs[j]))
                 support = [k for k, c in enumerate(coeffs) if c != z]
                 by_depth[max([i, j] + support)].append((i, j, coeffs, support))
         tgt_rrefs = [linalg.rref(F, span) for span in tgt_spans]
-        return src_vecs, src_comp, by_depth, tgt_spans, tgt_rrefs
+        # the inverse's columns: each standard basis vector in the source basis
+        std_coords = tuple(zip(*inverse))
+        return src_vecs, src_comp, by_depth, tgt_spans, tgt_rrefs, std_coords
 
     def run(self, comp_target, collect=None):
         """Search with a fixed component assignment; returns a Morphism or None.
@@ -122,7 +131,7 @@ class _GradedMapSearch:
         With collect (a list), every solution is appended and None returned.
         """
         A, B, F = self.A, self.B, self.F
-        src_vecs, src_comp, by_depth, tgt_spans, tgt_rrefs = self._prepare(comp_target)
+        src_vecs, src_comp, by_depth, tgt_spans, tgt_rrefs, std_coords = self._prepare(comp_target)
         m = len(src_vecs)
         n = B.dim
         images = [None] * m
@@ -169,12 +178,8 @@ class _GradedMapSearch:
             return True
 
         def finish():
-            imgs = [None] * A.dim
-            base = src_vecs
-            for i in range(A.dim):
-                coeffs = linalg.coords_in_basis(F, base, A.basis_vector(i))
-                imgs[i] = linalg.lincomb(F, coeffs, images, n)
-            f = Morphism(A, B, tuple(imgs))
+            imgs = tuple(linalg.lincomb(F, coeffs, images, n) for coeffs in std_coords)
+            f = Morphism(A, B, imgs)
             try:
                 checks = ["algebra-hom", "parity-preserving", "bijective"]
                 if self.isometry:
@@ -235,13 +240,16 @@ def find_graded_map(A, ga, B, gb, mode="isomorphism", budget=None, isometry=True
     mode "equivalence": components map onto components, degrees free.
     Returns a verified Morphism, or None when the search space is
     exhausted (proven none).  Raises BudgetExhausted when the node budget
-    runs out.
+    runs out.  In isomorphism mode with A is B the identity is tried
+    before any search, so a grading the identity verifies needs no finite
+    field.
     """
     budget = budget or SearchBudget()
     if A.dim != B.dim:
         return None
+    if A.field != B.field:
+        raise ValueError(f"graded maps need one field, got {A.field} and {B.field}")
     ca, cb = _component_census(ga), _component_census(gb)
-    search = _GradedMapSearch(A, ga, B, gb, budget, isometry=isometry)
     if mode == "isomorphism":
         if ca != cb:
             return None
@@ -255,10 +263,11 @@ def find_graded_map(A, ga, B, gb, mode="isomorphism", budget=None, isometry=True
             ident = try_verify_graded(identity_morphism(A), ga, gb, isometry=isometry)
             if ident is not None:
                 return ident
-        return search.run(comp_target)
+        return _GradedMapSearch(A, ga, B, gb, budget, isometry=isometry).run(comp_target)
     if mode == "equivalence":
         if sorted(ca.values()) != sorted(cb.values()):
             return None
+        search = _GradedMapSearch(A, ga, B, gb, budget, isometry=isometry)
         idxs = range(len(gb.comps))
         for perm in permutations(idxs):
             ok = True

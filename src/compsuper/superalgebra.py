@@ -373,11 +373,13 @@ class Morphism:
 
     def compose(self, other):
         """self after other."""
-        assert other.target is self.source
+        if other.target is not self.source:
+            raise MixedAlgebras("compose needs other's target to be this map's source")
         return Morphism(other.source, self.target, tuple(self.apply(v) for v in other.images))
 
     def power(self, k):
-        assert self.source is self.target
+        if self.source is not self.target:
+            raise MixedAlgebras("only a map of an algebra to itself has powers")
         f = identity_morphism(self.source)
         for _ in range(k):
             f = self.compose(f)
@@ -392,15 +394,13 @@ class Morphism:
         return linalg.rank(self.target.field, list(self.images))
 
     def inverse(self):
-        assert self.source.dim == self.target.dim and self.rank() == self.source.dim
-        F = self.target.field
-        cols = [tuple(self.images[j][i] for j in range(self.source.dim)) for i in range(self.target.dim)]
-        inv_images = []
-        for i in range(self.target.dim):
-            sol = linalg.solve(F, cols, self.source.basis_vector(i))
-            inv_images.append(sol)
-        # solve gave coefficients expressing target basis vectors in the images
-        return Morphism(self.target, self.source, tuple(inv_images))
+        """The inverse map; raises ValueError when this map is not bijective.
+
+        Column i of the inverse of the image matrix writes the i-th target
+        basis vector in the images, which is its image under the inverse.
+        """
+        inverse = linalg.basis_inverse(self.target.field, self.images)
+        return Morphism(self.target, self.source, tuple(zip(*inverse)))
 
     def with_attrs(self, *flags):
         return Morphism(self.source, self.target, self.images, self.attrs | set(flags))
@@ -422,15 +422,18 @@ def is_morphism(f, checks=KNOWN_CHECKS):
     """
     A, B = f.source, f.target
     F = B.field
-    assert A.field == B.field
+    if A.field != F:
+        raise MixedAlgebras(f"a morphism needs one field, got {A.field} and {F}")
+    images = f.images
     verified = []
     for flag in checks:
         if flag == "algebra-hom":
             for i in range(A.dim):
                 for j in range(A.dim):
-                    lhs = f.apply(A.mul(A.basis_vector(i), A.basis_vector(j)))
-                    rhs = B.mul(f.images[i], f.images[j])
-                    if lhs != rhs:
+                    product = A._sparse[i][j]  # e_i e_j = sum of c e_k
+                    lhs = linalg.lincomb(F, [c for _, c in product],
+                                         [images[k] for k, _ in product], B.dim)
+                    if lhs != B.mul(images[i], images[j]):
                         raise CheckFailed(flag, (A.basis_names[i], A.basis_names[j]))
         elif flag == "parity-preserving":
             for i in range(A.dim):
@@ -438,9 +441,11 @@ def is_morphism(f, checks=KNOWN_CHECKS):
                 if p is None or (not linalg.vec_is_zero(F, f.images[i]) and p != A.parity[i]):
                     raise CheckFailed(flag, (A.basis_names[i],))
         elif flag == "isometry":
+            # gram[j][i] = b(f(e_i), f(e_j)): the images against polar * f(e_j)
+            gram = [linalg.mat_vec(F, images, linalg.mat_vec(F, B.polar, v)) for v in images]
             for i in range(A.dim):
                 for j in range(A.dim):
-                    if B.eval_b(f.images[i], f.images[j]) != A.polar[i][j]:
+                    if gram[j][i] != A.polar[i][j]:
                         raise CheckFailed(flag, (A.basis_names[i], A.basis_names[j]))
             for i in A.even_indices():
                 if B.eval_q0(f.images[i]) != A.q0[i]:

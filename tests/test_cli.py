@@ -101,6 +101,31 @@ def test_grading_file_round_trip(capsys, tmp_path):
     assert capsys.readouterr().out.strip() == "Z4"
 
 
+def test_grading_file_field_must_match_field_option(capsys, tmp_path):
+    from compsuper.catalog import build_entry
+    from compsuper.fields import GF
+
+    A, g = build_entry("eq3", GF(3))
+    path = tmp_path / "grading.json"
+    path.write_text(json.dumps({"algebra": A.to_json(), "grading": g.to_json()}))
+    code = run(["universal-group", "--grading-file", str(path), "--field", "GF(2)"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    err = captured.err
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    assert "GF(2)" in err and "GF(3)" in err
+    # without --field the file's own field is used
+    assert run(["universal-group", "--grading-file", str(path)]) == 0
+    assert capsys.readouterr().out.strip() == "Z4"
+
+
+def test_catalog_field_defaults_to_gf2(capsys):
+    assert run(["universal-group", "--catalog", "eq7"]) == 0
+    default = capsys.readouterr().out
+    assert run(["universal-group", "--catalog", "eq7", "--field", "GF(2)"]) == 0
+    assert capsys.readouterr().out == default
+
+
 def test_malformed_algebra_json_exits_2(capsys, tmp_path):
     from compsuper.catalog import build_entry
     from compsuper.fields import GF

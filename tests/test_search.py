@@ -11,7 +11,7 @@ from compsuper.constructions import (
     super_split_cayley,
     tau_nst,
 )
-from compsuper.fields import GF
+from compsuper.fields import GF, QQ, InfiniteField
 from compsuper.gradings import (
     coarsenings_enum,
     _set_grading_relations,
@@ -22,6 +22,7 @@ from compsuper.gradings import (
     trivial_grading,
     validate,
 )
+from compsuper import search
 from compsuper.search import (
     BudgetExhausted,
     _decompositions_of_block,
@@ -125,6 +126,58 @@ def test_tau_nst_is_a_graded_automorphism_of_the_five_grading():
     autos = enumerate_automorphisms(C, constraints=g)
     t = tau_nst(cb)
     assert any(f.images == t.images for f in autos)
+
+
+def test_identity_is_found_over_q_without_a_search():
+    A, _ = split_hurwitz(4, QQ)
+    g = main_grading(A)
+    f = find_graded_map(A, g, A, g)
+    assert f.is_identity()
+    assert {"algebra-hom", "parity-preserving", "bijective", "isometry"} <= f.attrs
+
+
+def test_search_over_q_raises_infinite_field():
+    A, _ = split_hurwitz(4, QQ)
+    B, _ = split_hurwitz(4, QQ)  # another object: the identity is not tried
+    with pytest.raises(InfiniteField):
+        find_graded_map(A, main_grading(A), B, main_grading(B))
+    with pytest.raises(InfiniteField):
+        enumerate_automorphisms(A, constraints=main_grading(A))
+
+
+class _SolvedCoordinatesSearch(search._GradedMapSearch):
+    """The search with the tables built as before the basis inverse: one
+    coords_in_basis solve per source product and per standard basis
+    vector, in the same slot order."""
+
+    def _prepare(self, comp_target):
+        src_vecs, src_comp, _, tgt_spans, tgt_rrefs, _ = super()._prepare(comp_target)
+        A, F = self.A, self.F
+        m = len(src_vecs)
+        by_depth = [[] for _ in range(m)]
+        for i in range(m):
+            for j in range(m):
+                p = A.mul(src_vecs[i], src_vecs[j])
+                coeffs = linalg.coords_in_basis(F, src_vecs, p)
+                support = [k for k, c in enumerate(coeffs) if c != F.zero]
+                by_depth[max([i, j] + support)].append((i, j, coeffs, support))
+        std_coords = [linalg.coords_in_basis(F, src_vecs, A.basis_vector(i))
+                      for i in range(A.dim)]
+        return src_vecs, src_comp, by_depth, tgt_spans, tgt_rrefs, std_coords
+
+
+@pytest.mark.parametrize("id, q", [("eq1", 3), ("eq6", 2), ("okuboeq4", 4)])
+def test_enumerate_automorphisms_match_solved_coordinates(id, q):
+    A, g = build_entry(id, GF(q))
+    got = enumerate_automorphisms(A, constraints=g)
+    ref = _SolvedCoordinatesSearch(A, g, A, g, SearchBudget())
+    want = []
+    ref.run(list(range(len(g.comps))), collect=want)
+    want.sort(key=lambda f: tuple(f.images))
+    assert [(f.images, f.attrs) for f in got] == [(f.images, f.attrs) for f in want]
+    new = search._GradedMapSearch(A, g, A, g, SearchBudget())
+    new.run(list(range(len(g.comps))), collect=[])
+    assert new.nodes == ref.nodes
 
 
 def test_enumerate_all_gradings_b12_lambda():
@@ -327,7 +380,7 @@ def test_complement_enumeration_matches_scan_oracle():
     """The graph-of-linear-maps complement enumeration agrees with the
     brute-force subspace-pair scan."""
     from compsuper import linalg
-    from compsuper.fields import GF
+    from compsuper.fields import GF, QQ, InfiniteField
 
     for q, d in ((2, 2), (2, 3), (3, 2), (4, 2), (2, 4)):
         F = GF(q)

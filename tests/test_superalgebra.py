@@ -1,18 +1,25 @@
 import pytest
 
 from compsuper import linalg
+from compsuper.catalog import build_entry
 from compsuper.constructions import (
     b12,
     cayley_dickson_super,
+    okubo_super,
     split_hurwitz,
     super_split_cayley,
+    tau_nst,
     tau_omega,
+    tau_st,
 )
 from compsuper.fields import GF, QQ
+from compsuper.search import enumerate_automorphisms
 from compsuper.superalgebra import (
+    KNOWN_CHECKS,
     CheckFailed,
     MixedAlgebras,
     Morphism,
+    NoUnit,
     OddArgument,
     SuperAlgebra,
     identity_morphism,
@@ -203,6 +210,117 @@ def test_morphism_compose_power_inverse():
     inv = t.inverse()
     assert t.compose(inv).is_identity()
     assert inv.images == t.power(2).images
+
+
+def test_morphism_misuse_raises():
+    C, cb = super_split_cayley(F4)
+    D, _ = super_split_cayley(F4)
+    t = tau_omega(cb)
+    across = Morphism(C, D, identity_morphism(C).images)
+    with pytest.raises(MixedAlgebras):
+        t.compose(across)  # across lands in D, t starts in C
+    with pytest.raises(MixedAlgebras):
+        across.power(2)
+    singular = Morphism(C, C, (C.zero(),) + t.images[1:])
+    with pytest.raises(ValueError):
+        singular.inverse()
+    B = b12(F3)
+    with pytest.raises(ValueError):
+        Morphism(B, C, (C.zero(),) * B.dim).inverse()
+    K, _ = super_split_cayley(F2)
+    with pytest.raises(MixedAlgebras):
+        is_morphism(Morphism(K, C, identity_morphism(C).images))
+
+
+def _reference_is_morphism(f, checks):
+    """is_morphism before it read the product table and the Gram matrix:
+    the generic product of basis vectors and one eval_b per basis pair."""
+    A, B = f.source, f.target
+    F = B.field
+    verified = []
+    for flag in checks:
+        if flag == "algebra-hom":
+            for i in range(A.dim):
+                for j in range(A.dim):
+                    lhs = f.apply(A.mul(A.basis_vector(i), A.basis_vector(j)))
+                    if lhs != B.mul(f.images[i], f.images[j]):
+                        raise CheckFailed(flag, (A.basis_names[i], A.basis_names[j]))
+        elif flag == "parity-preserving":
+            for i in range(A.dim):
+                p = B.parity_of(f.images[i])
+                if p is None or (not linalg.vec_is_zero(F, f.images[i]) and p != A.parity[i]):
+                    raise CheckFailed(flag, (A.basis_names[i],))
+        elif flag == "isometry":
+            for i in range(A.dim):
+                for j in range(A.dim):
+                    if B.eval_b(f.images[i], f.images[j]) != A.polar[i][j]:
+                        raise CheckFailed(flag, (A.basis_names[i], A.basis_names[j]))
+            for i in A.even_indices():
+                if B.eval_q0(f.images[i]) != A.q0[i]:
+                    raise CheckFailed(flag, (A.basis_names[i],))
+        elif flag == "involution-commuting":
+            for i in range(A.dim):
+                if f.apply(A.conj(A.basis_vector(i))) != B.conj(f.images[i]):
+                    raise CheckFailed(flag, (A.basis_names[i],))
+        elif flag == "bijective":
+            if A.dim != B.dim or f.rank() != A.dim:
+                raise CheckFailed(flag, ())
+        verified.append(flag)
+    return f.with_attrs(*verified)
+
+
+def _outcome(check, f, checks):
+    try:
+        return "passed", check(f, checks).attrs
+    except CheckFailed as exc:
+        return "failed", exc.flag, exc.witness
+    except (NoUnit, OddArgument) as exc:  # no unit to conjugate with; q0 of an odd part
+        return type(exc).__name__
+
+
+def _corrupted(f):
+    """Maps near f that break it: the first and last images swapped, the
+    last one scaled by 2 (by 0 in characteristic 2), an odd image added to
+    an even one, and one even image added to another."""
+    A, B = f.source, f.target
+    F = B.field
+    images = list(f.images)
+    ev, od = A.even_indices(), A.odd_indices()
+    edits = [{0: images[-1], A.dim - 1: images[0]},
+             {A.dim - 1: linalg.vec_scale(F, F.from_int(2), images[-1])},
+             {ev[0]: linalg.vec_add(F, images[ev[0]], images[ev[-1]])}]
+    if od:
+        edits.append({ev[-1]: linalg.vec_add(F, images[ev[-1]], images[od[0]])})
+    return [Morphism(A, B, tuple(edit.get(i, v) for i, v in enumerate(images)))
+            for edit in edits]
+
+
+def test_is_morphism_matches_reference():
+    """Table-driven is_morphism against the reference: the same attrs, or
+    the same failed flag and witness, under every check alone and all of
+    them in order, on identities, the tau maps, found automorphisms and
+    corrupted copies of each."""
+    maps = []
+    for A in (b12(F3), split_hurwitz(4, QQ)[0], okubo_super(F4, "nst")[0]):
+        maps.append(identity_morphism(A))
+    for F in (F2, F4):
+        _, cb = super_split_cayley(F)
+        maps.extend([tau_st(cb), tau_nst(cb)])
+    _, cb = super_split_cayley(F4)
+    maps.append(tau_omega(cb))
+    for id, F in (("eq1", F3), ("eq6", F2), ("okuboeq1", F2)):
+        A, g = build_entry(id, F)
+        maps.extend(enumerate_automorphisms(A, constraints=g)[:3])
+    maps.extend([bad for f in list(maps) for bad in _corrupted(f)])
+    failed = set()
+    for f in maps:
+        for checks in [KNOWN_CHECKS] + [(flag,) for flag in KNOWN_CHECKS]:
+            want = _outcome(_reference_is_morphism, f, checks)
+            assert _outcome(is_morphism, f, checks) == want
+            if want[0] == "failed":
+                failed.add(want[1])
+    # the corrupted maps reach every kind of failure
+    assert failed == set(KNOWN_CHECKS)
 
 
 def test_serialization_round_trip():
