@@ -151,11 +151,14 @@ class AbGroup:
     torsion: tuple = ()
 
     def __post_init__(self):
-        assert self.rank >= 0
+        if self.rank < 0:
+            raise ValueError(f"rank must be nonnegative, got {self.rank}")
         for d in self.torsion:
-            assert d >= 2, "unit factors must be dropped"
+            if d < 2:
+                raise ValueError(f"invariant factors must be at least 2, got {d}")
         for a, b in zip(self.torsion, self.torsion[1:]):
-            assert b % a == 0, "invariant factors must form a divisibility chain"
+            if b % a:
+                raise ValueError(f"invariant factors must form a divisibility chain, got {a}, {b}")
 
     @property
     def ngens(self):
@@ -265,7 +268,9 @@ class AbHom:
     images: tuple  # image of each canonical generator of the source
 
     def __post_init__(self):
-        assert len(self.images) == self.source.ngens
+        if len(self.images) != self.source.ngens:
+            raise WrongGroup(
+                f"a hom needs one image per generator: {self.source.ngens}, got {len(self.images)}")
         for img in self.images:
             if img.group != self.target:
                 raise WrongGroup("hom images must lie in the target group")
@@ -292,7 +297,9 @@ def presentation_to_group(n_generators, relations):
     """
     relations = [tuple(r) for r in relations]
     for r in relations:
-        assert len(r) == n_generators, "relation length must match generator count"
+        if len(r) != n_generators:
+            raise ValueError(
+                f"relation {r} has {len(r)} coefficients for {n_generators} generators")
     if not relations:
         G = AbGroup(n_generators, ())
         return G, G.generators()

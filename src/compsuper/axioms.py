@@ -53,18 +53,34 @@ def _even_test_set(S):
 def _norm_failure(S, pool):
     """First (x, y) in pool x pool with q0(xy) != q0(x)q0(y), or None."""
     F = S.field
-    for x in pool:
-        qx = S.eval_q0(x)
-        for y in pool:
-            if S.eval_q0(S.mul(x, y)) != F.mul(qx, S.eval_q0(y)):
+    q = [S.eval_q0(y) for y in pool]
+    for x, qx in zip(pool, q):
+        for y, qy in zip(pool, q):
+            if S.eval_q0(S.mul(x, y)) != F.mul(qx, qy):
                 return x, y
     return None
 
 
-def _basis_products(S):
-    """prod[i][j] = b_i * b_j."""
-    basis = S.basis()
-    return [[S.mul(x, y) for y in basis] for x in basis]
+def _terms(F, v):
+    """The nonzero coordinates of v as (index, coefficient) pairs."""
+    z = F.zero
+    return tuple((a, c) for a, c in enumerate(v) if c != z)
+
+
+def _polar_value(F, polar, xs, ys):
+    """b(x, y) for x and y given as (index, coefficient) term lists: the
+    sum of c*d*b(b_a, b_b) over the terms, which is the value eval_b
+    computes from the dense vectors."""
+    z = F.zero
+    add, mul = F.add, F.mul
+    acc = z
+    for a, c in xs:
+        row = polar[a]
+        for b, d in ys:
+            p = row[b]
+            if p != z:
+                acc = add(acc, mul(mul(c, d), p))
+    return acc
 
 
 def check_hurwitz(S):
@@ -81,7 +97,14 @@ def check_hurwitz(S):
 
 
 def check_composition_super(S):
-    """The three norm-compatibility identities of a composition superalgebra."""
+    """The three norm-compatibility identities of a composition superalgebra.
+
+    Identities (ii) and (iii) read b from the polar matrix and sparse term
+    lists: the products x0*b_j and b_j*x0, made once per x0, in (ii), and
+    the structure table's terms S._sparse[i][j] = b_i*b_j in (iii).  No
+    dense eval_b runs, and the loops keep their order, so the first
+    failing tuple, the witness, is the one a dense evaluation finds.
+    """
     F = S.field
     if not is_regular_superform(S):
         return CheckReport("composition", False, witness=("superform not regular",))
@@ -94,17 +117,18 @@ def check_composition_super(S):
     polar = S.polar
     for x0 in pool:
         qx = S.eval_q0(x0)
-        left = [S.mul(x0, y) for y in basis]
-        right = [S.mul(y, x0) for y in basis]
+        left = [_terms(F, S.mul(x0, y)) for y in basis]
+        right = [_terms(F, S.mul(y, x0)) for y in basis]
         for j in range(n):
             for k in range(n):
                 mid = F.mul(qx, polar[j][k])
-                if S.eval_b(left[j], left[k]) != mid or S.eval_b(right[j], right[k]) != mid:
+                if (_polar_value(F, polar, left[j], left[k]) != mid
+                        or _polar_value(F, polar, right[j], right[k]) != mid):
                     return CheckReport(
                         "composition", False, MODE,
                         ("ii", S.fmt(x0), S.basis_names[j], S.basis_names[k]),
                     )
-    prod = _basis_products(S)
+    prod = S._sparse
     par = S.parity
     for i in range(n):
         for j in range(n):
@@ -112,8 +136,8 @@ def check_composition_super(S):
                 for l in range(n):
                     sgn1 = (par[i] * par[j] + par[i] * par[k] + par[j] * par[k]) % 2
                     sgn2 = (par[j] * par[k]) % 2
-                    lhs = S.eval_b(prod[i][j], prod[k][l])
-                    second = S.eval_b(prod[k][j], prod[i][l])
+                    lhs = _polar_value(F, polar, prod[i][j], prod[k][l])
+                    second = _polar_value(F, polar, prod[k][j], prod[i][l])
                     if sgn1:
                         second = F.neg(second)
                     rhs = F.mul(polar[i][k], polar[j][l])
@@ -130,12 +154,20 @@ def check_composition_super(S):
 
 
 def check_symmetric(S):
-    """Associativity of the bilinear form: b(xy, z) = b(x, yz) on basis triples."""
-    basis = S.basis()
-    for i, x in enumerate(basis):
-        for j, y in enumerate(basis):
-            for k, z in enumerate(basis):
-                if S.eval_b(S.mul(x, y), z) != S.eval_b(x, S.mul(y, z)):
+    """Associativity of the bilinear form: b(xy, z) = b(x, yz) on basis
+    triples, read from the polar matrix and the structure table's sparse
+    terms."""
+    F = S.field
+    n = S.dim
+    basis = [((i, F.one),) for i in range(n)]  # b_i as a term list
+    prod = S._sparse
+    polar = S.polar
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                lhs = _polar_value(F, polar, prod[i][j], basis[k])
+                rhs = _polar_value(F, polar, basis[i], prod[j][k])
+                if lhs != rhs:
                     return CheckReport(
                         "symmetric",
                         False,

@@ -171,11 +171,18 @@ def cmd_catalog(args):
     return 0 if ok else 1
 
 
+def _catalog_entry(id, field):
+    """(algebra, grading) of a catalog entry; UsageError for an unknown id."""
+    if id not in catalog.ENTRIES:
+        raise UsageError(f"unknown catalog id {id!r}")
+    return catalog.build_entry(id, field)
+
+
 def _grading_from_args(args):
     """(algebra, grading) from --catalog over --field, or from --grading-file
     over the file's field, which a given --field must name."""
     if args.catalog:
-        return catalog.build_entry(args.catalog, field_from_string(args.field or "GF(2)"))
+        return _catalog_entry(args.catalog, field_from_string(args.field or "GF(2)"))
     if args.grading_file:
         with open(args.grading_file) as fh:
             data = json.load(fh)
@@ -220,9 +227,13 @@ def cmd_universal_group(args):
 
 
 def cmd_equiv(args):
+    if args.grading_file:
+        raise UsageError("equiv compares two catalog entries; it takes no --grading-file")
+    if not args.catalog:
+        raise UsageError("equiv needs --catalog ID and --catalog2 ID")
     field = field_from_string(args.field or "GF(2)")
-    A, ga = catalog.build_entry(args.catalog, field)
-    B, gb = catalog.build_entry(args.catalog2, field)
+    A, ga = _catalog_entry(args.catalog, field)
+    B, gb = _catalog_entry(args.catalog2, field)
     budget = SearchBudget(args.budget)
     try:
         f = find_graded_map(A, ga, B, gb, mode=args.mode, budget=budget)

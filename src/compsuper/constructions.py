@@ -184,7 +184,8 @@ def _table_algebra(field, names, parity, table_pairs, polar_pairs, q0_names=(), 
 def split_hurwitz(dim, field):
     """Split Hurwitz algebra of dimension 2, 4 or 8 on its canonical basis
     (trivial odd part); works over any field."""
-    assert dim in (2, 4, 8)
+    if dim not in (2, 4, 8):
+        raise ValueError(f"split Hurwitz algebras have dimension 2, 4 or 8, got {dim!r}")
     names = CAYLEY_NAMES[: {2: 2, 4: 4, 8: 8}[dim]]
     if dim == 4:
         names = ("e1", "e2", "u1", "v1")
@@ -538,7 +539,13 @@ def pseudo_octonion(field):
 
 
 def peirce_decomposition(C, e1):
-    """Peirce spaces of a nontrivial idempotent: U = (e1 C)e2, V = (e2 C)e1."""
+    """Peirce spaces of a nontrivial idempotent: U = (e1 C)e2, V = (e2 C)e1.
+
+    U and V are the nullspaces of conditions on the multiplication
+    operators L_e1, L_e2, R_e1 and R_e2.  Each operator is built once, from
+    its n products with the basis (column j of L_e is e*b_j, of R_e is
+    b_j*e), and both spaces read the same four matrices.
+    """
     F = C.field
     one = C.unit()
     e2 = linalg.vec_sub(F, one, e1)
@@ -551,19 +558,20 @@ def peirce_decomposition(C, e1):
             rows.extend(mat)
         return linalg.nullspace(F, rows)
 
-    def left_mul(a):
-        return [tuple(C.mul(a, basis[j])[i] for j in range(n)) for i in range(n)]
+    def rows_of(columns):
+        return list(zip(*columns))
 
-    def right_mul(a):
-        return [tuple(C.mul(basis[j], a)[i] for j in range(n)) for i in range(n)]
-
+    L1 = rows_of([C.mul(e1, b) for b in basis])
+    L2 = rows_of([C.mul(e2, b) for b in basis])
+    R1 = rows_of([C.mul(b, e1) for b in basis])
+    R2 = rows_of([C.mul(b, e2) for b in basis])
     ident = linalg.identity_matrix(F, n)
 
     def minus(Mat):
         return [tuple(F.sub(a, b) for a, b in zip(r1, r2)) for r1, r2 in zip(Mat, ident)]
 
-    U = solve_space([minus(left_mul(e1)), minus(right_mul(e2)), left_mul(e2), right_mul(e1)])
-    V = solve_space([minus(left_mul(e2)), minus(right_mul(e1)), left_mul(e1), right_mul(e2)])
+    U = solve_space([minus(L1), minus(R2), L2, R1])
+    V = solve_space([minus(L2), minus(R1), L1, R2])
     return PeirceDecomposition(e1=tuple(e1), e2=tuple(e2), K=[tuple(e1), tuple(e2)], U=U, V=V)
 
 
@@ -576,7 +584,8 @@ def canonical_basis_find(C, a):
     valid b and u3 are used.
     """
     F = C.field
-    assert C.dim == 8, "canonical basis search is for dimension 8"
+    if C.dim != 8:
+        raise ValueError(f"canonical basis search is for dimension 8, got {C.dim}")
     a = tuple(a)
     if linalg.vec_is_zero(F, a):
         raise NotIsotropic("seed must be nonzero")

@@ -158,7 +158,23 @@ def test_hom_apply():
 
 
 def test_invariant_chain_enforced():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="divisibility chain"):
         AbGroup(0, (2, 3))
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="at least 2"):
         AbGroup(0, (1,))
+
+
+def test_negative_rank_rejected():
+    with pytest.raises(ValueError, match="nonnegative"):
+        AbGroup(-1)
+
+
+def test_hom_needs_one_image_per_generator():
+    Z4 = AbGroup(0, (4,))
+    with pytest.raises(WrongGroup, match="one image per generator"):
+        AbHom(AbGroup(2), Z4, (Z4.element(1),))
+
+
+def test_presentation_relation_length_checked():
+    with pytest.raises(ValueError, match="3 generators"):
+        presentation_to_group(3, [(2, 0)])

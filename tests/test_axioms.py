@@ -2,6 +2,9 @@ import pytest
 
 from compsuper import linalg
 from compsuper.axioms import (
+    MODE,
+    CheckReport,
+    _even_test_set,
     check_composition_super,
     check_hurwitz,
     check_orthogonality,
@@ -21,7 +24,7 @@ from compsuper.constructions import (
     super_split_cayley,
 )
 from compsuper.fields import GF, QQ
-from compsuper.superalgebra import SuperAlgebra
+from compsuper.superalgebra import SuperAlgebra, is_regular_superform
 
 F2, F3, F4, F9 = GF(2), GF(3), GF(4), GF(9)
 
@@ -151,16 +154,20 @@ def test_check_composition_cases():
     assert check_composition_super(P).passed
 
 
-def test_check_composition_fails_at_the_oracle_identity():
+def _one_identity_corruptions():
+    """Corrupted tables that fail only (i), only (ii) or only (iii)."""
     S = cayley_dickson_super(split_hurwitz(2, F2)[0], F2.one)  # e1, e2 | e1u, e2u
     zero = S.zero()
-    cases = [
-        (_split8_corrupted(), "i"),
-        (_with_products(S, {(0, 2): zero}), "ii"),  # even x odd: e1 * e1u
-        (_with_products(S, {(2, 1): zero}), "ii"),  # odd x even: e1u * e2
-        (_with_products(S, {(2, 3): zero}), "iii"),  # odd x odd: e1u * e2u
+    return [
+        ("i", _split8_corrupted()),
+        ("ii", _with_products(S, {(0, 2): zero})),  # even x odd: e1 * e1u
+        ("ii", _with_products(S, {(2, 1): zero})),  # odd x even: e1u * e2
+        ("iii", _with_products(S, {(2, 3): zero})),  # odd x odd: e1u * e2u
     ]
-    for bad, tag in cases:
+
+
+def test_check_composition_fails_at_the_oracle_identity():
+    for tag, bad in _one_identity_corruptions():
         r = check_composition_super(bad)
         assert not r.passed and r.witness[0] == tag
         assert _first_failing_identity(bad) == tag
@@ -179,6 +186,130 @@ def test_small_criterion_1_constructions_agree_with_oracle():
         assert _norm_pairs(A)[1] == 0, label
         assert _first_failing_identity(A) is None, label
     assert checked == 22
+
+
+# --- reference checks on dense products and eval_b ----------------------------
+
+
+def _reference_norm_failure(S, pool):
+    F = S.field
+    for x in pool:
+        qx = S.eval_q0(x)
+        for y in pool:
+            if S.eval_q0(S.mul(x, y)) != F.mul(qx, S.eval_q0(y)):
+                return x, y
+    return None
+
+
+def _reference_hurwitz(S):
+    if S.unit() is None:
+        return CheckReport("hurwitz", False, witness=("no unit",))
+    if not is_regular_superform(S):
+        return CheckReport("hurwitz", False, witness=("superform not regular",))
+    pool = _even_test_set(S)
+    bad = _reference_norm_failure(S, pool)
+    if bad is not None:
+        return CheckReport("hurwitz", False, MODE, tuple(S.fmt(v) for v in bad))
+    return CheckReport("hurwitz", True, MODE, detail={"pairs": len(pool) ** 2})
+
+
+def _reference_composition(S):
+    """check_composition_super with every b value a dense eval_b of
+    products made by S.mul."""
+    F = S.field
+    if not is_regular_superform(S):
+        return CheckReport("composition", False, witness=("superform not regular",))
+    pool = _even_test_set(S)
+    bad = _reference_norm_failure(S, pool)
+    if bad is not None:
+        return CheckReport("composition", False, MODE, ("i",) + tuple(S.fmt(v) for v in bad))
+    n = S.dim
+    basis = S.basis()
+    polar = S.polar
+    for x0 in pool:
+        qx = S.eval_q0(x0)
+        left = [S.mul(x0, y) for y in basis]
+        right = [S.mul(y, x0) for y in basis]
+        for j in range(n):
+            for k in range(n):
+                mid = F.mul(qx, polar[j][k])
+                if S.eval_b(left[j], left[k]) != mid or S.eval_b(right[j], right[k]) != mid:
+                    return CheckReport(
+                        "composition", False, MODE,
+                        ("ii", S.fmt(x0), S.basis_names[j], S.basis_names[k]),
+                    )
+    prod = [[S.mul(x, y) for y in basis] for x in basis]
+    par = S.parity
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                for l in range(n):
+                    sgn1 = (par[i] * par[j] + par[i] * par[k] + par[j] * par[k]) % 2
+                    sgn2 = (par[j] * par[k]) % 2
+                    lhs = S.eval_b(prod[i][j], prod[k][l])
+                    second = S.eval_b(prod[k][j], prod[i][l])
+                    if sgn1:
+                        second = F.neg(second)
+                    rhs = F.mul(polar[i][k], polar[j][l])
+                    if sgn2:
+                        rhs = F.neg(rhs)
+                    if F.add(lhs, second) != rhs:
+                        return CheckReport(
+                            "composition", False, MODE,
+                            ("iii",) + tuple(S.basis_names[m] for m in (i, j, k, l)),
+                        )
+    return CheckReport("composition", True, MODE)
+
+
+def _reference_symmetric(S):
+    basis = S.basis()
+    for i, x in enumerate(basis):
+        for j, y in enumerate(basis):
+            for k, z in enumerate(basis):
+                if S.eval_b(S.mul(x, y), z) != S.eval_b(x, S.mul(y, z)):
+                    return CheckReport(
+                        "symmetric", False, witness=tuple(S.basis_names[m] for m in (i, j, k)))
+    return CheckReport("symmetric", True)
+
+
+def _swap_first_multiterm_product(S):
+    """S with b_i b_j and b_j b_i exchanged for the first i < j whose
+    product has two or more terms and differs from b_j b_i; None when
+    there is no such pair."""
+    n = S.dim
+    for i in range(n):
+        for j in range(i + 1, n):
+            if len(S._sparse[i][j]) > 1 and S.table[i][j] != S.table[j][i]:
+                return _with_products(S, {(i, j): S.table[j][i], (j, i): S.table[i][j]})
+    return None
+
+
+def test_checks_match_dense_reference():
+    """Every report of the three checks, witness included, equals the dense
+    reference's on the criterion 1 and 7 constructions, on the
+    one-identity corruptions, and on each construction with a
+    many-term product after swapping that product with its opposite."""
+    from compsuper.acceptance import _hurwitz_suite_instances, _symmetric_suite_instances
+
+    cases = _hurwitz_suite_instances() + _symmetric_suite_instances()
+    cases += [(f"swapped {label}", _swap_first_multiterm_product(S)) for label, S in cases]
+    cases += [(f"corrupt {tag}", S) for tag, S in _one_identity_corruptions()]
+    failed = set()
+    for label, S in cases:
+        if S is None:
+            continue
+        for check, reference in (
+            (check_hurwitz, _reference_hurwitz),
+            (check_composition_super, _reference_composition),
+            (check_symmetric, _reference_symmetric),
+        ):
+            got = check(S).as_dict()
+            assert got == reference(S).as_dict(), (label, check.__name__)
+            if not got["pass"]:
+                failed.add((check.__name__, got["witness"][0]))
+    # every witness kind is compared at least once
+    assert {w for name, w in failed if name == "check_composition_super"} >= {"i", "ii", "iii"}
+    assert "check_symmetric" in {name for name, _ in failed}
 
 
 def test_check_symmetric():

@@ -63,6 +63,23 @@ def test_equiv_subcommand(capsys):
     assert json.loads(capsys.readouterr().out)["result"] == "found"
 
 
+@pytest.mark.parametrize("argv, needle", [
+    (["equiv", "--catalog2", "eq2", "--field", "GF(3)"], "--catalog"),
+    (["equiv", "--grading-file", "g.json", "--catalog2", "eq2"], "--grading-file"),
+    (["equiv", "--grading-file", "g.json", "--catalog", "eq2", "--catalog2", "eq2"],
+     "--grading-file"),
+    (["equiv", "--catalog", "eq99", "--catalog2", "eq2"], "unknown catalog id 'eq99'"),
+    (["fine", "--catalog", "eq99"], "unknown catalog id 'eq99'"),
+], ids=["equiv-no-catalog", "equiv-grading-file", "equiv-grading-file-and-catalog",
+        "equiv-unknown-id", "fine-unknown-id"])
+def test_catalog_arguments_exit_2(capsys, argv, needle):
+    code = run(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    assert needle in err
+
+
 def test_autos_subcommand(capsys):
     code = run(["autos", "--catalog", "eq1", "--field", "GF(3)"])
     assert code == 0

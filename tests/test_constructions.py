@@ -1,6 +1,6 @@
 import pytest
 
-from compsuper import linalg
+from compsuper import constructions, linalg
 from compsuper.constructions import (
     BadAutomorphism,
     NoCubeRoot,
@@ -226,6 +226,71 @@ def test_peirce_decomposition():
         for y in pd.U:
             p = C.mul(x, y)
             assert linalg.in_span(F9, rrV, pivV, p)
+
+
+def _reference_peirce(C, e1):
+    """Reference Peirce decomposition that builds each operator matrix
+    entry by entry, C.mul(a, b_j)[i], and anew for U and for V."""
+    F = C.field
+    e2 = linalg.vec_sub(F, C.unit(), e1)
+    n = C.dim
+    basis = C.basis()
+
+    def solve_space(conds):
+        rows = []
+        for mat in conds:
+            rows.extend(mat)
+        return linalg.nullspace(F, rows)
+
+    def left_mul(a):
+        return [tuple(C.mul(a, basis[j])[i] for j in range(n)) for i in range(n)]
+
+    def right_mul(a):
+        return [tuple(C.mul(basis[j], a)[i] for j in range(n)) for i in range(n)]
+
+    ident = linalg.identity_matrix(F, n)
+
+    def minus(Mat):
+        return [tuple(F.sub(a, b) for a, b in zip(r1, r2)) for r1, r2 in zip(Mat, ident)]
+
+    U = solve_space([minus(left_mul(e1)), minus(right_mul(e2)), left_mul(e2), right_mul(e1)])
+    V = solve_space([minus(left_mul(e2)), minus(right_mul(e1)), left_mul(e1), right_mul(e2)])
+    return constructions.PeirceDecomposition(
+        e1=tuple(e1), e2=tuple(e2), K=[tuple(e1), tuple(e2)], U=U, V=V)
+
+
+def _isotropic_seeds(C):
+    F = C.field
+    return [v for v in linalg.nonzero_vectors(F, C.dim) if C.eval_q0(v) == F.zero]
+
+
+@pytest.mark.parametrize("q, step", [(2, 1), (3, 61)])
+def test_peirce_and_canonical_basis_match_reference(q, step, monkeypatch):
+    C, _ = split_hurwitz(8, GF(q))
+    seeds = _isotropic_seeds(C)
+    if q == 2:
+        assert len(seeds) == 135
+    seeds = seeds[::step]
+    found = [canonical_basis_find(C, a) for a in seeds]
+    for cb in found:
+        e1 = cb.vectors["e1"]
+        assert peirce_decomposition(C, e1) == _reference_peirce(C, e1)
+    # canonical_basis_find reads its Peirce spaces through the module name
+    monkeypatch.setattr(constructions, "peirce_decomposition", _reference_peirce)
+    for a, cb in zip(seeds, found):
+        assert canonical_basis_find(C, a).vectors == cb.vectors
+
+
+def test_canonical_basis_find_needs_dimension_8():
+    C, _ = split_hurwitz(4, F3)
+    with pytest.raises(ValueError, match="dimension 8, got 4"):
+        canonical_basis_find(C, _named(C, "u1"))
+
+
+@pytest.mark.parametrize("dim", [1, 3, 16])
+def test_split_hurwitz_rejects_other_dimensions(dim):
+    with pytest.raises(ValueError, match="2, 4 or 8"):
+        split_hurwitz(dim, F2)
 
 
 def test_canonical_basis_find():
