@@ -318,7 +318,6 @@ def check_orthogonality(grading):
     with C^{-g}."""
     A = grading.algebra
     F = A.field
-    comps = dict(grading.comps)
     for g, vg in grading.comps:
         for h, vh in grading.comps:
             if (g + h).is_zero():
@@ -330,7 +329,8 @@ def check_orthogonality(grading):
                             "orthogonality", False, witness=(str(g), str(h), A.fmt(x), A.fmt(y))
                         )
     for g, vg in grading.comps:
-        vh = comps.get(-g)
+        k = grading.index.get(-g)
+        vh = None if k is None else grading.comps[k][1]
         if vh is None or len(vh) != len(vg):
             return CheckReport("orthogonality", False, witness=(str(g), "missing opposite"))
         gram = [[A.eval_b(x, y) for y in vh] for x in vg]
@@ -343,8 +343,7 @@ def check_conjugation_invariance(grading):
     """conj(C^g) = C^g for every component of a grading on a unital algebra."""
     A = grading.algebra
     F = A.field
-    for g, vs in grading.comps:
-        rr, piv = linalg.rref(F, list(vs))
+    for (g, vs), (rr, piv) in zip(grading.comps, grading.spans):
         for v in vs:
             if not linalg.in_span(F, rr, piv, A.conj(v)):
                 return CheckReport("conjugation-invariance", False, witness=(str(g), A.fmt(v)))
@@ -355,8 +354,7 @@ def check_phi_invariance(grading, phi):
     """phi(C^g) = C^g for every component."""
     A = grading.algebra
     F = A.field
-    for g, vs in grading.comps:
-        rr, piv = linalg.rref(F, list(vs))
+    for (g, vs), (rr, piv) in zip(grading.comps, grading.spans):
         for v in vs:
             if not linalg.in_span(F, rr, piv, phi.apply(v)):
                 return CheckReport("phi-invariance", False, witness=(str(g), A.fmt(v)))

@@ -47,6 +47,8 @@ CONSTRUCTIONS = (
     "split2", "split4", "split8", "cd", "b12", "b42", "para",
     "petersson", "b12lambda", "okubo-nst", "okubo-omega", "p8",
 )
+CD_BASES = ("split2", "split4", "nonsplit2")
+PARA_BASES = ("split2", "split4", "split8", "nonsplit2")
 
 
 class UsageError(ValueError):
@@ -59,21 +61,14 @@ def build_construction(name, field, alpha=None, lam=None, variant=None, base="sp
         A, cb = split_hurwitz(int(name[-1]), field)
         return A, {"cb": cb}
     if name == "cd":
-        bases = {
-            "split2": lambda: split_hurwitz(2, field)[0],
-            "split4": lambda: split_hurwitz(4, field)[0],
-            "nonsplit2": lambda: nonsplit_quadratic(field),
-        }
-        if base not in bases:
-            raise UsageError(f"--base must be one of {sorted(bases)}")
         a = field.one if alpha is None else field.parse_elt(alpha)
-        return cayley_dickson_super(bases[base](), a), {}
+        return cayley_dickson_super(_hurwitz_base(name, base, CD_BASES, field), a), {}
     if name == "b12":
         return b12(field), {}
     if name == "b42":
         return b42(field), {}
     if name == "para":
-        A, _ = build_construction(base, field, alpha=alpha)
+        A = _hurwitz_base(name, base, PARA_BASES, field)
         return para_hurwitz(A), {"hurwitz": A}
     if name == "petersson":
         if variant not in ("st", "nst", "omega"):
@@ -94,6 +89,15 @@ def build_construction(name, field, alpha=None, lam=None, variant=None, base="sp
         S, phi, cb, C = pseudo_octonion(field)
         return S, {"phi": phi, "cb": cb, "hurwitz": C}
     raise UsageError(f"unknown construction {name!r}; choose from {CONSTRUCTIONS}")
+
+
+def _hurwitz_base(name, base, allowed, field):
+    """The Hurwitz algebra named by --base for construction `name`."""
+    if base not in allowed:
+        raise UsageError(f"--base for {name} must be one of {', '.join(allowed)}, got {base!r}")
+    if base == "nonsplit2":
+        return nonsplit_quadratic(field)
+    return split_hurwitz(int(base[-1]), field)[0]
 
 
 def _emit(payload, out):
@@ -328,7 +332,8 @@ def make_parser():
             sp.add_argument("--lambda", dest="lam", default=None, help="twist parameter")
             sp.add_argument("--variant", default=None, choices=("st", "nst", "omega"))
             sp.add_argument("--base", default="split4",
-                            help="base for cd/para: split2|split4|nonsplit2|split8")
+                            help=f"Hurwitz base for cd: {'|'.join(CD_BASES)}; "
+                                 f"for para: {'|'.join(PARA_BASES)} (default split4)")
         if grading:
             sp.add_argument("--catalog", default=None, help="catalog entry id")
             sp.add_argument("--grading-file", default=None)

@@ -472,12 +472,11 @@ def tau_nst(cb):
     return _morphism_on_basis(cb.algebra, cb, assignment)
 
 
-def tau_omega(cb, omega=None):
-    """u_i -> w^i u_i, v_i -> w^-i v_i for a primitive cube root w."""
+def tau_omega(cb):
+    """u_i -> w^i u_i, v_i -> w^-i v_i for the field's primitive cube root w."""
     A = cb.algebra
     F = A.field
-    if omega is None:
-        omega = F.primitive_cube_root_raw()
+    omega = F.primitive_cube_root_raw()
     if omega is None:
         raise NoCubeRoot(f"{F.name} has no primitive cube root of 1")
     w1 = omega
@@ -668,12 +667,7 @@ def adapt_basis_to_automorphism(C, phi):
     if e1 is None:
         raise NotSplit("even part has no proper idempotent")
     pd = peirce_decomposition(C, e1)
-    odd_rows = []
-    for i in C.even_indices():
-        row = [F.zero] * C.dim
-        row[i] = F.one
-        odd_rows.append(tuple(row))
-    u_odd = _intersect(F, pd.U, linalg.nullspace(F, odd_rows))
+    u_odd = _intersect(F, pd.U, _coordinate_space(C, C.odd_indices()))
     u_even = _intersect(F, pd.U, _coordinate_space(C, C.even_indices()))
     if len(u_odd) != 2 or len(u_even) != 1:
         raise BadAutomorphism("Peirce spaces are not compatible with the parity")

@@ -7,6 +7,8 @@ compatibility with the main grading holds by construction.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 
 from . import linalg
 from .abelian import AbGroup, AbHom, WrongGroup, presentation_to_group
@@ -26,6 +28,21 @@ class NotSetGrading(ValueError):
 
 @dataclass(frozen=True)
 class Grading:
+    """A decomposition of `algebra` into components, each with a degree.
+
+    Three read-only lookups are computed on first use and kept for the
+    life of the grading; validation, the graded-map searches, `fine_check`
+    and the grading checks in `axioms` read them instead of rebuilding
+    them per call:
+
+    - `index`: degree -> position of its component in `comps` (the last
+      one, should a degree repeat; `validate` rejects repeats);
+    - `spans`: per component, in the order of `comps`, its rref rows and
+      pivot columns, as tuples;
+    - `census`: degree -> (even dim, odd dim) of its component, where a
+      vector that is not even counts as odd.
+    """
+
     algebra: object
     group: AbGroup
     comps: tuple  # ((AbElement, (vector, ...)), ...)
@@ -34,18 +51,33 @@ class Grading:
         if not all(vs for _, vs in self.comps):
             raise ValueError("grading components must be nonzero")
 
+    @cached_property
+    def index(self):
+        return MappingProxyType({d: i for i, (d, _) in enumerate(self.comps)})
+
+    @cached_property
+    def spans(self):
+        F = self.algebra.field
+        out = []
+        for _, vs in self.comps:
+            rr, piv = linalg.rref(F, vs)
+            out.append((tuple(rr), tuple(piv)))
+        return tuple(out)
+
+    @cached_property
+    def census(self):
+        A = self.algebra
+        out = {}
+        for d, vs in self.comps:
+            ev = sum(1 for v in vs if A.parity_of(v) == 0)
+            out[d] = (ev, len(vs) - ev)
+        return MappingProxyType(out)
+
     def degrees(self):
         return [d for d, _ in self.comps]
 
-    def component(self, deg):
-        for d, vs in self.comps:
-            if d == deg:
-                return vs
-        return None
-
     def component_keys(self):
-        F = self.algebra.field
-        return frozenset(linalg.span_key(F, vs) for _, vs in self.comps)
+        return frozenset(rr for rr, _ in self.spans)
 
     def dims(self):
         return [len(vs) for _, vs in self.comps]
@@ -118,14 +150,12 @@ def validate(grading):
         allvecs.extend(vs)
     if len(allvecs) != A.dim or linalg.rank(F, allvecs) != A.dim:
         return False, ("components do not decompose the algebra",)
-    degs = grading.degrees()
-    if len(set(degs)) != len(degs):
+    if len(grading.index) != len(grading.comps):
         return False, ("duplicate degrees",)
-    spans = {d: linalg.rref(F, list(vs)) for d, vs in grading.comps}
     for gi, vi in grading.comps:
         for gj, vj in grading.comps:
-            target = gi + gj
-            tgt = spans.get(target)
+            k = grading.index.get(gi + gj)
+            tgt = None if k is None else grading.spans[k]
             for x in vi:
                 for y in vj:
                     p = A.mul(x, y)
@@ -329,10 +359,9 @@ def is_refinement(fine, coarse):
     if fine.algebra is not coarse.algebra:
         raise ValueError("is_refinement compares gradings of one algebra")
     F = fine.algebra.field
-    spans = [linalg.rref(F, list(vs)) for _, vs in coarse.comps]
     for _, vs in fine.comps:
         if not any(
-            all(linalg.in_span(F, rr, piv, v) for v in vs) for rr, piv in spans
+            all(linalg.in_span(F, rr, piv, v) for v in vs) for rr, piv in coarse.spans
         ):
             return False
     return True

@@ -44,16 +44,6 @@ class EnumResult:
     nodes: int
 
 
-def _component_census(grading):
-    """degree -> (even dim, odd dim)."""
-    A = grading.algebra
-    out = {}
-    for d, vs in grading.comps:
-        ev = sum(1 for v in vs if A.parity_of(v) == 0)
-        out[d] = (ev, len(vs) - ev)
-    return out
-
-
 class _GradedMapSearch:
     """DFS for superalgebra isomorphisms mapping components onto components.
 
@@ -63,14 +53,16 @@ class _GradedMapSearch:
     product already expressible in assigned vectors.  Products that force
     the next image are used directly instead of enumerating candidates.
 
-    Each `run` builds its tables once, in `_prepare`: the source basis is
-    inverted with one rref; every source product is written in that basis
-    by one `mat_vec` with the inverse and listed under the slot that checks
-    it; and the inverse's columns, which write each standard basis vector
-    in the source basis, turn a solution's images into the images of the
-    standard basis without a further solve.  The rref of each target
-    component, and on first use its nonzero vectors, are built once per
-    run too.
+    `_prepare` builds the source tables once per search, for every `run`:
+    the source basis is inverted with one rref; each source product is
+    written in that basis by one `mat_vec` with the inverse and listed
+    under the slot that checks it; and the inverse's columns turn a
+    solution's images into the images of the standard basis.  Slots are
+    ordered by the size of their source component, then by parity.  Every
+    caller assigns each component a target component of the same census,
+    so this puts the smallest candidate sets first for every assignment.
+    The target rrefs are `gb.spans`; each target component's nonzero
+    vectors are built on first use, once per search.
     """
 
     def __init__(self, A, ga, B, gb, budget, isometry=True):
@@ -83,28 +75,28 @@ class _GradedMapSearch:
         self.F = F
         if F.order is None:
             raise InfiniteField(f"graded map search needs a finite field, got {F}")
+        self.tables = self._prepare()
+        self._span_vectors = {}  # target component -> its nonzero vectors
 
     def _tick(self):
         self.nodes += 1
         if self.nodes > self.budget.max_nodes:
             raise BudgetExhausted(self.nodes)
 
-    def _prepare(self, comp_target):
-        """comp_target: index of target component for each source component."""
-        A, B, F = self.A, self.B, self.F
+    def _prepare(self):
+        """(source vectors in slot order, their component indices, source
+        products by depth, standard basis vectors in the source basis)."""
+        A, F = self.A, self.F
         src_vecs = []
         src_comp = []
         for ci, (_, vs) in enumerate(self.ga.comps):
             for v in vs:
                 src_vecs.append(v)
                 src_comp.append(ci)
-        # slot order: smallest target candidate sets first
-        tgt_spans = []
-        for ci, (_, vs) in enumerate(self.gb.comps):
-            tgt_spans.append(list(vs))
+        sizes = self.ga.dims()
         order = sorted(
             range(len(src_vecs)),
-            key=lambda t: (len(tgt_spans[comp_target[src_comp[t]]]), A.parity_of(src_vecs[t]), t),
+            key=lambda t: (sizes[src_comp[t]], A.parity_of(src_vecs[t]), t),
         )
         src_vecs = [src_vecs[t] for t in order]
         src_comp = [src_comp[t] for t in order]
@@ -120,23 +112,25 @@ class _GradedMapSearch:
                 coeffs = linalg.mat_vec(F, inverse, A.mul(src_vecs[i], src_vecs[j]))
                 support = [k for k, c in enumerate(coeffs) if c != z]
                 by_depth[max([i, j] + support)].append((i, j, coeffs, support))
-        tgt_rrefs = [linalg.rref(F, span) for span in tgt_spans]
         # the inverse's columns: each standard basis vector in the source basis
         std_coords = tuple(zip(*inverse))
-        return src_vecs, src_comp, by_depth, tgt_spans, tgt_rrefs, std_coords
+        return src_vecs, src_comp, by_depth, std_coords
 
     def run(self, comp_target, collect=None):
         """Search with a fixed component assignment; returns a Morphism or None.
 
-        With collect (a list), every solution is appended and None returned.
+        comp_target: index of the target component for each source
+        component, whose census must match.  With collect (a list), every
+        solution is appended and None returned.
         """
         A, B, F = self.A, self.B, self.F
-        src_vecs, src_comp, by_depth, tgt_spans, tgt_rrefs, std_coords = self._prepare(comp_target)
+        src_vecs, src_comp, by_depth, std_coords = self.tables
+        tgt_comps, tgt_spans = self.gb.comps, self.gb.spans
         m = len(src_vecs)
         n = B.dim
         images = [None] * m
         z = F.zero
-        span_vectors = {}  # target component -> its nonzero vectors, built on first use
+        span_vectors = self._span_vectors
 
         def candidates(t):
             # a product of two assigned vectors may force the image
@@ -149,7 +143,7 @@ class _GradedMapSearch:
                 return [linalg.vec_scale(F, F.inv(coeffs[t]), linalg.vec_sub(F, lhs, known))]
             ci = comp_target[src_comp[t]]
             if ci not in span_vectors:
-                span = tgt_spans[ci]
+                span = tgt_comps[ci][1]
                 span_vectors[ci] = [linalg.lincomb(F, coeffs, span, n)
                                     for coeffs in linalg.nonzero_vectors(F, len(span))]
             return span_vectors[ci]
@@ -158,7 +152,7 @@ class _GradedMapSearch:
             v = images[t]
             if A.parity_of(src_vecs[t]) != B.parity_of(v) or linalg.vec_is_zero(F, v):
                 return False
-            rr, piv = tgt_rrefs[comp_target[src_comp[t]]]
+            rr, piv = tgt_spans[comp_target[src_comp[t]]]
             if not linalg.in_span(F, rr, piv, v):
                 return False
             if self.isometry:
@@ -177,20 +171,10 @@ class _GradedMapSearch:
                     return False
             return True
 
-        def finish():
-            imgs = tuple(linalg.lincomb(F, coeffs, images, n) for coeffs in std_coords)
-            f = Morphism(A, B, imgs)
-            try:
-                checks = ["algebra-hom", "parity-preserving", "bijective"]
-                if self.isometry:
-                    checks.append("isometry")
-                return is_morphism(f, checks)
-            except CheckFailed:
-                return None
-
         def dfs(t):
             if t == m:
-                f = finish()
+                imgs = tuple(linalg.lincomb(F, coeffs, images, n) for coeffs in std_coords)
+                f = _checked_map(Morphism(A, B, imgs), self.isometry)
                 if f is None:
                     return None
                 if collect is not None:
@@ -210,23 +194,28 @@ class _GradedMapSearch:
         return dfs(0)
 
 
+def _checked_map(f, isometry):
+    """f tagged as a bijective, parity-preserving algebra map (and an
+    isometry when asked), or None when a check fails."""
+    checks = ("algebra-hom", "parity-preserving", "bijective") + (("isometry",) if isometry else ())
+    try:
+        return is_morphism(f, checks)
+    except CheckFailed:
+        return None
+
+
 def try_verify_graded(f, ga, gb, isometry=True):
     """Verify a candidate map as a degree-preserving graded isomorphism;
     returns the tagged Morphism or None."""
-    A, B = f.source, f.target
-    F = B.field
-    try:
-        checks = ["algebra-hom", "parity-preserving", "bijective"]
-        if isometry:
-            checks.append("isometry")
-        f = is_morphism(f, checks)
-    except CheckFailed:
+    F = f.target.field
+    f = _checked_map(f, isometry)
+    if f is None:
         return None
-    spans = {d: linalg.rref(F, list(vs)) for d, vs in gb.comps}
     for d, vs in ga.comps:
-        if d not in spans or len(vs) != len(gb.component(d)):
+        k = gb.index.get(d)
+        if k is None or len(vs) != len(gb.comps[k][1]):
             return None
-        rr, piv = spans[d]
+        rr, piv = gb.spans[k]
         for v in vs:
             if not linalg.in_span(F, rr, piv, f.apply(v)):
                 return None
@@ -242,23 +231,19 @@ def find_graded_map(A, ga, B, gb, mode="isomorphism", budget=None, isometry=True
     exhausted (proven none).  Raises BudgetExhausted when the node budget
     runs out.  In isomorphism mode with A is B the identity is tried
     before any search, so a grading the identity verifies needs no finite
-    field.
+    field.  Only assignments between components of one census are
+    searched, all of them by one `_GradedMapSearch`.
     """
     budget = budget or SearchBudget()
     if A.dim != B.dim:
         return None
     if A.field != B.field:
         raise ValueError(f"graded maps need one field, got {A.field} and {B.field}")
-    ca, cb = _component_census(ga), _component_census(gb)
+    ca, cb = ga.census, gb.census
     if mode == "isomorphism":
         if ca != cb:
             return None
-        deg_to_idx = {d: i for i, (d, _) in enumerate(gb.comps)}
-        comp_target = []
-        for d, _ in ga.comps:
-            if d not in deg_to_idx:
-                return None
-            comp_target.append(deg_to_idx[d])
+        comp_target = [gb.index[d] for d, _ in ga.comps]  # equal censuses: equal degrees
         if A is B:
             ident = try_verify_graded(identity_morphism(A), ga, gb, isometry=isometry)
             if ident is not None:
@@ -268,14 +253,8 @@ def find_graded_map(A, ga, B, gb, mode="isomorphism", budget=None, isometry=True
         if sorted(ca.values()) != sorted(cb.values()):
             return None
         search = _GradedMapSearch(A, ga, B, gb, budget, isometry=isometry)
-        idxs = range(len(gb.comps))
-        for perm in permutations(idxs):
-            ok = True
-            for i, (d, _) in enumerate(ga.comps):
-                if ca[d] != cb[gb.comps[perm[i]][0]]:
-                    ok = False
-                    break
-            if not ok:
+        for perm in permutations(range(len(gb.comps))):
+            if any(ca[d] != cb[gb.comps[k][0]] for (d, _), k in zip(ga.comps, perm)):
                 continue
             got = search.run(list(perm))
             if got is not None:
@@ -313,9 +292,7 @@ def enumerate_automorphisms(S, constraints=None, budget=None):
         return out
     out = []
     search = _GradedMapSearch(S, constraints, S, constraints, budget)
-    deg_to_idx = {d: i for i, (d, _) in enumerate(constraints.comps)}
-    comp_target = [deg_to_idx[d] for d, _ in constraints.comps]
-    search.run(comp_target, collect=out)
+    search.run([constraints.index[d] for d, _ in constraints.comps], collect=out)
     return sorted(out, key=lambda f: tuple(f.images))
 
 
@@ -391,7 +368,7 @@ def _partial_matchings(na, nb):
     return out
 
 
-def enumerate_all_gradings(S, max_components=None, budget=None):
+def enumerate_all_gradings(S, budget=None):
     """Every grading of S over its universal group, for dim(S) <= 4.
 
     Enumerates all decompositions into parity-split subspaces, keeps the
@@ -436,8 +413,6 @@ def enumerate_all_gradings(S, max_components=None, budget=None):
                 for j, o in enumerate(do):
                     if j not in used_odd:
                         comps.append((o,))
-                if max_components is not None and len(comps) > max_components:
-                    continue
                 rels = builder.relations(comps)
                 if rels is None:
                     continue
@@ -529,7 +504,7 @@ def _split_relations(S, others, spans, targets, w1, w2):
     n = m + 2
     cand = others + [w1, w2]
     parts = [linalg.rref(F, w1), linalg.rref(F, w2)]
-    all_spans = spans + parts
+    all_spans = [*spans, *parts]
     rels = []
     for i in range(n):
         for j in range(n):
@@ -584,8 +559,7 @@ def fine_check(grading, budget=None):
     F = S.field
     nodes = 0
     comps = [list(vs) for _, vs in grading.comps]
-    degs = [d for d, _ in grading.comps]
-    deg_to_idx = {d: i for i, d in enumerate(degs)}
+    degs = grading.degrees()
     for ci, comp in enumerate(comps):
         if len(comp) < 2:
             continue
@@ -595,7 +569,7 @@ def fine_check(grading, budget=None):
         incoming = []
         for j in range(len(comps)):
             for k in range(len(comps)):
-                if j == ci or k == ci or deg_to_idx.get(degs[j] + degs[k]) != ci:
+                if j == ci or k == ci or grading.index.get(degs[j] + degs[k]) != ci:
                     continue
                 for x in comps[j]:
                     for y in comps[k]:
@@ -607,7 +581,7 @@ def fine_check(grading, budget=None):
         # candidates list the untouched components first: their products,
         # computed once, reject hopeless splits before any work on the parts
         others = comps[:ci] + comps[ci + 1:]
-        spans = [linalg.rref(F, vs) for vs in others]
+        spans = grading.spans[:ci] + grading.spans[ci + 1:]
         targets = {}
         for w1, w2 in _parity_splits(S, comp):
             nodes += 1

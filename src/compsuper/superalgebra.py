@@ -234,15 +234,6 @@ class SuperAlgebra:
     def element(self, coords):
         return Element(self, tuple(coords))
 
-    def from_names(self, expr):
-        """Vector from a {name: coeff} dict, coefficients as ints or raw values."""
-        F = self.field
-        acc = [F.zero] * self.dim
-        for nm, c in expr.items():
-            i = self.basis_names.index(nm)
-            acc[i] = F.add(acc[i], c if not isinstance(c, int) else F.from_int(c))
-        return tuple(acc)
-
     def fmt(self, v):
         F = self.field
         terms = []
@@ -278,6 +269,15 @@ class SuperAlgebra:
         field when `data` lacks a key or holds a value of the wrong shape."""
         F = field_from_string(json_member(data, "field", str, "algebra"))
         n = json_member(data, "dim", int, "algebra")
+        parity = json_member(data, "parity", list, "algebra")
+        q0 = json_member(data, "q0_values", list, "algebra")
+        polar = json_member(data, "polar", list, "algebra")
+        # the shapes that n fixes are checked before the n x n x n table is allocated
+        if len(parity) != n or len(q0) != n:
+            raise ValueError(f"algebra.dim is {n}, but algebra.parity has {len(parity)} entries "
+                             f"and algebra.q0_values {len(q0)}")
+        if len(polar) != n or not all(isinstance(row, list) and len(row) == n for row in polar):
+            raise ValueError(f"algebra.polar must be {n} rows of {n} entries")
         z = F.zero
         table = [[[z] * n for _ in range(n)] for _ in range(n)]
         for entry in json_member(data, "structure", list, "algebra"):
@@ -287,15 +287,11 @@ class SuperAlgebra:
             if not all(isinstance(t, int) and 0 <= t < n for t in (i, j, k)):
                 raise ValueError(f"structure entry {entry} has an index outside 0..{n - 1}")
             table[i][j][k] = json_scalar(F, c, "algebra.structure")
-        polar = json_member(data, "polar", list, "algebra")
-        if not all(isinstance(row, list) for row in polar):
-            raise ValueError("algebra.polar must be a list of rows")
         return SuperAlgebra(
             F,
-            json_member(data, "parity", list, "algebra"),
+            parity,
             table,
-            [json_scalar(F, c, "algebra.q0_values")
-             for c in json_member(data, "q0_values", list, "algebra")],
+            [json_scalar(F, c, "algebra.q0_values") for c in q0],
             [[json_scalar(F, c, "algebra.polar") for c in row] for row in polar],
             basis_names=json_member(data, "basis", list, "algebra") if "basis" in data else None,
             name=data.get("name", ""),
@@ -448,7 +444,8 @@ def is_morphism(f, checks=KNOWN_CHECKS):
                     if gram[j][i] != A.polar[i][j]:
                         raise CheckFailed(flag, (A.basis_names[i], A.basis_names[j]))
             for i in A.even_indices():
-                if B.eval_q0(f.images[i]) != A.q0[i]:
+                # q0 is defined on even vectors only, so an odd part fails
+                if B.parity_of(images[i]) != 0 or B.eval_q0(images[i]) != A.q0[i]:
                     raise CheckFailed(flag, (A.basis_names[i],))
         elif flag == "involution-commuting":
             for i in range(A.dim):

@@ -163,6 +163,35 @@ def test_unknown_construction_exits_2(capsys):
     assert run(["build", "--construction", "cd", "--base", "bogus", "--field", "GF(2)"]) == 2
 
 
+def test_base_choices_match_the_help(capsys):
+    """cd and para accept exactly the bases the help names for each; para
+    over nonsplit2 is para-K."""
+    assert run(["build", "--help"]) == 0
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "cd: split2|split4|nonsplit2;" in help_text
+    assert "para: split2|split4|split8|nonsplit2" in help_text
+    accepted = {"cd": ("split2", "split4", "nonsplit2"),
+                "para": ("split2", "split4", "split8", "nonsplit2")}
+    for construction, bases in accepted.items():
+        for base in ("split2", "split4", "split8", "nonsplit2", "b12", "cd"):
+            argv = ["check", "--construction", construction, "--base", base]
+            code = run(argv)
+            captured = capsys.readouterr()
+            if base not in bases:
+                assert code == 2, argv
+                assert captured.err.startswith("error:"), argv
+                assert len(captured.err.strip().splitlines()) == 1, argv
+                assert "|".join(bases) in captured.err.replace(", ", "|"), argv
+                continue
+            assert code == 0, argv
+            if construction == "para" and base == "nonsplit2":
+                axioms = json.loads(captured.out)["axioms"]
+                assert [(r["check"], r["pass"]) for r in axioms] == [("symmetric", True)]
+    assert run(["build", "--construction", "para", "--base", "nonsplit2"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert (data["dim"], data["name"]) == (2, "para-K(w^2+w+1)")
+
+
 def test_nonpositive_budget_exits_2(capsys):
     code = run(["fine", "--catalog", "eq7", "--field", "GF(2)", "--budget", "0"])
     err = capsys.readouterr().err
@@ -222,6 +251,147 @@ def test_malformed_grading_file_exits_2(capsys, tmp_path, edit, field):
     assert field in err
 
 
+def _mutations(data, draw):
+    """Edit `data`, an eq3/GF(3) grading file, so that the CLI must reject
+    it; returns a description of the edit."""
+    from hypothesis import strategies as st
+
+    alg, grading = data["algebra"], data["grading"]
+    comps = grading["components"]
+    n = alg["dim"]
+    not_scalar = st.one_of(st.none(), st.booleans(), st.floats(allow_nan=False),
+                           st.lists(st.integers(), max_size=2), st.just({"1": 1}))
+    not_int = st.one_of(st.none(), st.floats(allow_nan=False), st.text(max_size=3),
+                        st.lists(st.integers(), max_size=2), st.just({}))
+    not_str = st.one_of(st.none(), st.integers(), st.floats(allow_nan=False),
+                        st.lists(st.text(max_size=2), max_size=2), st.just({}))
+    not_list = st.one_of(st.none(), st.integers(), st.floats(allow_nan=False),
+                         st.text(max_size=3), st.just({}))
+    kind = draw(st.sampled_from([
+        "drop-key", "wrong-type", "bad-scalar", "bad-index", "short-list", "bad-dim", "polar-entry",
+    ]))
+    members = [(data, "algebra"), (data, "grading")] + [(alg, k) for k in (
+        "field", "dim", "structure", "parity", "q0_values", "polar")] + [
+        (grading, "group"), (grading, "components")] + [
+        (c, k) for c in comps for k in ("coords", "basis")]
+    if kind == "drop-key":
+        obj, key = draw(st.sampled_from(members))
+        del obj[key]
+        return kind, key
+    if kind == "wrong-type":
+        obj, key = draw(st.sampled_from(members))
+        value = obj[key]
+        obj[key] = draw(not_str if isinstance(value, str) else
+                        not_int if isinstance(value, int) else not_list)
+        return kind, key
+    if kind == "bad-scalar":  # a structure coefficient, q0 value, polar or basis entry
+        rows = [alg["q0_values"]] + alg["polar"] + [v for c in comps for v in c["basis"]]
+        row, j = draw(st.one_of(
+            st.sampled_from(alg["structure"]).map(lambda entry: (entry, 3)),
+            st.sampled_from(rows).flatmap(
+                lambda row: st.integers(0, len(row) - 1).map(lambda j: (row, j)))))
+        row[j] = draw(not_scalar)
+        return kind, j
+    if kind == "bad-index":
+        entry = draw(st.sampled_from(alg["structure"]))
+        j = draw(st.integers(0, 2))
+        entry[j] = draw(st.one_of(not_int, st.integers(n, n + 3), st.integers(-3, -1)))
+        return kind, j
+    if kind == "short-list":
+        lists = (alg["structure"] + [alg["q0_values"], alg["parity"]] + alg["polar"]
+                 + [c["coords"] for c in comps] + [v for c in comps for v in c["basis"]])
+        lst = draw(st.sampled_from(lists))
+        del lst[draw(st.integers(0, len(lst) - 1))]
+        return kind, len(lst)
+    if kind == "bad-dim":
+        alg["dim"] = draw(st.integers(-3, 40).filter(lambda d: d != n))
+        return kind, alg["dim"]
+    # any other value of a polar entry breaks the symmetry (even block),
+    # the skew symmetry (odd block), b(x,x) = 2 q0(x) (even diagonal), the
+    # zero diagonal of the odd block, or the zero even x odd block
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    alg["polar"][i][j] = draw(st.sampled_from([c for c in ("0", "1", "2")
+                                               if c != alg["polar"][i][j]]))
+    return kind, (i, j)
+
+
+def test_malformed_grading_files_exit_2_without_traceback(tmp_path):
+    """Property: every malformed grading file, and every truncation of a
+    valid one, exits 2 with one `error:` line on stderr and nothing on
+    stdout."""
+    import contextlib
+    import io
+
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    from compsuper.catalog import build_entry
+    from compsuper.fields import GF
+
+    A, g = build_entry("eq3", GF(3))
+    text = json.dumps({"algebra": A.to_json(), "grading": g.to_json()})
+    path = tmp_path / "grading.json"
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def check(data):
+        if data.draw(st.booleans()):
+            bad = text[:data.draw(st.integers(0, len(text) - 1))]
+            what = ("truncated", len(bad))
+        else:
+            edited = json.loads(text)
+            what = _mutations(edited, data.draw)
+            bad = json.dumps(edited)
+        path.write_text(bad)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(["universal-group", "--grading-file", str(path)])
+        assert code == 2, (what, out.getvalue())
+        assert out.getvalue() == "", what
+        assert err.getvalue().startswith("error:"), what
+        assert len(err.getvalue().strip().splitlines()) == 1, what
+
+    check()
+
+
+def _src_env():
+    """The environment with this checkout's `src` first on PYTHONPATH."""
+    import os
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+
+
+@pytest.mark.parametrize("parity_too", [False, True], ids=["dim", "dim-and-parity"])
+def test_grading_file_dim_is_checked_before_the_table(tmp_path, parity_too):
+    """A "dim" that disagrees with "parity", "q0_values" or "polar" exits 2
+    before the algebra's dim x dim x dim table is allocated.  The CLI runs
+    in a child process under a 1 GiB address-space limit, where a 2000^3
+    table would raise MemoryError (a traceback and exit 1)."""
+    import subprocess
+    import sys
+
+    from compsuper.catalog import build_entry
+    from compsuper.fields import GF
+
+    A, g = build_entry("eq3", GF(3))
+    algebra = A.to_json()
+    algebra["dim"] = 2000
+    if parity_too:
+        algebra["parity"] = [0] * 2000
+    path = tmp_path / "grading.json"
+    path.write_text(json.dumps({"algebra": algebra, "grading": g.to_json()}))
+    child = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)); "
+             "from compsuper.cli import run; sys.exit(run(sys.argv[1:]))")
+    proc = subprocess.run([sys.executable, "-c", child, "universal-group", "--grading-file",
+                           str(path)], capture_output=True, text=True, env=_src_env(), timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error:") and len(proc.stderr.strip().splitlines()) == 1
+    assert "algebra.dim" in proc.stderr and proc.stdout == ""
+
+
 def test_autos_over_q_exits_2(capsys, tmp_path):
     from compsuper.constructions import split_hurwitz
     from compsuper.fields import QQ
@@ -238,15 +408,10 @@ def test_autos_over_q_exits_2(capsys, tmp_path):
 
 
 def test_python_m_compsuper_runs():
-    import os
     import subprocess
     import sys
-    from pathlib import Path
 
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
     proc = subprocess.run([sys.executable, "-m", "compsuper", "catalog", "list"],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True, env=_src_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["entries"]

@@ -332,3 +332,65 @@ def test_grading_enumeration_relations_match_reference(monkeypatch):
         if S.odd_indices():  # some component joins an even and an odd piece
             assert any(len(c) == 2 for _, comps, _ in calls for c in comps), S
         _assert_matches_reference(calls)
+
+
+def test_lookups_match_a_fresh_computation_and_are_computed_once(monkeypatch):
+    """`index`, `spans` and `census` equal a fresh computation on every
+    catalog entry over its primary fields, and the first reads compute
+    them: the rrefs and parities are not taken again on later reads."""
+    from compsuper import superalgebra
+    from compsuper.catalog import ENTRIES, FieldConditionUnmet, build_entry, catalog_ids
+
+    calls = {"rref": 0, "parity_of": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(linalg, "rref", counted("rref", linalg.rref))
+    monkeypatch.setattr(superalgebra.SuperAlgebra, "parity_of",
+                        counted("parity_of", superalgebra.SuperAlgebra.parity_of))
+    built = 0
+    for id in catalog_ids():
+        for F in ((GF(3), GF(9)) if ENTRIES[id].char == 3 else (GF(2), GF(4))):
+            try:
+                A, built_g = build_entry(id, F)
+            except FieldConditionUnmet:
+                continue
+            g = Grading(A, built_g.group, built_g.comps)  # a copy no one has read yet
+            degrees = g.degrees()
+            even = set(A.even_indices())
+            before = dict(calls)
+            index, spans, census = g.index, g.spans, g.census
+            assert calls["rref"] - before["rref"] == len(g.comps), id
+            assert calls["parity_of"] - before["parity_of"] == A.dim, id
+            before = dict(calls)
+            assert (g.index, g.spans, g.census) == (index, spans, census), id
+            assert g.index is index and g.spans is spans and g.census is census, id
+            g.component_keys()
+            assert calls == before, id
+            # degree -> position of its component
+            assert dict(index) == {d: max(i for i, e in enumerate(degrees) if e == d)
+                                   for d in degrees}, id
+            for (d, vs), (rows, pivots) in zip(g.comps, spans):
+                # the reduced echelon basis of the component's span
+                assert rows == linalg.span_key(F, vs), (id, str(d))
+                assert pivots == tuple(next(c for c, x in enumerate(r) if x != F.zero)
+                                       for r in rows), (id, str(d))
+                assert all(r[p] == F.one for r, p in zip(rows, pivots)), (id, str(d))
+                n_even = sum(all(i in even for i, x in enumerate(v) if x != F.zero) for v in vs)
+                assert census[d] == (n_even, len(vs) - n_even), (id, str(d))
+            with pytest.raises(TypeError):
+                index[degrees[0]] = 0
+            with pytest.raises(TypeError):
+                census[degrees[0]] = (0, 0)
+            built += 1
+    assert built == 73  # 41 entries over two fields, 9 of them need a cube root
+    # a vector with an even and an odd part counts as odd
+    B = b12(F3)
+    mixed = linalg.vec_add(F3, B.basis_vector(0), B.basis_vector(1))
+    g = grading_from_components(
+        B, Z, [(Z.element(0), [mixed]), (Z.element(1), [B.basis_vector(2)])])
+    assert dict(g.census) == {Z.element(0): (0, 1), Z.element(1): (0, 1)}

@@ -150,8 +150,8 @@ class _SolvedCoordinatesSearch(search._GradedMapSearch):
     coords_in_basis solve per source product and per standard basis
     vector, in the same slot order."""
 
-    def _prepare(self, comp_target):
-        src_vecs, src_comp, _, tgt_spans, tgt_rrefs, _ = super()._prepare(comp_target)
+    def _prepare(self):
+        src_vecs, src_comp, _, _ = super()._prepare()
         A, F = self.A, self.F
         m = len(src_vecs)
         by_depth = [[] for _ in range(m)]
@@ -163,7 +163,7 @@ class _SolvedCoordinatesSearch(search._GradedMapSearch):
                 by_depth[max([i, j] + support)].append((i, j, coeffs, support))
         std_coords = [linalg.coords_in_basis(F, src_vecs, A.basis_vector(i))
                       for i in range(A.dim)]
-        return src_vecs, src_comp, by_depth, tgt_spans, tgt_rrefs, std_coords
+        return src_vecs, src_comp, by_depth, std_coords
 
 
 @pytest.mark.parametrize("id, q", [("eq1", 3), ("eq6", 2), ("okuboeq4", 4)])
@@ -178,6 +178,95 @@ def test_enumerate_automorphisms_match_solved_coordinates(id, q):
     new = search._GradedMapSearch(A, g, A, g, SearchBudget())
     new.run(list(range(len(g.comps))), collect=[])
     assert new.nodes == ref.nodes
+
+
+def _per_run_tables(search_, comp_target):
+    """The source tables as each `run` built them before they were built
+    once per search: slots ordered by the size of their assigned target
+    component, then by parity."""
+    A, F = search_.A, search_.F
+    src_vecs, src_comp = [], []
+    for ci, (_, vs) in enumerate(search_.ga.comps):
+        for v in vs:
+            src_vecs.append(v)
+            src_comp.append(ci)
+    tgt_sizes = [len(vs) for _, vs in search_.gb.comps]
+    order = sorted(range(len(src_vecs)),
+                   key=lambda t: (tgt_sizes[comp_target[src_comp[t]]], A.parity_of(src_vecs[t]), t))
+    src_vecs = [src_vecs[t] for t in order]
+    src_comp = [src_comp[t] for t in order]
+    m = len(src_vecs)
+    inverse = linalg.basis_inverse(F, src_vecs)
+    by_depth = [[] for _ in range(m)]
+    for i in range(m):
+        for j in range(m):
+            coeffs = linalg.mat_vec(F, inverse, A.mul(src_vecs[i], src_vecs[j]))
+            support = [k for k, c in enumerate(coeffs) if c != F.zero]
+            by_depth[max([i, j] + support)].append((i, j, coeffs, support))
+    return src_vecs, src_comp, by_depth, tuple(zip(*inverse))
+
+
+_SEARCH = search._GradedMapSearch
+
+
+class _PerRunSearch(_SEARCH):
+    """The search with its tables and target span vectors rebuilt for
+    every assignment."""
+
+    def run(self, comp_target, collect=None):
+        self.tables = _per_run_tables(self, comp_target)
+        self._span_vectors = {}
+        return super().run(comp_target, collect)
+
+
+def _searches(monkeypatch, cls, call):
+    """(result of call(), node count of each search it made) with
+    `search._GradedMapSearch` replaced by `cls`."""
+    made = []
+
+    class Recorded(cls):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(search, "_GradedMapSearch", Recorded)
+    got = call()
+    maps = got if isinstance(got, list) else [got]
+    return [None if f is None else (f.images, f.attrs) for f in maps], [s.nodes for s in made]
+
+
+def test_tables_once_per_search_match_per_run_tables(monkeypatch):
+    """find_graded_map in both modes and enumerate_automorphisms give the
+    same maps and node counts with the tables built once per search as with
+    the tables rebuilt, in the target-keyed slot order, for each run."""
+    from compsuper.catalog import _family_algebra, iso_test_groups
+    from compsuper.gradings import gamma_grading_dim8, zero_sum_triples
+
+    cases = []
+    for family in ("cd8", "okubo-omega"):
+        # criterion 6: every 5th of its pairs that reach a search
+        ctx = _family_algebra(family, F4)
+        A = ctx["algebra"]
+        for G in iso_test_groups():
+            gs = [gamma_grading_dim8(A, ctx["cb"], G, t) for t in zero_sum_triples(G, max_order=4)]
+            pairs = [(g1, g2) for g1 in gs for g2 in gs if g1 is not g2 and g1.census == g2.census]
+            cases += [lambda A=A, g1=g1, g2=g2: find_graded_map(A, g1, A, g2)
+                      for g1, g2 in pairs[::5]]
+    equiv = {id: build_entry(id, F3) for id in ("eq2", "eq3", "eq4")}
+    for (A, ga) in equiv.values():
+        for (B, gb) in equiv.values():
+            cases.append(lambda A=A, ga=ga, B=B, gb=gb:
+                         find_graded_map(A, ga, B, gb, mode="equivalence"))
+    for id, q in (("eq1", 3), ("eq6", 2), ("okuboeq4", 4), ("eq3", 3)):
+        A, g = build_entry(id, GF(q))
+        cases.append(lambda A=A, g=g: enumerate_automorphisms(A, constraints=g))
+    searched = found = 0
+    for call in cases:
+        got = _searches(monkeypatch, _SEARCH, call)
+        assert got == _searches(monkeypatch, _PerRunSearch, call)
+        searched += bool(got[1])
+        found += any(f is not None for f in got[0])
+    assert (len(cases), searched, found) == (179, 173, 129)
 
 
 def test_enumerate_all_gradings_b12_lambda():

@@ -57,6 +57,17 @@ def test_q0_rejects_odd_argument():
         B.eval_q0(B.basis_vector(1))
 
 
+def test_isometry_fails_on_an_even_image_with_an_odd_part():
+    # 1 -> 1 + u keeps b(1, 1), but q0 is not defined on 1 + u
+    one = F3.one
+    K = SuperAlgebra(F3, (0,), [[[one]]], [one], [[F3.from_int(2)]], basis_names=("1",))
+    B = b12(F3)
+    f = Morphism(K, B, ((one, one, F3.zero),))
+    with pytest.raises(CheckFailed) as exc:
+        is_morphism(f, ("isometry",))
+    assert (exc.value.flag, exc.value.witness) == ("isometry", ("1",))
+
+
 def test_conjugation():
     C, _ = split_hurwitz(8, F3)
     e1, e2, u1 = (_named(C, n) for n in ("e1", "e2", "u1"))
@@ -256,7 +267,7 @@ def _reference_is_morphism(f, checks):
                     if B.eval_b(f.images[i], f.images[j]) != A.polar[i][j]:
                         raise CheckFailed(flag, (A.basis_names[i], A.basis_names[j]))
             for i in A.even_indices():
-                if B.eval_q0(f.images[i]) != A.q0[i]:
+                if B.parity_of(f.images[i]) != 0 or B.eval_q0(f.images[i]) != A.q0[i]:
                     raise CheckFailed(flag, (A.basis_names[i],))
         elif flag == "involution-commuting":
             for i in range(A.dim):
@@ -274,7 +285,7 @@ def _outcome(check, f, checks):
         return "passed", check(f, checks).attrs
     except CheckFailed as exc:
         return "failed", exc.flag, exc.witness
-    except (NoUnit, OddArgument) as exc:  # no unit to conjugate with; q0 of an odd part
+    except NoUnit as exc:  # no unit to conjugate with
         return type(exc).__name__
 
 
