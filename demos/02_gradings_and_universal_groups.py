@@ -5,7 +5,7 @@ complete coarsening lattice.
 Run with:  python demos/02_gradings_and_universal_groups.py
 """
 
-from compsuper import GF, b42, coarsenings_enum, gamma_grading_b42, support, universal_group, validate
+from compsuper import GF, b42, coarsenings_enum, gamma_grading_b42, universal_group, validate
 from compsuper.abelian import AbGroup
 
 F = GF(3)
@@ -17,7 +17,7 @@ ok, _ = validate(g)
 print("the 5-grading (deg u = 1, deg x = 2):", "valid" if ok else "INVALID")
 for d, vs in g.comps:
     print(f"  degree {d}: ", ", ".join(B.fmt(v) for v in vs))
-print("support:", sorted(d.coords[0] for d in support(g)))
+print("support:", sorted(d.coords[0] for d in g.degrees()))
 
 G, proj, injective = universal_group(g)
 print("universal grading group:", G, "| injective:", injective)

@@ -260,7 +260,11 @@ def cmd_equiv(args):
 def cmd_autos(args):
     A, g = _grading_from_args(args)
     budget = SearchBudget(args.budget)
-    autos = enumerate_automorphisms(A, constraints=g, budget=budget)
+    try:
+        autos = enumerate_automorphisms(A, constraints=g, budget=budget)
+    except BudgetExhausted as exc:
+        _emit({"result": "budget-exhausted", "nodes": exc.nodes}, args.out)
+        return 1
     payload = {
         "count": len(autos),
         "maps": [[[A.field.fmt(c) for c in img] for img in f.images] for f in autos],

@@ -38,6 +38,7 @@ class Field:
     name = "?"
     char = 0
     order = None  # None means infinite
+    spelling = frozenset("0123456789+-/")  # the characters an element string may use
 
     def add(self, a, b):
         raise NotImplementedError
@@ -66,12 +67,19 @@ class Field:
     def parse_elt(self, s):
         """Raw value of a string such as "2", "-1/2" or "2x+1", or of an int
         (read as a string of its digits).  Raises FieldError for any other
-        type, bool included, and for a string that names no element."""
+        type, bool included, and for a string that names no element.
+
+        A string may use only `spelling`: ASCII digits, "+", "-", "/" and,
+        in GF(p^2), the generator "x".  So `int()`'s other spellings, such
+        as "1_0", non-ASCII digits and surrounding spaces, are refused."""
         if isinstance(s, bool) or not isinstance(s, (str, int)):
             raise FieldError(f"{self.name} value must be a string or an integer, "
                              f"got {type(s).__name__} {s!r}")
+        s = str(s)
+        if not self.spelling.issuperset(s):
+            raise FieldError(f"{s!r} is not an element of {self.name}")
         try:
-            return self._parse(str(s))
+            return self._parse(s)
         except (ValueError, ZeroDivisionError) as exc:
             raise FieldError(f"{s!r} is not an element of {self.name}") from exc
 
@@ -180,6 +188,8 @@ class PrimeField(Field):
 class QuadraticField(Field):
     """GF(p^2) as GF(p)[x]/(x^2 + c1*x + c0); element a+bx coded as a + b*p."""
 
+    spelling = Field.spelling | {"x"}
+
     def __init__(self, p, modulus):
         if not _is_prime(p):
             raise FieldError(f"{p} is not prime")
@@ -262,7 +272,6 @@ class QuadraticField(Field):
         return xs if a0 == 0 else f"{xs}+{a0}"
 
     def _parse(self, s):
-        s = s.replace(" ", "")
         if "x" not in s:
             return int(s) % self.p
         xs, _, rest = s.partition("x")

@@ -166,10 +166,6 @@ def validate(grading):
     return True, None
 
 
-def support(grading):
-    return [d for d, vs in grading.comps if vs]
-
-
 def _products(algebra, xs, ys):
     """The nonzero products x*y, x in xs, y in ys."""
     F = algebra.field

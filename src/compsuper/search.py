@@ -63,6 +63,13 @@ class _GradedMapSearch:
     so this puts the smallest candidate sets first for every assignment.
     The target rrefs are `gb.spans`; each target component's nonzero
     vectors are built on first use, once per search.
+
+    `prefix` fixes the images of the first slots: while it holds k images,
+    slot t < k has the single candidate prefix[t], which is ticked and
+    checked by `consistent` like any other candidate, and `run` searches
+    only the maps that extend it (`first_extending`).  With `collect`
+    and no prefix, `run` is the exhaustive reference: every solution,
+    one leaf per map.
     """
 
     def __init__(self, A, ga, B, gb, budget, isometry=True):
@@ -77,6 +84,7 @@ class _GradedMapSearch:
             raise InfiniteField(f"graded map search needs a finite field, got {F}")
         self.tables = self._prepare()
         self._span_vectors = {}  # target component -> its nonzero vectors
+        self.prefix = ()  # images the first slots are fixed to
 
     def _tick(self):
         self.nodes += 1
@@ -131,8 +139,11 @@ class _GradedMapSearch:
         images = [None] * m
         z = F.zero
         span_vectors = self._span_vectors
+        prefix = self.prefix
 
         def candidates(t):
+            if t < len(prefix):
+                return (prefix[t],)
             # a product of two assigned vectors may force the image
             for i, j, coeffs, support in by_depth[t]:
                 if i == t or j == t or coeffs[t] == z:
@@ -143,9 +154,7 @@ class _GradedMapSearch:
                 return [linalg.vec_scale(F, F.inv(coeffs[t]), linalg.vec_sub(F, lhs, known))]
             ci = comp_target[src_comp[t]]
             if ci not in span_vectors:
-                span = tgt_comps[ci][1]
-                span_vectors[ci] = [linalg.lincomb(F, coeffs, span, n)
-                                    for coeffs in linalg.nonzero_vectors(F, len(span))]
+                span_vectors[ci] = _nonzero_span(F, tgt_comps[ci][1], n)
             return span_vectors[ci]
 
         def consistent(t):
@@ -192,6 +201,20 @@ class _GradedMapSearch:
             return None
 
         return dfs(0)
+
+    def first_extending(self, comp_target, prefix):
+        """The first solution whose first len(prefix) slot images are
+        prefix, or None when no solution extends it."""
+        self.prefix = prefix
+        try:
+            return self.run(comp_target)
+        finally:
+            self.prefix = ()
+
+
+def _nonzero_span(F, basis, n):
+    """The nonzero vectors of span(basis), as length-n coordinate tuples."""
+    return [linalg.lincomb(F, coeffs, basis, n) for coeffs in linalg.nonzero_vectors(F, len(basis))]
 
 
 def _checked_map(f, isometry):
@@ -264,11 +287,30 @@ def find_graded_map(A, ga, B, gb, mode="isomorphism", budget=None, isometry=True
 
 
 def enumerate_automorphisms(S, constraints=None, budget=None):
-    """All (graded) superalgebra automorphisms.
+    """All (graded) superalgebra automorphisms, sorted by their images.
 
     Without constraints this brute-forces every linear map, which is only
-    workable in tiny dimension; with a Grading it backtracks over
-    degree-preserving maps.
+    workable in tiny dimension.  With a Grading the graded isometric
+    automorphism group G is built from its stabilizer chain, by one
+    `_GradedMapSearch` and one short search per coset representative
+    instead of one search leaf per automorphism.
+
+    Let v_0..v_{m-1} be the search's slot vectors and G_t the elements of G
+    that fix v_0..v_{t-1}, so G_0 = G and G_m = {id}.  For t = m-1 down to
+    0: c runs over the candidates of slot t when slots 0..t-1 hold the
+    identity's images, and r_c is the first solution whose slots 0..t hold
+    (v_0..v_{t-1}, c), r_c = id when c = v_t; a c that no solution extends
+    is skipped.  Then G_t is the disjoint union of the cosets r_c G_{t+1}.
+    Proof: r_c G_{t+1} lies in G_t and sends v_t to c, so the cosets are
+    disjoint; and any g in G_t with g(v_t) = c agrees with r_c on
+    v_0..v_t, so r_c^-1 g fixes v_0..v_t and g lies in r_c G_{t+1}.  A
+    slot that a product of earlier slots forces has the single candidate
+    v_t, so it leaves the group unchanged and costs no search.
+
+    Each element of G_0 is a composite r_c ... r_c', and each one is
+    verified as a degree-preserving morphism by `try_verify_graded`
+    (`_checked_map` and the target spans) before it is returned, so no
+    map is taken on the strength of the coset argument alone.
     """
     budget = budget or SearchBudget()
     F = S.field
@@ -290,9 +332,29 @@ def enumerate_automorphisms(S, constraints=None, budget=None):
                 continue
             out.append(f)
         return out
+    g = constraints
+    search = _GradedMapSearch(S, g, S, g, budget)
+    comp_target = [g.index[d] for d, _ in g.comps]
+    slots, slot_comp, by_depth, _ = search.tables
+    z = F.zero
+    group = [tuple(S.basis_vector(i) for i in range(S.dim))]  # G_m, as basis images
+    for t in reversed(range(len(slots))):
+        if any(i != t and j != t and coeffs[t] != z for i, j, coeffs, _ in by_depth[t]):
+            continue  # forced slot
+        reps = []
+        for c in _nonzero_span(F, g.comps[comp_target[slot_comp[t]]][1], S.dim):
+            if c != slots[t]:
+                r = search.first_extending(comp_target, tuple(slots[:t]) + (c,))
+                if r is not None:
+                    reps.append(r)
+        # G_t: G_{t+1} (c = v_t) and the cosets r_c G_{t+1}, as composites r_c after h
+        group += [tuple(r.apply(v) for v in h) for r in reps for h in group]
     out = []
-    search = _GradedMapSearch(S, constraints, S, constraints, budget)
-    search.run([constraints.index[d] for d, _ in constraints.comps], collect=out)
+    for images in group:
+        f = try_verify_graded(Morphism(S, S, images), g, g)
+        if f is None:
+            raise RuntimeError("a composite of graded automorphisms failed verification")
+        out.append(f)
     return sorted(out, key=lambda f: tuple(f.images))
 
 

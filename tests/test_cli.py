@@ -86,6 +86,13 @@ def test_autos_subcommand(capsys):
     assert json.loads(capsys.readouterr().out)["count"] == 2
 
 
+def test_autos_budget_exhausted_exits_1(capsys):
+    code = run(["autos", "--catalog", "okuboeq4", "--field", "GF(4)", "--budget", "10"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.err == ""
+    assert json.loads(captured.out) == {"result": "budget-exhausted", "nodes": 11}
+
+
 def test_enumerate_subcommand(capsys):
     code = run([
         "enumerate", "--construction", "b12lambda", "--lambda", "1", "--field", "GF(3)",
@@ -232,9 +239,13 @@ def _first_component(data):
     (lambda d: d["algebra"]["q0_values"].__setitem__(0, ["1"]), "q0_values"),
     (lambda d: d["algebra"]["structure"][0].__setitem__(3, 1.5), "structure"),
     (lambda d: d["algebra"].update(basis=5), "basis"),
+    (lambda d: d["algebra"]["q0_values"].__setitem__(0, "1_0"), "'1_0'"),
+    (lambda d: d["algebra"]["structure"][0].__setitem__(3, "\u0661"), "structure"),
+    (lambda d: _first_component(d)["basis"][0].__setitem__(0, " 1"), "basis"),
 ], ids=["no-structure", "no-grading", "no-group", "no-basis", "empty-coords",
         "algebra-not-object", "one-entry-basis-vector", "list-q0-value",
-        "float-structure-coefficient", "basis-names-not-list"])
+        "float-structure-coefficient", "basis-names-not-list", "underscore-q0-value",
+        "arabic-indic-structure-coefficient", "spaced-basis-entry"])
 def test_malformed_grading_file_exits_2(capsys, tmp_path, edit, field):
     from compsuper.catalog import build_entry
     from compsuper.fields import GF

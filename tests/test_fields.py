@@ -95,9 +95,26 @@ def test_parse_elt_accepts_only_strings_and_ints(F):
     for bad in ([1], ["1"], {"1": 1}, None, 1.5, 1.0, True, False, Fraction(1)):
         with pytest.raises(FieldError):
             F.parse_elt(bad)
-    for bad in ("", "one", "1.5.2", "1/0"):
+    for bad in ("", "one", "1.5.2", "1/0", "1_0", "\u0661", "\uff11", " 1", "1\n", "1.5", "1e3"):
         with pytest.raises(FieldError):
             F.parse_elt(bad)
+
+
+def test_parse_elt_spellings():
+    """The spellings the generator, signs and fractions allow still parse;
+    the generator is refused outside GF(p^2)."""
+    F3, F9 = GF(3), GF(9)
+    assert F3.parse_elt("+2") == F3.parse_elt("-1") == F3.parse_elt("02") == 2
+    assert QQ.parse_elt("-1/2") == Fraction(-1, 2) and QQ.parse_elt("+3/6") == Fraction(1, 2)
+    x = F9.parse_elt("x")
+    assert F9.parse_elt("2x+1") == F9.add(F9.mul(F9.from_int(2), x), F9.one)
+    assert F9.parse_elt("x-1") == F9.sub(x, F9.one)
+    for F in (GF(2), F3, QQ):
+        with pytest.raises(FieldError):
+            F.parse_elt("x")
+    for bad in ("2x + 1", "1_0x", "x+\u0661"):
+        with pytest.raises(FieldError):
+            F9.parse_elt(bad)
 
 
 def test_rational_field():

@@ -27,7 +27,6 @@ from compsuper.gradings import (
     is_refinement,
     main_grading,
     over_universal_group,
-    support,
     trivial_grading,
     universal_group,
     validate,
@@ -64,10 +63,10 @@ def test_validate_rejects_bad_degrees():
 def test_support():
     B4 = b42(F3)
     g = gamma_grading_b42(B4, Z, Z.element(1))
-    assert sorted(d.coords[0] for d in support(g)) == [-2, -1, 0, 1, 2]
-    assert [d.coords for d in support(trivial_grading(B4))] == [()]
+    assert sorted(d.coords[0] for d in g.degrees()) == [-2, -1, 0, 1, 2]
+    assert [d.coords for d in trivial_grading(B4).degrees()] == [()]
     mg = main_grading(B4)
-    assert sorted(d.coords[0] for d in support(mg)) == [0, 1]
+    assert sorted(d.coords[0] for d in mg.degrees()) == [0, 1]
 
 
 def test_universal_groups():
@@ -103,7 +102,7 @@ def test_induce():
     five = induce(cartan, add)
     ok, _ = validate(five)
     assert ok
-    assert sorted(d.coords[0] for d in support(five)) == [-2, -1, 0, 1, 2]
+    assert sorted(d.coords[0] for d in five.degrees()) == [-2, -1, 0, 1, 2]
     from compsuper.catalog import build_entry
 
     _, cor1eq7 = build_entry("cor1eq7", F2)

@@ -1,6 +1,6 @@
 import pytest
 
-from compsuper import linalg
+from compsuper import catalog, linalg
 from compsuper.abelian import AbGroup, presentation_to_group
 from compsuper.catalog import build_entry
 from compsuper.constructions import (
@@ -34,7 +34,7 @@ from compsuper.search import (
     find_graded_map,
     fine_check,
 )
-from compsuper.superalgebra import SuperAlgebra, is_morphism
+from compsuper.superalgebra import Morphism, SuperAlgebra, identity_morphism, is_morphism
 
 F2, F3, F4 = GF(2), GF(3), GF(4)
 Z = AbGroup(1)
@@ -178,6 +178,38 @@ def test_enumerate_automorphisms_match_solved_coordinates(id, q):
     new = search._GradedMapSearch(A, g, A, g, SearchBudget())
     new.run(list(range(len(g.comps))), collect=[])
     assert new.nodes == ref.nodes
+
+
+def _smallest_field(entry):
+    if entry.char == 3:
+        return GF(3)
+    return GF(4) if entry.needs_omega else GF(2)
+
+
+@pytest.mark.parametrize("id", catalog.LABELLED_IDS)
+def test_coset_automorphisms_match_exhaustive_search(id):
+    """The stabilizer-chain group equals the exhaustive search's list, one
+    leaf per automorphism: the same maps, attrs and order, on every
+    labelled grading."""
+    A, g = build_entry(id, _smallest_field(catalog.ENTRIES[id]))
+    got = enumerate_automorphisms(A, constraints=g)
+    want = []
+    search._GradedMapSearch(A, g, A, g, SearchBudget()).run(list(range(len(g.comps))),
+                                                              collect=want)
+    want.sort(key=lambda f: tuple(f.images))
+    assert [(f.images, f.attrs) for f in got] == [(f.images, f.attrs) for f in want]
+
+
+def test_coset_automorphisms_of_okuboeq4_form_a_group(monkeypatch):
+    A, g = build_entry("okuboeq4", F4)
+    got, nodes = _searches(monkeypatch, _SEARCH, lambda: enumerate_automorphisms(A, constraints=g))
+    autos = [Morphism(A, A, images) for images, _ in got]
+    images = {f.images for f in autos}
+    assert len(autos) == len(images) == 180
+    assert identity_morphism(A).images in images
+    assert all(f.compose(h).images in images for f in autos for h in autos)
+    # one search; the exhaustive search visits 6,360 nodes
+    assert nodes == [550]
 
 
 def _per_run_tables(search_, comp_target):
