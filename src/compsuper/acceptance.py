@@ -268,12 +268,7 @@ def criterion_7():
                 failures.append((label, "phi does not fix the even part"))
                 break
         odd = S.odd_indices()
-        mat = [[phi.images[j][i] for j in odd] for i in odd]
-        ident = linalg.identity_matrix(F, len(odd))
-        fixed = linalg.nullspace(
-            F, [tuple(F.sub(a, b) for a, b in zip(r1, r2)) for r1, r2 in zip(mat, ident)]
-        )
-        if fixed:
+        if linalg.eigenspace(F, phi.images, F.one, [S.basis_vector(i) for i in odd]):
             failures.append((label, "phi has fixed points on the odd part"))
         phi2 = phi.compose(phi)
         for i in odd:

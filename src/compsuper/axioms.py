@@ -228,12 +228,7 @@ def find_para_units(S):
         return []
     if F.order is None:
         return _solve_para_units_rational(S, kvecs)
-    out = []
-    for coeffs in linalg.all_vectors(F, len(kvecs)):
-        e = linalg.lincomb(F, coeffs, kvecs, S.dim)
-        if _is_para_unit(S, e):
-            out.append(e)
-    return sorted(out)
+    return sorted(e for e in linalg.span_vectors(F, kvecs, S.dim) if _is_para_unit(S, e))
 
 
 def _solve_para_units_rational(S, kvecs):
@@ -339,23 +334,22 @@ def check_orthogonality(grading):
     return CheckReport("orthogonality", True)
 
 
-def check_conjugation_invariance(grading):
-    """conj(C^g) = C^g for every component of a grading on a unital algebra."""
+def _invariance(name, grading, f):
+    """Whether the linear map f sends every component into itself; the
+    witness is the first basis vector whose image leaves its component."""
     A = grading.algebra
-    F = A.field
     for (g, vs), (rr, piv) in zip(grading.comps, grading.spans):
         for v in vs:
-            if not linalg.in_span(F, rr, piv, A.conj(v)):
-                return CheckReport("conjugation-invariance", False, witness=(str(g), A.fmt(v)))
-    return CheckReport("conjugation-invariance", True)
+            if not linalg.in_span(A.field, rr, piv, f(v)):
+                return CheckReport(name, False, witness=(str(g), A.fmt(v)))
+    return CheckReport(name, True)
+
+
+def check_conjugation_invariance(grading):
+    """conj(C^g) = C^g for every component of a grading on a unital algebra."""
+    return _invariance("conjugation-invariance", grading, grading.algebra.conj)
 
 
 def check_phi_invariance(grading, phi):
     """phi(C^g) = C^g for every component."""
-    A = grading.algebra
-    F = A.field
-    for (g, vs), (rr, piv) in zip(grading.comps, grading.spans):
-        for v in vs:
-            if not linalg.in_span(F, rr, piv, phi.apply(v)):
-                return CheckReport("phi-invariance", False, witness=(str(g), A.fmt(v)))
-    return CheckReport("phi-invariance", True)
+    return _invariance("phi-invariance", grading, phi.apply)

@@ -25,11 +25,8 @@ from .constructions import (
     para_hurwitz,
     super_split_cayley,
     super_split_quaternion,
-    tau_nst,
-    tau_omega,
 )
 from .gradings import (
-    Grading,
     grading_from_components,
     main_grading,
     trivial_grading,
@@ -337,14 +334,7 @@ def verify_entry(id, field):
 
 def _k_is_split(A, K):
     """Whether the 2-dimensional subalgebra K contains a proper idempotent."""
-    F = A.field
-    for coeffs in linalg.nonzero_vectors(F, 2):
-        v = linalg.vec_add(
-            F, linalg.vec_scale(F, coeffs[0], K[0]), linalg.vec_scale(F, coeffs[1], K[1])
-        )
-        if A.mul(v, v) == v and v != A.unit():
-            return True
-    return False
+    return any(A.mul(v, v) == v and v != A.unit() for v in linalg.span_vectors(A.field, K, A.dim))
 
 
 def _all_checks_pass(checks):
@@ -548,15 +538,9 @@ def _phi_spaces(S, phi):
     """Bases of S_0, ker(phi - w) and ker(phi - w^2) for the field's
     primitive cube root w."""
     F = S.field
-    spaces = [[S.basis_vector(i) for i in S.even_indices()]]
     w = F.primitive_cube_root_raw()
-    for lam in (w, F.mul(w, w)):
-        rows = [
-            tuple(F.sub(phi.images[c][r], lam if r == c else F.zero) for c in range(S.dim))
-            for r in range(S.dim)
-        ]
-        spaces.append(linalg.nullspace(F, rows))
-    return spaces
+    return [[S.basis_vector(i) for i in S.even_indices()]] + [
+        linalg.eigenspace(F, phi.images, lam) for lam in (w, F.mul(w, w))]
 
 
 def _phi_census(grading, spaces):
@@ -571,8 +555,11 @@ def _phi_census(grading, spaces):
     }
 
 
-def iso_condition_dim8(kind, field, budget=None, max_order=4):
-    """For zero-sum triples with entries of order <= max_order, score the
+ISO_MAX_ORDER = 4  # the largest entry order of the triples iso_condition_dim8 scores
+
+
+def iso_condition_dim8(kind, field, budget=None):
+    """For zero-sum triples with entries of order <= ISO_MAX_ORDER, score the
     Sym(2)-and-sign condition gamma_equiv against graded isomorphism.
     Explicit maps settle positives where they apply; every remaining case
     is settled by exhaustive search.
@@ -607,7 +594,7 @@ def iso_condition_dim8(kind, field, budget=None, max_order=4):
     corrected_mismatches = []
     pairs = 0
     for G in iso_test_groups():
-        triples = zero_sum_triples(G, max_order=max_order)
+        triples = zero_sum_triples(G, max_order=ISO_MAX_ORDER)
         gradings = {t: gamma_grading_dim8(A, cb, G, t) for t in triples}
         if kind == "okubo":
             censuses = {t: _phi_census(gradings[t], spaces) for t in triples}

@@ -16,7 +16,6 @@ from .axioms import (
     check_hurwitz,
     check_remark_identities,
     check_symmetric,
-    find_para_units,
 )
 from .constructions import (
     b12,
@@ -28,8 +27,6 @@ from .constructions import (
     para_hurwitz,
     pseudo_octonion,
     split_hurwitz,
-    super_split_cayley,
-    super_split_quaternion,
 )
 from .fields import FieldError, field_from_string
 from .gradings import grading_from_components, universal_group, validate
@@ -53,6 +50,15 @@ PARA_BASES = ("split2", "split4", "split8", "nonsplit2")
 
 class UsageError(ValueError):
     pass
+
+
+class NotAGrading(Exception):
+    """A decomposition that `validate` rejects; `run` prints the witness
+    as {"valid": false, "witness": [...]} and exits 1."""
+
+    def __init__(self, witness):
+        super().__init__(witness)
+        self.witness = witness
 
 
 def build_construction(name, field, alpha=None, lam=None, variant=None, base="split4"):
@@ -184,41 +190,49 @@ def _catalog_entry(id, field):
 
 def _grading_from_args(args):
     """(algebra, grading) from --catalog over --field, or from --grading-file
-    over the file's field, which a given --field must name."""
+    over the file's field, which a given --field must name.  Raises
+    NotAGrading when `validate` rejects the decomposition."""
     if args.catalog:
-        return _catalog_entry(args.catalog, field_from_string(args.field or "GF(2)"))
-    if args.grading_file:
-        with open(args.grading_file) as fh:
-            data = json.load(fh)
-        A = SuperAlgebra.from_json(json_member(data, "algebra", dict, "grading file"))
-        if args.field is not None and field_from_string(args.field) != A.field:
-            raise UsageError(
-                f"--field {args.field} does not match the grading file's field {A.field.name}")
-        grading = json_member(data, "grading", dict, "grading file")
-        G = group_from_string(json_member(grading, "group", str, "grading"))
-        comps = []
-        for n, comp in enumerate(json_member(grading, "components", list, "grading")):
-            where = f"grading.components[{n}]"
-            coords = json_member(comp, "coords", list, where)
-            if len(coords) != G.ngens or not all(isinstance(c, int) for c in coords):
-                raise ValueError(f"{where}.coords must hold {G.ngens} integers for {G}")
-            deg = G.element(tuple(coords))
-            vs = []
-            for v in json_member(comp, "basis", list, where):
-                if not isinstance(v, list) or len(v) != A.dim:
-                    raise ValueError(f"{where}.basis vector {v} must have {A.dim} entries")
-                vs.append(tuple(json_scalar(A.field, c, f"{where}.basis") for c in v))
-            comps.append((deg, vs))
-        return A, grading_from_components(A, G, comps)
-    raise UsageError("need --catalog ID or --grading-file FILE")
+        A, g = _catalog_entry(args.catalog, field_from_string(args.field or "GF(2)"))
+    elif args.grading_file:
+        A, g = _grading_file(args.grading_file, args.field)
+    else:
+        raise UsageError("need --catalog ID or --grading-file FILE")
+    ok, witness = validate(g)
+    if not ok:
+        raise NotAGrading(witness)
+    return A, g
+
+
+def _grading_file(path, field_name):
+    """(algebra, decomposition) read from a grading file; a given
+    field_name must name the file's field."""
+    with open(path) as fh:
+        data = json.load(fh)
+    A = SuperAlgebra.from_json(json_member(data, "algebra", dict, "grading file"))
+    if field_name is not None and field_from_string(field_name) != A.field:
+        raise UsageError(
+            f"--field {field_name} does not match the grading file's field {A.field.name}")
+    grading = json_member(data, "grading", dict, "grading file")
+    G = group_from_string(json_member(grading, "group", str, "grading"))
+    comps = []
+    for n, comp in enumerate(json_member(grading, "components", list, "grading")):
+        where = f"grading.components[{n}]"
+        coords = json_member(comp, "coords", list, where)
+        if len(coords) != G.ngens or not all(isinstance(c, int) for c in coords):
+            raise ValueError(f"{where}.coords must hold {G.ngens} integers for {G}")
+        deg = G.element(tuple(coords))
+        vs = []
+        for v in json_member(comp, "basis", list, where):
+            if not isinstance(v, list) or len(v) != A.dim:
+                raise ValueError(f"{where}.basis vector {v} must have {A.dim} entries")
+            vs.append(tuple(json_scalar(A.field, c, f"{where}.basis") for c in v))
+        comps.append((deg, vs))
+    return A, grading_from_components(A, G, comps)
 
 
 def cmd_universal_group(args):
     A, g = _grading_from_args(args)
-    ok, witness = validate(g)
-    if not ok:
-        _emit({"valid": False, "witness": [str(w) for w in witness]}, args.out)
-        return 1
     G, proj, injective = universal_group(g)
     print(str(G))
     if args.out:
@@ -386,6 +400,9 @@ def run(argv=None):
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
+    except NotAGrading as exc:
+        _emit({"valid": False, "witness": [str(w) for w in exc.witness]}, args.out)
+        return 1
     except (UsageError, FieldError, catalog.FieldConditionUnmet) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -606,12 +606,7 @@ def canonical_basis_find(C, a):
         raise NotSplit("Peirce spaces do not have dimension 3")
     u1, u2 = pd.U[0], pd.U[1]
     w = C.mul(u1, u2)
-    u3 = None
-    for coeffs in linalg.all_vectors(F, 3):
-        cand = linalg.lincomb(F, coeffs, pd.U, C.dim)
-        if C.eval_b(w, cand) == F.one:
-            u3 = cand
-            break
+    u3 = next((c for c in linalg.span_vectors(F, pd.U, C.dim) if C.eval_b(w, c) == F.one), None)
     if u3 is None:
         raise NotSplit("no u3 with q(u1 u2, u3) = 1")
     v1 = C.mul(u2, u3)
@@ -646,47 +641,35 @@ def adapt_basis_to_automorphism(C, phi):
     for i in C.even_indices():
         if phi.images[i] != C.basis_vector(i):
             raise BadAutomorphism("phi must fix the even part pointwise")
-    odd = C.odd_indices()
-    mat = [[phi.images[j][i] for j in odd] for i in odd]
-    ident = linalg.identity_matrix(F, len(odd))
-    fixed = linalg.nullspace(F, [tuple(F.sub(a, b) for a, b in zip(r1, r2)) for r1, r2 in zip(mat, ident)])
-    if fixed:
+    even = [C.basis_vector(i) for i in C.even_indices()]
+    odd = [C.basis_vector(i) for i in C.odd_indices()]
+    if linalg.eigenspace(F, phi.images, F.one, odd):
         raise BadAutomorphism("phi has nonzero fixed points on the odd part")
     one = C.unit()
-    e1 = None
-    for cand_even in linalg.all_vectors(F, len(C.even_indices())):
-        cand = [F.zero] * C.dim
-        for c, i in zip(cand_even, C.even_indices()):
-            cand[i] = c
-        cand = tuple(cand)
-        if linalg.vec_is_zero(F, cand) or cand == one:
-            continue
-        if C.mul(cand, cand) == cand:
-            e1 = cand
-            break
+    e1 = next((v for v in linalg.span_vectors(F, even, C.dim) if v != one and C.mul(v, v) == v),
+              None)
     if e1 is None:
         raise NotSplit("even part has no proper idempotent")
     pd = peirce_decomposition(C, e1)
-    u_odd = _intersect(F, pd.U, _coordinate_space(C, C.odd_indices()))
-    u_even = _intersect(F, pd.U, _coordinate_space(C, C.even_indices()))
+    u_odd = _intersect(F, pd.U, odd)
+    u_even = _intersect(F, pd.U, even)
     if len(u_odd) != 2 or len(u_even) != 1:
         raise BadAutomorphism("Peirce spaces are not compatible with the parity")
     omega = F.primitive_cube_root_raw()
     label = None
     u1 = u2 = None
     if omega is not None:
-        eig = _eigenvectors_in(C, phi, u_odd, omega)
+        eig = linalg.eigenspace(F, phi.images, omega, u_odd)
         if eig:
             label = "omega"
             u1 = eig[0]
-            eig2 = _eigenvectors_in(C, phi, u_odd, F.mul(omega, omega))
+            eig2 = linalg.eigenspace(F, phi.images, F.mul(omega, omega), u_odd)
             if not eig2:
                 raise BadAutomorphism("phi is diagonalizable with a single eigenvalue")
             u2 = eig2[0]
     if label is None:
         label = "nst"
-        for coeffs in linalg.nonzero_vectors(F, 2):
-            cand = linalg.lincomb(F, coeffs, u_odd, C.dim)
+        for cand in linalg.span_vectors(F, u_odd, C.dim):
             img = phi.apply(cand)
             if linalg.rank(F, [cand, img]) == 2:
                 u1 = cand
@@ -720,16 +703,6 @@ def adapt_basis_to_automorphism(C, phi):
     return cb, label
 
 
-def _coordinate_space(C, indices):
-    rows = []
-    F = C.field
-    for i in indices:
-        row = [F.zero] * C.dim
-        row[i] = F.one
-        rows.append(tuple(row))
-    return rows
-
-
 def _intersect(F, space_a, space_b):
     """Basis of the intersection of two spans."""
     if not space_a or not space_b:
@@ -750,24 +723,3 @@ def _intersect(F, space_a, space_b):
             out.append(vec)
     rr, _ = linalg.rref(F, out) if out else ([], [])
     return list(rr)
-
-
-def _eigenvectors_in(C, phi, space, eigval):
-    """Basis of the eigval-eigenspace of phi inside span(space)."""
-    F = C.field
-    rows = []
-    n = C.dim
-    for i in range(n):
-        rows.append(
-            tuple(
-                F.sub(phi.apply(space[j])[i], F.mul(eigval, space[j][i]))
-                for j in range(len(space))
-            )
-        )
-    ker = linalg.nullspace(F, rows)
-    out = []
-    for k in ker:
-        vec = linalg.lincomb(F, k, space, n)
-        if not linalg.vec_is_zero(F, vec):
-            out.append(vec)
-    return out

@@ -6,6 +6,7 @@ operations are pure and exact, so exhaustive axiom checks over q <= 9
 are cheap table lookups.
 """
 
+import re
 from fractions import Fraction
 
 
@@ -271,13 +272,17 @@ class QuadraticField(Field):
         xs = "x" if a1 == 1 else f"{a1}x"
         return xs if a0 == 0 else f"{xs}+{a0}"
 
+    # a1 x + a0 spelled [+|-][digits]x[(+|-)digits]; without "x", an integer
+    _TERMS = re.compile(r"([+-]?)([0-9]*)x([+-][0-9]+)?")
+
     def _parse(self, s):
         if "x" not in s:
             return int(s) % self.p
-        xs, _, rest = s.partition("x")
-        a1 = 1 if xs == "" else int(xs)
-        a0 = int(rest.lstrip("+")) if rest else 0
-        return self._join(a0, a1)
+        m = self._TERMS.fullmatch(s)
+        if m is None:
+            raise ValueError(f"{s!r} is not of the form a1x+a0")
+        sign, a1, a0 = m.groups()
+        return self._join(int(a0 or 0), int(sign + (a1 or "1")))
 
 
 QQ = RationalField()

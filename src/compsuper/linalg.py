@@ -240,6 +240,25 @@ def nonzero_vectors(field, n):
             yield v
 
 
+def span_vectors(field, basis, n):
+    """The nonzero combinations of `basis`, as length-n tuples, generated
+    in the `nonzero_vectors` order of their coefficients."""
+    for coeffs in nonzero_vectors(field, len(basis)):
+        yield lincomb(field, coeffs, basis, n)
+
+
+def eigenspace(field, images, lam, space=None):
+    """Basis of the lam-eigenspace of the linear map that sends the i-th
+    standard basis vector to images[i], inside the span of the independent
+    vectors `space` (all of F^n when space is None): the combinations of
+    `space` by a nullspace basis of (f - lam) on its vectors."""
+    n = len(images)
+    if space is None:
+        space = identity_matrix(field, n)
+    cols = [vec_sub(field, lincomb(field, v, images, n), vec_scale(field, lam, v)) for v in space]
+    return [lincomb(field, k, space, n) for k in nullspace(field, list(zip(*cols)))]
+
+
 def rref_profiles(field, k, d):
     """All k x d matrices in reduced row echelon form with rank k.
 

@@ -8,10 +8,10 @@ BudgetExhausted.
 """
 
 from dataclasses import dataclass
-from itertools import combinations, permutations, product
+from itertools import combinations, permutations
 
 from . import linalg
-from .gradings import Grading, grading_from_components, main_grading, trivial_grading
+from .gradings import grading_from_components
 from .gradings import _RelationBuilder, _pair_relation, _products, validate
 from .abelian import presentation_to_group
 from .fields import InfiniteField
@@ -64,12 +64,11 @@ class _GradedMapSearch:
     The target rrefs are `gb.spans`; each target component's nonzero
     vectors are built on first use, once per search.
 
-    `prefix` fixes the images of the first slots: while it holds k images,
-    slot t < k has the single candidate prefix[t], which is ticked and
-    checked by `consistent` like any other candidate, and `run` searches
-    only the maps that extend it (`first_extending`).  With `collect`
-    and no prefix, `run` is the exhaustive reference: every solution,
-    one leaf per map.
+    `run`'s `prefix` fixes the images of the first slots: slot t <
+    len(prefix) has the single candidate prefix[t], which is ticked and
+    checked by `consistent` like any other candidate, so `run` searches
+    only the maps that extend it.  With `collect` and no prefix, `run` is
+    the exhaustive reference: every solution, one leaf per map.
     """
 
     def __init__(self, A, ga, B, gb, budget, isometry=True):
@@ -84,7 +83,6 @@ class _GradedMapSearch:
             raise InfiniteField(f"graded map search needs a finite field, got {F}")
         self.tables = self._prepare()
         self._span_vectors = {}  # target component -> its nonzero vectors
-        self.prefix = ()  # images the first slots are fixed to
 
     def _tick(self):
         self.nodes += 1
@@ -124,12 +122,14 @@ class _GradedMapSearch:
         std_coords = tuple(zip(*inverse))
         return src_vecs, src_comp, by_depth, std_coords
 
-    def run(self, comp_target, collect=None):
+    def run(self, comp_target, collect=None, prefix=()):
         """Search with a fixed component assignment; returns a Morphism or None.
 
         comp_target: index of the target component for each source
         component, whose census must match.  With collect (a list), every
-        solution is appended and None returned.
+        solution is appended and None returned.  prefix: the images of the
+        first len(prefix) slots; only the maps that extend them are
+        searched.
         """
         A, B, F = self.A, self.B, self.F
         src_vecs, src_comp, by_depth, std_coords = self.tables
@@ -139,7 +139,6 @@ class _GradedMapSearch:
         images = [None] * m
         z = F.zero
         span_vectors = self._span_vectors
-        prefix = self.prefix
 
         def candidates(t):
             if t < len(prefix):
@@ -154,7 +153,7 @@ class _GradedMapSearch:
                 return [linalg.vec_scale(F, F.inv(coeffs[t]), linalg.vec_sub(F, lhs, known))]
             ci = comp_target[src_comp[t]]
             if ci not in span_vectors:
-                span_vectors[ci] = _nonzero_span(F, tgt_comps[ci][1], n)
+                span_vectors[ci] = list(linalg.span_vectors(F, tgt_comps[ci][1], n))
             return span_vectors[ci]
 
         def consistent(t):
@@ -201,20 +200,6 @@ class _GradedMapSearch:
             return None
 
         return dfs(0)
-
-    def first_extending(self, comp_target, prefix):
-        """The first solution whose first len(prefix) slot images are
-        prefix, or None when no solution extends it."""
-        self.prefix = prefix
-        try:
-            return self.run(comp_target)
-        finally:
-            self.prefix = ()
-
-
-def _nonzero_span(F, basis, n):
-    """The nonzero vectors of span(basis), as length-n coordinate tuples."""
-    return [linalg.lincomb(F, coeffs, basis, n) for coeffs in linalg.nonzero_vectors(F, len(basis))]
 
 
 def _checked_map(f, isometry):
@@ -286,12 +271,12 @@ def find_graded_map(A, ga, B, gb, mode="isomorphism", budget=None, isometry=True
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def enumerate_automorphisms(S, constraints=None, budget=None):
-    """All (graded) superalgebra automorphisms, sorted by their images.
+def enumerate_automorphisms(S, constraints, budget=None):
+    """The graded isometric superalgebra automorphisms of S under the
+    grading `constraints`, sorted by their images; `trivial_grading(S)`
+    gives every isometric automorphism.
 
-    Without constraints this brute-forces every linear map, which is only
-    workable in tiny dimension.  With a Grading the graded isometric
-    automorphism group G is built from its stabilizer chain, by one
+    The group G is built from its stabilizer chain, by one
     `_GradedMapSearch` and one short search per coset representative
     instead of one search leaf per automorphism.
 
@@ -316,22 +301,6 @@ def enumerate_automorphisms(S, constraints=None, budget=None):
     F = S.field
     if F.order is None:
         raise InfiniteField(f"automorphism search needs a finite field, got {F}")
-    if constraints is None:
-        total = F.order ** (S.dim * S.dim)
-        if total > budget.max_nodes:
-            raise BudgetExhausted(total)
-        out = []
-        for flat in product(F.elements(), repeat=S.dim * S.dim):
-            images = tuple(
-                tuple(flat[j * S.dim + i] for i in range(S.dim)) for j in range(S.dim)
-            )
-            f = Morphism(S, S, images)
-            try:
-                f = is_morphism(f, ("bijective", "algebra-hom", "parity-preserving"))
-            except CheckFailed:
-                continue
-            out.append(f)
-        return out
     g = constraints
     search = _GradedMapSearch(S, g, S, g, budget)
     comp_target = [g.index[d] for d, _ in g.comps]
@@ -342,9 +311,9 @@ def enumerate_automorphisms(S, constraints=None, budget=None):
         if any(i != t and j != t and coeffs[t] != z for i, j, coeffs, _ in by_depth[t]):
             continue  # forced slot
         reps = []
-        for c in _nonzero_span(F, g.comps[comp_target[slot_comp[t]]][1], S.dim):
+        for c in linalg.span_vectors(F, g.comps[comp_target[slot_comp[t]]][1], S.dim):
             if c != slots[t]:
-                r = search.first_extending(comp_target, tuple(slots[:t]) + (c,))
+                r = search.run(comp_target, prefix=tuple(slots[:t]) + (c,))
                 if r is not None:
                     reps.append(r)
         # G_t: G_{t+1} (c = v_t) and the cosets r_c G_{t+1}, as composites r_c after h

@@ -125,6 +125,30 @@ def test_grading_file_round_trip(capsys, tmp_path):
     assert capsys.readouterr().out.strip() == "Z4"
 
 
+@pytest.mark.parametrize("command", ["universal-group", "fine", "autos"])
+def test_decomposition_that_is_not_a_grading_exits_1(capsys, tmp_path, command):
+    """Every command that reads a grading prints `validate`'s witness for a
+    decomposition that is not a grading: split4/GF(2) with {e1, u1} in
+    degree 0 and {e2, v1} in degree 1 of Z2, where u1 e2 = u1 lies in
+    degree 0, not 1."""
+    from compsuper.abelian import AbGroup
+    from compsuper.constructions import split_hurwitz
+    from compsuper.fields import GF
+    from compsuper.gradings import grading_from_components
+
+    A, cb = split_hurwitz(4, GF(2))
+    G = AbGroup(0, (2,))
+    v = cb.vectors
+    g = grading_from_components(A, G, [(G.element(0), [v["e1"], v["u1"]]),
+                                       (G.element(1), [v["e2"], v["v1"]])])
+    path = tmp_path / "grading.json"
+    path.write_text(json.dumps({"algebra": A.to_json(), "grading": g.to_json()}))
+    code = run([command, "--grading-file", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.err == ""
+    assert json.loads(captured.out) == {"valid": False, "witness": ["0 mod 2", "1 mod 2", "u1"]}
+
+
 def test_grading_file_field_must_match_field_option(capsys, tmp_path):
     from compsuper.catalog import build_entry
     from compsuper.fields import GF

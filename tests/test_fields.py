@@ -101,18 +101,23 @@ def test_parse_elt_accepts_only_strings_and_ints(F):
 
 
 def test_parse_elt_spellings():
-    """The spellings the generator, signs and fractions allow still parse;
-    the generator is refused outside GF(p^2)."""
+    """The spellings the generator, signs and fractions allow still parse:
+    an integer, or [+|-][digits]x[(+|-)digits] in GF(p^2), where "x1",
+    "x++1" and "x+-1" are refused; the generator is refused outside
+    GF(p^2)."""
     F3, F9 = GF(3), GF(9)
     assert F3.parse_elt("+2") == F3.parse_elt("-1") == F3.parse_elt("02") == 2
     assert QQ.parse_elt("-1/2") == Fraction(-1, 2) and QQ.parse_elt("+3/6") == Fraction(1, 2)
     x = F9.parse_elt("x")
     assert F9.parse_elt("2x+1") == F9.add(F9.mul(F9.from_int(2), x), F9.one)
     assert F9.parse_elt("x-1") == F9.sub(x, F9.one)
+    two_x = F9.mul(F9.from_int(2), x)
+    assert F9.parse_elt("-x") == two_x and F9.parse_elt("+x") == x
+    assert F9.parse_elt("-x-1") == F9.add(two_x, F9.from_int(2))
     for F in (GF(2), F3, QQ):
         with pytest.raises(FieldError):
             F.parse_elt("x")
-    for bad in ("2x + 1", "1_0x", "x+\u0661"):
+    for bad in ("2x + 1", "1_0x", "x+\u0661", "x1", "x++1", "x+-1", "--x", "x+", "2+x"):
         with pytest.raises(FieldError):
             F9.parse_elt(bad)
 

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from compsuper import linalg
+from compsuper.constructions import super_split_cayley, tau_nst, tau_omega
 from compsuper.fields import GF, QQ
 
 FIELDS = [GF(2), GF(3), GF(4), GF(9), QQ]
@@ -68,3 +69,48 @@ def test_basis_inverse_agrees_with_coords_in_basis(F, n, data):
 def test_basis_inverse_rejects_a_non_square_basis():
     with pytest.raises(ValueError):
         linalg.basis_inverse(GF(3), [(1, 0, 0), (0, 1, 0)])
+
+
+def _spaces(C, cb):
+    """Independent vector lists of the split Cayley superalgebra: none, the
+    odd and the even coordinates, a mixed span and the zero space."""
+    v = cb.vectors
+    return [None, [C.basis_vector(i) for i in C.odd_indices()],
+            [C.basis_vector(i) for i in C.even_indices()], [v["u1"], v["u2"], v["v1"]], []]
+
+
+@pytest.mark.parametrize("q, tau", [(2, tau_nst), (4, tau_nst), (4, tau_omega)],
+                         ids=["nst/GF(2)", "nst/GF(4)", "omega/GF(4)"])
+def test_eigenspace_matches_a_scan_of_every_vector(q, tau):
+    """For every scalar, the eigenspace of the twist alone and inside each
+    space is a basis whose nonzero span is exactly the scanned eigenvectors
+    (GF(2) has no primitive cube root, so no tau_omega)."""
+    F = GF(q)
+    C, cb = super_split_cayley(F)
+    phi = tau(cb)
+    scan = {x: phi.apply(x) for x in linalg.nonzero_vectors(F, C.dim)}
+    for lam in F.elements():
+        eigen = {x for x, fx in scan.items() if fx == linalg.vec_scale(F, lam, x)}
+        for space in _spaces(C, cb):
+            got = linalg.eigenspace(F, phi.images, lam, space)
+            if space is not None:
+                rr, piv = linalg.rref(F, space)
+                eigen_in = {x for x in eigen if linalg.in_span(F, rr, piv, x)}
+            assert linalg.rank(F, got) == len(got)
+            assert set(linalg.span_vectors(F, got, C.dim)) == (eigen if space is None else eigen_in)
+
+
+@pytest.mark.parametrize("q", [2, 4])
+def test_span_vectors_match_a_scan_of_every_vector(q):
+    """span_vectors lists each nonzero vector of the span once, in the
+    `nonzero_vectors` order of its coefficients."""
+    F = GF(q)
+    C, cb = super_split_cayley(F)
+    n = C.dim
+    everything = list(linalg.nonzero_vectors(F, n))
+    assert list(linalg.span_vectors(F, C.basis(), n)) == everything
+    for basis in _spaces(C, cb)[1:]:
+        got = list(linalg.span_vectors(F, basis, n))
+        assert got == [linalg.lincomb(F, c, basis, n) for c in linalg.nonzero_vectors(F, len(basis))]
+        rr, piv = linalg.rref(F, basis)
+        assert sorted(got) == [x for x in everything if linalg.in_span(F, rr, piv, x)]

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from compsuper import catalog, linalg
@@ -6,7 +8,9 @@ from compsuper.catalog import build_entry
 from compsuper.constructions import (
     b12,
     b12_lambda,
+    nonsplit_quadratic,
     okubo_super,
+    para_hurwitz,
     split_hurwitz,
     super_split_cayley,
     tau_nst,
@@ -34,7 +38,13 @@ from compsuper.search import (
     find_graded_map,
     fine_check,
 )
-from compsuper.superalgebra import Morphism, SuperAlgebra, identity_morphism, is_morphism
+from compsuper.superalgebra import (
+    CheckFailed,
+    Morphism,
+    SuperAlgebra,
+    identity_morphism,
+    is_morphism,
+)
 
 F2, F3, F4 = GF(2), GF(3), GF(4)
 Z = AbGroup(1)
@@ -89,7 +99,7 @@ def test_equivalence_mode_across_groups():
 
 def test_enumerate_automorphisms_unconstrained():
     A, _ = split_hurwitz(2, F2)
-    autos = enumerate_automorphisms(A)
+    autos = enumerate_automorphisms(A, trivial_grading(A))
     images = sorted(tuple(f.images) for f in autos)
     ident = (A.basis_vector(0), A.basis_vector(1))
     swap = (A.basis_vector(1), A.basis_vector(0))
@@ -99,7 +109,42 @@ def test_enumerate_automorphisms_unconstrained():
 def test_enumerate_automorphisms_budget():
     C, _ = super_split_cayley(F2)
     with pytest.raises(BudgetExhausted):
-        enumerate_automorphisms(C, budget=SearchBudget(10))
+        enumerate_automorphisms(C, trivial_grading(C), budget=SearchBudget(10))
+
+
+def _brute_force_automorphisms(S):
+    """Every bijective, parity-preserving algebra map S -> S, from a scan of
+    all F^(n*n) matrices, sorted by their images."""
+    F, n = S.field, S.dim
+    out = []
+    for flat in itertools.product(F.elements(), repeat=n * n):
+        images = tuple(tuple(flat[j * n + i] for i in range(n)) for j in range(n))
+        try:
+            out.append(is_morphism(Morphism(S, S, images),
+                                   ("bijective", "algebra-hom", "parity-preserving")))
+        except CheckFailed:
+            continue
+    return out
+
+
+_SMALL_ALGEBRAS = {
+    "split2/GF(2)": lambda: split_hurwitz(2, F2)[0],
+    "split2/GF(3)": lambda: split_hurwitz(2, F3)[0],
+    "split2/GF(4)": lambda: split_hurwitz(2, F4)[0],
+    "K/GF(2)": lambda: nonsplit_quadratic(F2),
+    "para-split2/GF(3)": lambda: para_hurwitz(split_hurwitz(2, F3)[0]),
+    "B(1,2)/GF(3)": lambda: b12(F3),
+}
+
+
+@pytest.mark.parametrize("label", list(_SMALL_ALGEBRAS))
+def test_trivial_grading_automorphisms_match_a_scan_of_every_matrix(label):
+    """With the trivial grading the stabilizer chain lists every
+    automorphism the scan finds, in the same order; each is an isometry."""
+    S = _SMALL_ALGEBRAS[label]()
+    got = enumerate_automorphisms(S, trivial_grading(S))
+    assert [f.images for f in got] == [f.images for f in _brute_force_automorphisms(S)]
+    assert all("isometry" in f.attrs for f in got)
 
 
 def test_graded_automorphisms_of_b12():
@@ -245,10 +290,10 @@ class _PerRunSearch(_SEARCH):
     """The search with its tables and target span vectors rebuilt for
     every assignment."""
 
-    def run(self, comp_target, collect=None):
+    def run(self, comp_target, collect=None, prefix=()):
         self.tables = _per_run_tables(self, comp_target)
         self._span_vectors = {}
-        return super().run(comp_target, collect)
+        return super().run(comp_target, collect, prefix)
 
 
 def _searches(monkeypatch, cls, call):
