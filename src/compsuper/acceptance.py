@@ -6,7 +6,6 @@ the same functions the test suite asserts on and the command line
 `report` subcommand serializes.
 """
 
-import time
 
 from . import catalog, linalg
 from .axioms import (
@@ -422,10 +421,4 @@ CRITERIA = [
 
 
 def run_all():
-    out = []
-    for fn in CRITERIA:
-        t0 = time.time()
-        r = fn()
-        r["seconds"] = round(time.time() - t0, 2)
-        out.append(r)
-    return out
+    return [fn() for fn in CRITERIA]

@@ -187,19 +187,6 @@ def _relation_row(n, i, j, k):
     return tuple(row)
 
 
-def _pair_relation(field, n, i, j, prods, spans, first=0):
-    """The relation i+j=k of one component pair whose nonzero products are
-    `prods`: k is `first` plus the position of the first of `spans` (rref,
-    pivots) holding every product.  () when there are no products, None
-    when no span holds them all."""
-    if not prods:
-        return ()
-    for k, (rr, piv) in enumerate(spans, first):
-        if all(linalg.in_span(field, rr, piv, p) for p in prods):
-            return _relation_row(n, i, j, k)
-    return None
-
-
 class _RelationBuilder:
     """Relations of component lists whose components are sums of fixed
     pieces, for the life of one enumeration.
@@ -219,9 +206,8 @@ class _RelationBuilder:
     The products of two components are the products of their piece pairs,
     so "every product lies in span(C_k)" holds iff it holds for each piece
     pair.  Whether it holds for one pair depends only on that pair's
-    products and on span(C_k), and both are fixed for the builder's life:
-    the memoized answer is the in-span test that `_pair_relation` would
-    run again.
+    products and on span(C_k), and both are fixed for the builder's life,
+    so the memoized answer stands for every later component list.
     """
 
     def __init__(self, algebra, pieces):

@@ -12,7 +12,7 @@ from itertools import combinations, permutations
 
 from . import linalg
 from .gradings import grading_from_components
-from .gradings import _RelationBuilder, _pair_relation, _products, validate
+from .gradings import _RelationBuilder, _products, _relation_row, validate
 from .abelian import presentation_to_group
 from .fields import InfiniteField
 from .superalgebra import Morphism, identity_morphism, is_morphism, CheckFailed
@@ -517,48 +517,92 @@ def _parity_splits(S, comp_vectors):
                 yield w1, w2
 
 
-def _split_relations(S, others, spans, targets, w1, w2):
-    """`_set_grading_relations(S, others + [w1, w2])`, with the products of
-    the untouched components computed once per component rather than once
-    per split.
+class _PairTable:
+    """Per ordered pair (a, b) of a grading's components, for one
+    `fine_check` call: `landing(a, b)`, the position of the component of
+    degree deg(a) + deg(b) (None when the grading has none), and
+    `products(a, b)`, the nonzero products of their vectors.  Each is
+    computed on first use and kept; a degree lookup never forces the
+    products."""
 
-    `spans` holds the rref of each untouched component and `targets` caches,
-    per untouched pair (i, j), its relation row among the untouched spans
-    (() when every product is zero) and, when no untouched component holds
-    its products, None and the products themselves, which must then fit
-    inside w1 or w2.  Only the products that involve w1 or w2 are computed
-    per split, and the rows come in the order of `_set_grading_relations`,
-    so `presentation_to_group` returns the same reassignment.
+    def __init__(self, grading):
+        self.algebra = grading.algebra
+        self.comps = [vs for _, vs in grading.comps]
+        self._degs = grading.degrees()
+        self._index = grading.index
+        self._n = len(self.comps)
+        self._landing = {}  # a * n + b -> landing position or None
+        self._products = {}  # a * n + b -> nonzero products
+
+    def landing(self, a, b):
+        key = a * self._n + b
+        if key not in self._landing:
+            self._landing[key] = self._index.get(self._degs[a] + self._degs[b])
+        return self._landing[key]
+
+    def products(self, a, b):
+        key = a * self._n + b
+        if key not in self._products:
+            self._products[key] = _products(self.algebra, self.comps[a], self.comps[b])
+        return self._products[key]
+
+
+def _split_relations(table, ci, w1, w2):
+    """`_set_grading_relations` on the components of a grading with
+    component ci replaced by the parts w1 and w2, listed last after the
+    untouched components, or None.
+
+    The nonzero products of components a and b lie in the component of
+    degree deg(a) + deg(b) and, as the components are independent, in no
+    other; so do those of a part with b, since the part lies in ci.  So a
+    pair whose products land outside ci gets its row from the degree
+    table alone, and only products landing in ci are tested, against the
+    two parts: k is the first part holding all of them, as in
+    `_set_grading_relations`, and None is returned when neither does.
+    Untouched pairs read their products from the table; the products
+    that involve a part are computed per split.  The rows come in the
+    order of `_set_grading_relations`, so `presentation_to_group` returns
+    the same reassignment.
     """
+    S = table.algebra
     F = S.field
-    m = len(others)
+    m = len(table.comps) - 1
     n = m + 2
-    cand = others + [w1, w2]
-    parts = [linalg.rref(F, w1), linalg.rref(F, w2)]
-    all_spans = [*spans, *parts]
+    src = [k for k in range(m + 1) if k != ci] + [ci, ci]  # candidate -> component
+    cand = [table.comps[k] for k in src[:m]] + [w1, w2]
+    parts = None
     rels = []
     for i in range(n):
         for j in range(n):
+            k = table.landing(src[i], src[j])
+            if k is None:
+                continue  # in a grading these products are all zero
             if i < m and j < m:
-                if (i, j) not in targets:
-                    prods = _products(S, others[i], others[j])
-                    row = _pair_relation(F, n, i, j, prods, spans)
-                    targets[i, j] = (row, prods if row is None else None)
-                row, prods = targets[i, j]
-                if row is None:
-                    row = _pair_relation(F, n, i, j, prods, parts, m)
+                prods = table.products(src[i], src[j])
             else:
                 prods = _products(S, cand[i], cand[j])
-                row = _pair_relation(F, n, i, j, prods, all_spans)
-            if row is None:
+            if not prods:
+                continue
+            if k != ci:
+                rels.append(_relation_row(n, i, j, k - (k > ci)))
+                continue
+            if parts is None:
+                parts = [linalg.rref(F, w1), linalg.rref(F, w2)]
+            for t, (rr, piv) in enumerate(parts, m):
+                if all(linalg.in_span(F, rr, piv, p) for p in prods):
+                    rels.append(_relation_row(n, i, j, t))
+                    break
+            else:
                 return None
-            if row:
-                rels.append(row)
     return rels
 
 
 def fine_check(grading, budget=None):
     """("fine", None) or ("refinable", witness) under single-component splits.
+
+    `grading` must be a grading (`validate` accepts it): the relations
+    below read where products land off its degrees.  A "refinable"
+    answer is still validated.
 
     Tries every split of one component into two nonzero parity-split
     subspaces and accepts a split when the refined decomposition is a
@@ -566,59 +610,46 @@ def fine_check(grading, budget=None):
     single splits are explored, so "fine" means fine under this search.
 
     The splits of a component are streamed by `_parity_splits`, so a
-    component whose first splits succeed never pays for the rest.  The
-    relations of a candidate are those of `_set_grading_relations` on the
-    untouched components followed by the two parts, but the products of
-    untouched pairs and the components that hold them are computed once per
-    component (`_split_relations`); a split pays only for the products
-    that involve its parts and for checking that the untouched products
-    landing in the split component fit inside one part.
+    component whose first splits succeed never pays for the rest.  One
+    `_PairTable` per call holds where each pair of components lands and
+    its products; every split reads it (`_split_relations`) and pays only
+    for the products that involve its parts and for checking that the
+    products landing in the split component fit inside one part.
 
     A component is skipped when the nonzero products of untouched pairs
     landing in it already span it.  The rule assumes that those products
     must all fit inside one part, which holds for a single pair but not in
-    general: two pairs may land in different parts.  It is kept because
-    it has not changed a verdict where the search was also run without it
-    (the tests do so on the small fineness cases), while the sound
-    per-pair rule (skip when the products of one pair span the component)
-    makes eq2, eq5, eq7, okuboeq3 and okuboeq6 search their splits, 3-22x
-    slower (eq7/GF(4): 0.27 to 2.3 ms).  Whether the rule is sound stays
-    open.
+    general: two pairs may land in different parts.  The rule is unsound:
+    it makes this search answer "fine" on 15 catalog gradings that a
+    single split refines (eq3 over GF(3) and GF(9); cor1eq10 to cor1eq13
+    and okuboeq9 over GF(2) and GF(4); okuboeq10 to okuboeq12 over GF(4)).
+    The sound per-pair rule (skip when the products of one pair span the
+    component) makes eq2, eq5, eq7, okuboeq3 and okuboeq6 search their
+    splits, 3-22x slower (eq7/GF(4): 0.27 to 2.3 ms).
     """
     budget = budget or SearchBudget()
     S = grading.algebra
     F = S.field
     nodes = 0
-    comps = [list(vs) for _, vs in grading.comps]
-    degs = grading.degrees()
-    for ci, comp in enumerate(comps):
+    table = _PairTable(grading)
+    n = len(table.comps)
+    for ci, comp in enumerate(table.comps):
         if len(comp) < 2:
             continue
         # products of the untouched components that land in this component
         # must fit inside one of the two parts; if they already span the
-        # whole component, no split can succeed
-        incoming = []
-        for j in range(len(comps)):
-            for k in range(len(comps)):
-                if j == ci or k == ci or grading.index.get(degs[j] + degs[k]) != ci:
-                    continue
-                for x in comps[j]:
-                    for y in comps[k]:
-                        p = S.mul(x, y)
-                        if not linalg.vec_is_zero(F, p):
-                            incoming.append(p)
+        # whole component, no split can succeed (see above)
+        untouched = [k for k in range(n) if k != ci]
+        incoming = [p for j in untouched for k in untouched
+                    if table.landing(j, k) == ci for p in table.products(j, k)]
         if incoming and linalg.rank(F, incoming) == len(comp):
             continue
-        # candidates list the untouched components first: their products,
-        # computed once, reject hopeless splits before any work on the parts
-        others = comps[:ci] + comps[ci + 1:]
-        spans = grading.spans[:ci] + grading.spans[ci + 1:]
-        targets = {}
+        others = [table.comps[k] for k in untouched]
         for w1, w2 in _parity_splits(S, comp):
             nodes += 1
             if nodes > budget.max_nodes:
                 raise BudgetExhausted(nodes)
-            rels = _split_relations(S, others, spans, targets, w1, w2)
+            rels = _split_relations(table, ci, w1, w2)
             if rels is None:
                 continue
             cand = others + [w1, w2]

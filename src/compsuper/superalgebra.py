@@ -231,9 +231,6 @@ class SuperAlgebra:
             return None
         return 1 if has_odd else 0
 
-    def element(self, coords):
-        return Element(self, tuple(coords))
-
     def fmt(self, v):
         F = self.field
         terms = []
@@ -302,53 +299,6 @@ class SuperAlgebra:
 
 
 @dataclass(frozen=True)
-class Element:
-    algebra: SuperAlgebra
-    coords: tuple
-
-    def _check(self, other):
-        if not isinstance(other, Element) or other.algebra is not self.algebra:
-            raise MixedAlgebras("elements live in different algebras")
-
-    def __add__(self, other):
-        self._check(other)
-        return Element(self.algebra, linalg.vec_add(self.algebra.field, self.coords, other.coords))
-
-    def __sub__(self, other):
-        self._check(other)
-        return Element(self.algebra, linalg.vec_sub(self.algebra.field, self.coords, other.coords))
-
-    def __mul__(self, other):
-        self._check(other)
-        return Element(self.algebra, self.algebra.mul(self.coords, other.coords))
-
-    def __rmul__(self, c):
-        F = self.algebra.field
-        if isinstance(c, int):
-            c = F.from_int(c)
-        return Element(self.algebra, linalg.vec_scale(F, c, self.coords))
-
-    def __neg__(self):
-        return Element(self.algebra, linalg.vec_neg(self.algebra.field, self.coords))
-
-    def conj(self):
-        return Element(self.algebra, self.algebra.conj(self.coords))
-
-    def q0(self):
-        return self.algebra.eval_q0(self.coords)
-
-    def b(self, other):
-        self._check(other)
-        return self.algebra.eval_b(self.coords, other.coords)
-
-    def is_zero(self):
-        return linalg.vec_is_zero(self.algebra.field, self.coords)
-
-    def __str__(self):
-        return self.algebra.fmt(self.coords)
-
-
-@dataclass(frozen=True)
 class Morphism:
     """Linear map recorded by the images of the source basis vectors."""
 
@@ -361,10 +311,6 @@ class Morphism:
         return linalg.lincomb(self.target.field, x, self.images, self.target.dim)
 
     def __call__(self, x):
-        if isinstance(x, Element):
-            if x.algebra is not self.source:
-                raise MixedAlgebras("element is not in the source algebra")
-            return Element(self.target, self.apply(x.coords))
         return self.apply(x)
 
     def compose(self, other):

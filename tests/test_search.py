@@ -18,17 +18,20 @@ from compsuper.constructions import (
 from compsuper.fields import GF, QQ, InfiniteField
 from compsuper.gradings import (
     coarsenings_enum,
+    _products,
     _set_grading_relations,
     gamma_grading_b12,
     grading_from_components,
     grading_from_degrees,
     main_grading,
     trivial_grading,
+    is_refinement,
     validate,
 )
 from compsuper import search
 from compsuper.search import (
     BudgetExhausted,
+    _PairTable,
     _decompositions_of_block,
     _parity_splits,
     _split_relations,
@@ -511,28 +514,76 @@ def test_parity_splits_match_span_dedup():
 
 
 def test_split_relations_match_set_grading_relations():
-    """Reusing the untouched pairs' targets across the splits of a
-    component gives the relations computed from scratch, split by split,
-    including pairs whose products must fit inside one part (eq7/GF(4)
-    has pairs landing in each part)."""
+    """Reading the untouched pairs and every landing off one pair table
+    gives the relations computed from scratch, split by split, including
+    pairs whose products must fit inside one part (eq7/GF(4) has pairs
+    landing in each part)."""
     for id, q in (("eq7", 4), ("main-cd4", 4), ("main-cd8", 2)):
         _, g = build_entry(id, GF(q))
         S = g.algebra
+        table = _PairTable(g)
         comps = [list(vs) for _, vs in g.comps]
         for ci, comp in enumerate(comps):
             others = comps[:ci] + comps[ci + 1:]
-            spans = [linalg.rref(S.field, vs) for vs in others]
-            targets = {}
             for w1, w2 in _parity_splits(S, comp):
                 want = _set_grading_relations(S, others + [w1, w2])
-                assert _split_relations(S, others, spans, targets, w1, w2) == want, (id, q, ci)
+                assert _split_relations(table, ci, w1, w2) == want, (id, q, ci)
+
+
+def test_fine_check_builds_each_component_pair_products_once(monkeypatch):
+    """One `fine_check` call computes the products of each ordered pair of
+    whole components at most once, whichever components it splits: the
+    first three gradings have two components whose splits are tried, and
+    eq7 skips all of its components on their incoming products."""
+    for id, q in (("cor1eq5", 2), ("cor1eq6", 4), ("okuboeq4", 4), ("eq7", 4)):
+        _, g = build_entry(id, GF(q))
+        whole = {tuple(vs): k for k, (_, vs) in enumerate(g.comps)}
+        built = []
+
+        def counting(algebra, xs, ys, built=built):
+            a, b = whole.get(tuple(xs)), whole.get(tuple(ys))
+            if a is not None and b is not None:
+                built.append((a, b))
+            return _products(algebra, xs, ys)
+
+        monkeypatch.setattr(search, "_products", counting)
+        fine_check(g)
+        monkeypatch.undo()
+        assert built, (id, q)
+        assert len(built) == len(set(built)), (id, q)
+
+
+# (entry, field) pairs that a single split refines although the
+# "incoming products span the component" rule skips the component that
+# the split needs
+SINGLE_SPLIT_REFINABLE = (
+    [("eq3", 3), ("eq3", 9)]
+    + [(f"cor1eq{i}", q) for i in (10, 11, 12, 13) for q in (2, 4)]
+    + [("okuboeq9", 2), ("okuboeq9", 4)]
+    + [(f"okuboeq{i}", 4) for i in (10, 11, 12)]
+)
+
+
+@pytest.mark.parametrize("id,q", SINGLE_SPLIT_REFINABLE)
+def test_single_split_refines_gradings_that_the_incoming_rule_skips(id, q):
+    """The reference search without the "incoming" rule finds a
+    validated single-split refinement of each of these gradings, so a
+    "fine" verdict on them is false.  This asserts nothing about
+    `fine_check`, whose rule makes it answer "fine" here today."""
+    _, g = build_entry(id, GF(q))
+    status, witness = _reference_fine_check(g, prune=False)
+    assert status == "refinable", (id, q)
+    assert validate(witness)[0], (id, q)
+    assert is_refinement(witness, g), (id, q)
+    assert len(witness.comps) == len(g.comps) + 1, (id, q)
 
 
 def test_fine_check_matches_reference_with_and_without_prune():
     """Same status and witness as the from-scratch reference on every
     small case of the fineness workload.  Without the "incoming products
-    span the component" rule the reference reaches the same verdicts:
-    the rule's track record, since its soundness is still open."""
+    span the component" rule the reference reaches the same verdicts on
+    these cases; the rule is unsound elsewhere (see
+    `test_single_split_refines_gradings_that_the_incoming_rule_skips`)."""
     for id, q in FINENESS_SMALL_CASES:
         _, g = build_entry(id, GF(q))
         status, witness = fine_check(g)

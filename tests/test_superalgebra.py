@@ -201,18 +201,6 @@ def test_is_morphism_rejects_basis_swap():
         is_morphism(Morphism(C, C, tuple(images)), ("algebra-hom",))
 
 
-def test_element_wrapper():
-    B = b12(F3)
-    u = B.element(B.basis_vector(1))
-    v = B.element(B.basis_vector(2))
-    assert (u * v).coords == B.unit()
-    assert (2 * u).coords == linalg.vec_scale(F3, F3.from_int(2), u.coords)
-    assert (u + v - v).coords == u.coords
-    other = b12(F3).element((F3.zero,) * 3)
-    with pytest.raises(MixedAlgebras):
-        u * other
-
-
 def test_morphism_compose_power_inverse():
     C, cb = super_split_cayley(F4)
     t = tau_omega(cb)
