@@ -329,7 +329,7 @@ def check_orthogonality(grading):
         if vh is None or len(vh) != len(vg):
             return CheckReport("orthogonality", False, witness=(str(g), "missing opposite"))
         gram = [[A.eval_b(x, y) for y in vh] for x in vg]
-        if linalg.det(F, gram) == F.zero:
+        if linalg.rank(F, gram) < len(gram):
             return CheckReport("orthogonality", False, witness=(str(g), "degenerate pairing"))
     return CheckReport("orthogonality", True)
 

@@ -8,6 +8,7 @@ claim with exact arithmetic.
 """
 
 from dataclasses import dataclass
+from typing import Callable
 
 from . import linalg
 from .abelian import AbGroup
@@ -40,7 +41,6 @@ from .gradings import (
     zero_sum_triples,
 )
 from .search import SearchBudget, find_graded_map, try_verify_graded
-from .superalgebra import Morphism, identity_morphism
 
 
 class FieldConditionUnmet(ValueError):
@@ -371,119 +371,33 @@ def iso_test_groups():
     return [Z4, AbGroup(0, (6,)), Z2Z2, AbGroup(0, (3, 3)), AbGroup(0, (2, 4))]
 
 
-def _b12_flip(A):
-    """u -> v, v -> -u, extended by 1 -> 1."""
+# Explicit graded isomorphisms, each a signed permutation of a basis:
+# name -> (image name, sign) for the names it moves; the rest are fixed.
+# The B(1,2) and B(4,2) maps act on the standard basis, the dim-8 maps on
+# the canonical basis of the Cayley algebra (also the Okubo twist's).
+_B12_FLIP = {"u": ("v", 1), "v": ("u", -1)}
+_B42_FLIP = {"e1": ("e2", 1), "e2": ("e1", 1), "x": ("y", -1), "y": ("x", -1),
+             "u": ("v", 1), "v": ("u", -1)}
+_DIM8_SWAP = {"u1": ("u2", 1), "u2": ("u1", 1), "u3": ("u3", -1),
+              "v1": ("v2", 1), "v2": ("v1", 1), "v3": ("v3", -1)}
+_DIM8_FLIP = {"e1": ("e2", 1), "e2": ("e1", 1), "u1": ("v1", 1), "u2": ("v2", 1),
+              "u3": ("v3", 1), "v1": ("u1", 1), "v2": ("u2", 1), "v3": ("u3", 1)}
+# commutes with tau_omega
+_DIM8_CROSS = {"e1": ("e2", 1), "e2": ("e1", 1), "u1": ("v2", 1), "v2": ("u1", 1),
+               "u2": ("v1", 1), "v1": ("u2", 1), "u3": ("v3", 1), "v3": ("u3", 1)}
+
+
+def _signed_permutation(A, vectors, table):
+    """The linear map A -> A sending vectors[name] to sign * vectors[image]
+    for each name -> (image, sign) in `table` and fixing every other name
+    of `vectors` (name -> coordinate tuple, a basis of A)."""
     F = A.field
-    m = F.neg(F.one)
-    return Morphism(
-        A,
-        A,
-        (
-            A.basis_vector(0),
-            A.basis_vector(2),
-            linalg.vec_scale(F, m, A.basis_vector(1)),
-        ),
-    )
-
-
-def _b42_flip(A):
-    """u -> v, v -> -u; on the even part e1 <-> e2, x -> -y, y -> -x."""
-    F = A.field
-    m = F.neg(F.one)
-    nm = {n: i for i, n in enumerate(A.basis_names)}
-    images = [None] * A.dim
-    images[nm["e1"]] = A.basis_vector(nm["e2"])
-    images[nm["e2"]] = A.basis_vector(nm["e1"])
-    images[nm["x"]] = linalg.vec_scale(F, m, A.basis_vector(nm["y"]))
-    images[nm["y"]] = linalg.vec_scale(F, m, A.basis_vector(nm["x"]))
-    images[nm["u"]] = A.basis_vector(nm["v"])
-    images[nm["v"]] = linalg.vec_scale(F, m, A.basis_vector(nm["u"]))
-    return Morphism(A, A, tuple(images))
-
-
-def _dim8_swap(A, cb):
-    """u1 <-> u2, v1 <-> v2, u3 -> -u3, v3 -> -v3 (identity on e1, e2)."""
-    F = A.field
-    m = F.neg(F.one)
-    v = cb.vectors
-    assignment = {
-        "e1": v["e1"],
-        "e2": v["e2"],
-        "u1": v["u2"],
-        "u2": v["u1"],
-        "u3": linalg.vec_scale(F, m, v["u3"]),
-        "v1": v["v2"],
-        "v2": v["v1"],
-        "v3": linalg.vec_scale(F, m, v["v3"]),
-    }
-    return _morphism_on_basis(A, cb, assignment)
-
-
-def _dim8_flip(A, cb):
-    """e1 <-> e2, u_i <-> v_i."""
-    v = cb.vectors
-    assignment = {
-        "e1": v["e2"],
-        "e2": v["e1"],
-        "u1": v["v1"],
-        "u2": v["v2"],
-        "u3": v["v3"],
-        "v1": v["u1"],
-        "v2": v["u2"],
-        "v3": v["u3"],
-    }
-    return _morphism_on_basis(A, cb, assignment)
-
-
-def _okubo_cross(A, cb):
-    """e1 <-> e2, u1 <-> v2, u2 <-> v1, u3 <-> v3; commutes with tau_omega."""
-    v = cb.vectors
-    assignment = {
-        "e1": v["e2"],
-        "e2": v["e1"],
-        "u1": v["v2"],
-        "v2": v["u1"],
-        "u2": v["v1"],
-        "v1": v["u2"],
-        "u3": v["v3"],
-        "v3": v["u3"],
-    }
-    return _morphism_on_basis(A, cb, assignment)
-
-
-def iso_condition_small(kind, field, budget=None):
-    """For G in the test set and every (g, h): graded isomorphism exists
-    iff g = h or g = -h.  Positive direction through the explicit maps,
-    negative direction through exhaustive search.  Returns a report."""
-    budget = budget or SearchBudget()
-    ctx = _family_algebra(kind, field)
-    A = ctx["algebra"]
-    gamma = gamma_grading_b12 if kind == "b12" else gamma_grading_b42
-    flip = _b12_flip(A) if kind == "b12" else _b42_flip(A)
-    mismatches = []
-    pairs = 0
-    for G in iso_test_groups():
-        gradings = {g: gamma(A, G, g) for g in G.elements()}
-        for g in G.elements():
-            for h in G.elements():
-                pairs += 1
-                expected = g == h or g == -h
-                if expected:
-                    cand = identity_morphism(A) if g == h else flip
-                    got = try_verify_graded(cand, gradings[g], gradings[h])
-                    if got is None and g == -g:
-                        got = try_verify_graded(flip, gradings[g], gradings[h])
-                    actual = got is not None
-                    how = "explicit"
-                else:
-                    actual = find_graded_map(A, gradings[g], A, gradings[h], budget=budget) is not None
-                    how = "search"
-                if actual != expected:
-                    mismatches.append(
-                        {"group": str(G), "g": str(g), "h": str(h), "expected": expected,
-                         "actual": actual, "how": how}
-                    )
-    return {"kind": kind, "field": field.name, "pairs": pairs, "mismatches": mismatches}
+    minus = F.neg(F.one)
+    images = {}
+    for nm in vectors:
+        img, sign = table.get(nm, (nm, 1))
+        images[nm] = vectors[img] if sign == 1 else linalg.vec_scale(F, minus, vectors[img])
+    return _morphism_on_basis(A, vectors, images)
 
 
 def okubo_gamma_equiv(t1, t2):
@@ -555,67 +469,142 @@ def _phi_census(grading, spaces):
     }
 
 
-ISO_MAX_ORDER = 4  # the largest entry order of the triples iso_condition_dim8 scores
+ISO_MAX_ORDER = 4  # the largest entry order of the triples iso_condition scores
 
 
-def iso_condition_dim8(kind, field, budget=None):
-    """For zero-sum triples with entries of order <= ISO_MAX_ORDER, score the
-    Sym(2)-and-sign condition gamma_equiv against graded isomorphism.
-    Explicit maps settle positives where they apply; every remaining case
-    is settled by exhaustive search.
+def _same(t):
+    return t
 
-    For kind "cayley" the condition holds: the report's mismatches are
-    expected to be empty.  For kind "okubo" (the tau_omega twist) it is
-    false: it is necessary but not sufficient, and the report lists the
-    pairs it calls isomorphic that are not.  The Okubo report also scores
-    the finer okubo_gamma_equiv condition ("corrected_mismatches"), and
-    certifies each mismatch independently of the search: when the
-    para-unit certificate holds, pairs with different phi-censuses admit no
-    graded isomorphism at all.  "census_contradictions" counts pairs where
-    the search found a map although the censuses differ; any such pair
-    refutes the certificate, and then no mismatch is marked certified."""
-    budget = budget or SearchBudget()
-    if kind == "cayley":
-        ctx = _family_algebra("cd8", field)
-    elif kind == "okubo":
-        ctx = _family_algebra("okubo-omega", field)
-    else:
-        raise ValueError(kind)
+
+def _neg(t):
+    return tuple(-x for x in t)
+
+
+def _swap(t):
+    return (t[1], t[0]) + t[2:]
+
+
+def _swap_neg(t):
+    return _neg(_swap(t))
+
+
+@dataclass(frozen=True)
+class _IsoKind:
+    """What iso_condition scores for one kind of algebra."""
+
+    family: str
+    labels: Callable  # test group -> the degree labels scored on it
+    grading: Callable  # (family context, group, label) -> the graded algebra's grading
+    condition: Callable  # (label, label2) -> whether the stated condition calls them isomorphic
+    candidates: tuple  # (relabel, signed permutation): tried on (x, y) when relabel(x) == y
+    keys: tuple  # the mismatch record's keys for the two labels
+
+
+def _small_kind(family, gamma, flip):
+    """deg(u) = g on B(1,2) or B(4,2), labelled (g,): isomorphic iff
+    g' = g (identity) or g' = -g (flip)."""
+    return _IsoKind(
+        family=family,
+        labels=lambda G: [(g,) for g in G.elements()],
+        grading=lambda ctx, G, t: gamma(ctx["algebra"], G, t[0]),
+        condition=lambda t1, t2: t2 in (t1, _neg(t1)),
+        candidates=((_same, {}), (_neg, flip)),
+        keys=("g", "h"),
+    )
+
+
+def _dim8_kind(family):
+    """gamma_grading_dim8, labelled by its triple: the Sym(2)-and-sign
+    condition.  Flip after swap also realizes _swap_neg, but over
+    characteristic 2 it is the same map as cross, so it is not tried."""
+    return _IsoKind(
+        family=family,
+        labels=lambda G: zero_sum_triples(G, max_order=ISO_MAX_ORDER),
+        grading=lambda ctx, G, t: gamma_grading_dim8(ctx["algebra"], ctx["cb"], G, t),
+        condition=gamma_equiv,
+        candidates=((_same, {}), (_swap, _DIM8_SWAP), (_neg, _DIM8_FLIP), (_swap_neg, _DIM8_CROSS)),
+        keys=("gamma", "gamma2"),
+    )
+
+
+_ISO_KINDS = {
+    "b12": _small_kind("b12", gamma_grading_b12, _B12_FLIP),
+    "b42": _small_kind("b42", gamma_grading_b42, _B42_FLIP),
+    "cayley": _dim8_kind("cd8"),
+    "okubo": _dim8_kind("okubo-omega"),
+}
+
+
+def _explicit_maps(kind, ctx):
+    """(relabel, map) for each explicit candidate of a kind, on the
+    algebra of the family context `ctx`."""
     A = ctx["algebra"]
-    cb = ctx["cb"]
-    swap = _dim8_swap(A, cb)
-    flip = _dim8_flip(A, cb)
-    cross = _okubo_cross(A, cb)
-    if kind == "okubo":
+    cb = ctx.get("cb")
+    vectors = cb.vectors if cb else {nm: A.basis_vector(i) for i, nm in enumerate(A.basis_names)}
+    return [(relabel, _signed_permutation(A, vectors, table))
+            for relabel, table in _ISO_KINDS[kind].candidates]
+
+
+def _offered(maps, t1, t2):
+    """The explicit maps that may carry the grading of t1 onto that of t2."""
+    return [f for relabel, f in maps if relabel(t1) == t2]
+
+
+def _show(t):
+    return str(t[0]) if len(t) == 1 else [str(x) for x in t]
+
+
+def iso_condition(kind, field, budget=None):
+    """Score a kind's stated isomorphism condition against graded
+    isomorphism, on every ordered pair of labels of every test group.
+
+    Kinds "b12" and "b42" label the grading deg(u) = g by the 1-tuple (g,)
+    and state: isomorphic iff g' = g or g' = -g.  Kinds "cayley" and
+    "okubo" (the tau_omega twist) label gamma_grading_dim8 by its zero-sum
+    triple, entries of order <= ISO_MAX_ORDER, and state the
+    Sym(2)-and-sign condition gamma_equiv.  Each pair first tries the
+    explicit maps whose relabelling sends one label to the other, then
+    settles by exhaustive search; "how" records which.
+
+    For every kind but "okubo" the condition holds: the report's
+    mismatches are expected to be empty.  For "okubo" it is necessary but
+    not sufficient, and the report lists the pairs it calls isomorphic
+    that are not.  The Okubo report also scores the finer
+    okubo_gamma_equiv condition ("corrected_mismatches"), and certifies
+    each mismatch independently of the search: when the para-unit
+    certificate holds, pairs with different phi-censuses admit no graded
+    isomorphism at all.  "census_contradictions" counts pairs where the
+    search found a map although the censuses differ; any such pair
+    refutes the certificate, and then no mismatch is marked certified."""
+    if kind not in _ISO_KINDS:
+        raise ValueError(f"unknown kind {kind!r}")
+    budget = budget or SearchBudget()
+    spec = _ISO_KINDS[kind]
+    ctx = _family_algebra(spec.family, field)
+    A = ctx["algebra"]
+    maps = _explicit_maps(kind, ctx)
+    okubo = kind == "okubo"
+    if okubo:
         certificate = _para_unit_certificate(A, ctx["phi"])
         spaces = _phi_spaces(A, ctx["phi"])
         contradictions = 0
+    key1, key2 = spec.keys
     mismatches = []
     corrected_mismatches = []
     pairs = 0
     for G in iso_test_groups():
-        triples = zero_sum_triples(G, max_order=ISO_MAX_ORDER)
-        gradings = {t: gamma_grading_dim8(A, cb, G, t) for t in triples}
-        if kind == "okubo":
-            censuses = {t: _phi_census(gradings[t], spaces) for t in triples}
-        for t1 in triples:
-            for t2 in triples:
+        labels = spec.labels(G)
+        gradings = {t: spec.grading(ctx, G, t) for t in labels}
+        if okubo:
+            censuses = {t: _phi_census(gradings[t], spaces) for t in labels}
+        for t1 in labels:
+            for t2 in labels:
                 pairs += 1
-                expected = gamma_equiv(t1, t2)
-                g1, g2, g3 = t1
-                candidates = []
-                if t2 == t1:
-                    candidates.append(identity_morphism(A))
-                if t2 == (g2, g1, g3):
-                    candidates.append(swap)
-                if t2 == (-g1, -g2, -g3):
-                    candidates.append(flip)
-                if t2 == (-g2, -g1, -g3):
-                    candidates.extend([cross, flip.compose(swap)])
+                expected = spec.condition(t1, t2)
                 actual = False
                 how = "search"
-                for cand in candidates:
-                    if try_verify_graded(cand, gradings[t1], gradings[t2]) is not None:
+                for f in _offered(maps, t1, t2):
+                    if try_verify_graded(f, gradings[t1], gradings[t2]) is not None:
                         actual = True
                         how = "explicit"
                         break
@@ -623,23 +612,21 @@ def iso_condition_dim8(kind, field, budget=None):
                     actual = (
                         find_graded_map(A, gradings[t1], A, gradings[t2], budget=budget) is not None
                     )
-                if kind == "okubo":
+                if okubo:
                     differ = censuses[t1] != censuses[t2]
                     contradictions += actual and differ
                 if actual != expected:
-                    entry = {"group": str(G), "gamma": [str(x) for x in t1],
-                             "gamma2": [str(x) for x in t2], "expected": expected,
-                             "actual": actual, "how": how}
-                    if kind == "okubo":
+                    entry = {"group": str(G), key1: _show(t1), key2: _show(t2),
+                             "expected": expected, "actual": actual, "how": how}
+                    if okubo:
                         entry["certified"] = not actual and differ
                     mismatches.append(entry)
-                if kind == "okubo" and actual != okubo_gamma_equiv(t1, t2):
+                if okubo and actual != okubo_gamma_equiv(t1, t2):
                     corrected_mismatches.append(
-                        {"group": str(G), "gamma": [str(x) for x in t1],
-                         "gamma2": [str(x) for x in t2], "actual": actual}
+                        {"group": str(G), key1: _show(t1), key2: _show(t2), "actual": actual}
                     )
     report = {"kind": kind, "field": field.name, "pairs": pairs, "mismatches": mismatches}
-    if kind == "okubo":
+    if okubo:
         certificate["census_contradictions"] = contradictions
         holds = (
             certificate["commuting_idempotent"] is not None
@@ -657,8 +644,8 @@ def iso_condition_dim8(kind, field, budget=None):
 def verify_iso_theorems(field_char3, field_char2, budget=None):
     """Run the four isomorphism-condition checks; returns per-kind reports."""
     return {
-        "b12": iso_condition_small("b12", field_char3, budget),
-        "b42": iso_condition_small("b42", field_char3, budget),
-        "cayley": iso_condition_dim8("cayley", field_char2, budget),
-        "okubo": iso_condition_dim8("okubo", field_char2, budget),
+        "b12": iso_condition("b12", field_char3, budget),
+        "b42": iso_condition("b42", field_char3, budget),
+        "cayley": iso_condition("cayley", field_char2, budget),
+        "okubo": iso_condition("okubo", field_char2, budget),
     }

@@ -417,22 +417,20 @@ def petersson_twist(C, phi, name=None):
     )
 
 
-def _morphism_on_basis(A, cb, assignment):
-    """The linear map A -> A sending each canonical-basis vector of `cb` to
-    its image in `assignment` (name -> coordinate tuple in A).
+def _morphism_on_basis(A, vectors, assignment):
+    """The linear map A -> A sending each basis vector `vectors[name]` to
+    `assignment[name]` (both name -> coordinate tuple in A).
 
-    Each standard basis vector of A is written in the canonical basis (a
+    Each standard basis vector of A is written in the basis `vectors` (a
     column of the basis inverse) and sent to the same combination of the
-    images.  A is passed in rather
-    than read from `cb.algebra` because a Petersson twist keeps the space
-    of the algebra it twists: its maps are given on the canonical basis of
-    that algebra.
+    images.  A is passed in rather than read from a canonical basis's
+    `algebra` because a Petersson twist keeps the space of the algebra it
+    twists: its maps are given on the canonical basis of that algebra.
     """
     F = A.field
-    names = cb.names()
-    basis = [cb.vectors[nm] for nm in names]
-    targets = [assignment[nm] for nm in names]
+    basis = [vectors[nm] for nm in assignment]
     inverse = linalg.basis_inverse(F, basis)
+    targets = list(assignment.values())
     return Morphism(A, A, tuple(linalg.lincomb(F, coeffs, targets, A.dim)
                                 for coeffs in zip(*inverse)))
 
@@ -450,7 +448,7 @@ def tau_st(cb):
         "v2": v["v3"],
         "v3": v["v1"],
     }
-    return _morphism_on_basis(cb.algebra, cb, assignment)
+    return _morphism_on_basis(cb.algebra, cb.vectors, assignment)
 
 
 def tau_nst(cb):
@@ -469,7 +467,7 @@ def tau_nst(cb):
         "v2": linalg.vec_scale(F, m, v["v1"]),
         "v3": v["v3"],
     }
-    return _morphism_on_basis(cb.algebra, cb, assignment)
+    return _morphism_on_basis(cb.algebra, cb.vectors, assignment)
 
 
 def tau_omega(cb):
@@ -492,7 +490,7 @@ def tau_omega(cb):
         "v2": linalg.vec_scale(F, w1, v["v2"]),
         "v3": v["v3"],
     }
-    return _morphism_on_basis(cb.algebra, cb, assignment)
+    return _morphism_on_basis(cb.algebra, cb.vectors, assignment)
 
 
 def b12_lambda(field, lam):

@@ -312,11 +312,14 @@ def universal_group(grading):
     return G, proj, injective
 
 
-def over_universal_group(grading):
-    """The same components, relabelled by their universal-group degrees."""
-    G, proj, injective = universal_group(grading)
-    comps = [(proj[i], vs) for i, (_, vs) in enumerate(grading.comps)]
-    return grading_from_components(grading.algebra, G, comps), injective
+def _separating_grading(algebra, rels, comps):
+    """The components `comps` (vector lists) graded by the group that the
+    relation rows `rels` present, or None when that group gives two
+    components one degree."""
+    G, proj = presentation_to_group(len(comps), rels)
+    if len(set(proj)) != len(proj):
+        return None
+    return grading_from_components(algebra, G, list(zip(proj, comps)))
 
 
 def induce(grading, hom):
@@ -398,11 +401,9 @@ def coarsenings_enum(grading):
         rels = builder.relations(blocks)
         if rels is None:
             continue
-        G, proj = presentation_to_group(len(blocks), rels)
-        if len(set(proj)) != len(proj):
+        cand = _separating_grading(A, rels, [builder.vectors(block) for block in blocks])
+        if cand is None:
             continue
-        merged = [builder.vectors(block) for block in blocks]
-        cand = grading_from_components(A, G, list(zip(proj, merged)))
         key = cand.component_keys()
         if key in seen:
             continue
@@ -424,15 +425,6 @@ def gamma_grading_b42(algebra, G, g):
         raise ValueError(f"gamma_grading_b42 needs dimension 6, got {algebra.dim}")
     z = G.zero()
     return grading_from_degrees(algebra, G, [z, z, 2 * g, -(2 * g), g, -g])
-
-
-def gamma_grading_cd4(algebra, cb, G, g):
-    """deg(e_j)=0, deg(u1)=g, deg(v1)=-g on a dimension-4 canonical basis."""
-    z = G.zero()
-    comps = {}
-    for nm, d in (("e1", z), ("e2", z), ("u1", g), ("v1", -g)):
-        comps.setdefault(d, []).append(cb.vectors[nm])
-    return grading_from_components(algebra, G, comps.items())
 
 
 def gamma_grading_dim8(algebra, cb, G, gamma):

@@ -28,11 +28,6 @@ def vec_scale(field, c, v):
     return tuple(mul(c, a) for a in v)
 
 
-def vec_neg(field, v):
-    neg = field.neg
-    return tuple(neg(a) for a in v)
-
-
 def lincomb(field, coeffs, vectors, n):
     """The length-n tuple sum(c * v) over zip(coeffs, vectors).
 
@@ -199,33 +194,6 @@ def nullspace(field, A):
             v[p] = field.neg(row[f])
         basis.append(tuple(v))
     return basis
-
-
-def det(field, M):
-    """Determinant by Gaussian elimination over the field."""
-    n = len(M)
-    rows = [list(r) for r in M]
-    z = field.zero
-    d = field.one
-    for col in range(n):
-        pr = None
-        for i in range(col, n):
-            if rows[i][col] != z:
-                pr = i
-                break
-        if pr is None:
-            return z
-        if pr != col:
-            rows[col], rows[pr] = rows[pr], rows[col]
-            d = field.neg(d)
-        piv = rows[col][col]
-        d = field.mul(d, piv)
-        inv = field.inv(piv)
-        for i in range(col + 1, n):
-            if rows[i][col] != z:
-                c = field.mul(rows[i][col], inv)
-                rows[i] = [field.sub(a, field.mul(c, b)) for a, b in zip(rows[i], rows[col])]
-    return d
 
 
 def all_vectors(field, n):

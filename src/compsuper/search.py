@@ -11,9 +11,7 @@ from dataclasses import dataclass
 from itertools import combinations, permutations
 
 from . import linalg
-from .gradings import grading_from_components
-from .gradings import _RelationBuilder, _products, _relation_row, validate
-from .abelian import presentation_to_group
+from .gradings import _RelationBuilder, _products, _relation_row, _separating_grading, validate
 from .fields import InfiniteField
 from .superalgebra import Morphism, identity_morphism, is_morphism, CheckFailed
 
@@ -447,11 +445,9 @@ def enumerate_all_gradings(S, budget=None):
                 rels = builder.relations(comps)
                 if rels is None:
                     continue
-                G, proj = presentation_to_group(len(comps), rels)
-                if len(set(proj)) != len(proj):
+                cand = _separating_grading(S, rels, [builder.vectors(c) for c in comps])
+                if cand is None:
                     continue
-                vecs = [builder.vectors(c) for c in comps]
-                cand = grading_from_components(S, G, list(zip(proj, vecs)))
                 key = cand.component_keys()
                 if key in seen:
                     continue
@@ -652,11 +648,9 @@ def fine_check(grading, budget=None):
             rels = _split_relations(table, ci, w1, w2)
             if rels is None:
                 continue
-            cand = others + [w1, w2]
-            G, proj = presentation_to_group(len(cand), rels)
-            if len(set(proj)) != len(proj):
+            witness = _separating_grading(S, rels, others + [w1, w2])
+            if witness is None:
                 continue
-            witness = grading_from_components(S, G, list(zip(proj, cand)))
             ok, _ = validate(witness)
             if ok:
                 return "refinable", witness

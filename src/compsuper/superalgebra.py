@@ -417,7 +417,7 @@ def is_regular_superform(S):
     od = S.odd_indices()
     if od:
         odd_block = [[S.polar[i][j] for j in od] for i in od]
-        if linalg.det(F, odd_block) == F.zero:
+        if linalg.rank(F, odd_block) < len(odd_block):
             return False
     if ev:
         even_block = [[S.polar[i][j] for j in ev] for i in ev]

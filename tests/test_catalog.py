@@ -7,11 +7,18 @@ from compsuper.catalog import (
     FieldConditionUnmet,
     build_entry,
     catalog_ids,
-    iso_condition_small,
+    iso_condition,
+    iso_test_groups,
     okubo_gamma_equiv,
     verify_entry,
+    _DIM8_CROSS,
+    _DIM8_FLIP,
+    _DIM8_SWAP,
+    _ISO_KINDS,
+    _explicit_maps,
     _family_algebra,
-    _okubo_cross,
+    _offered,
+    _signed_permutation,
 )
 from compsuper.fields import GF
 from compsuper.gradings import (
@@ -107,9 +114,39 @@ def test_all_entries_verify_or_flag():
         assert built_somewhere, id
 
 
-def test_iso_condition_small_b12_gf3():
-    r = iso_condition_small("b12", F3)
+@pytest.mark.parametrize("kind", ["b12", "b42"])
+def test_iso_condition_gf3(kind):
+    r = iso_condition(kind, F3)
     assert r["mismatches"] == []
+
+
+def test_every_offered_explicit_map_verifies_on_b12():
+    """On B(1,2) over GF(3) the explicit maps alone prove every positive
+    pair: each one iso_condition offers is a graded isomorphism."""
+    kind = _ISO_KINDS["b12"]
+    ctx = _family_algebra("b12", F3)
+    maps = _explicit_maps("b12", ctx)
+    offered = 0
+    for G in iso_test_groups():
+        labels = kind.labels(G)
+        gradings = {t: kind.grading(ctx, G, t) for t in labels}
+        for t1 in labels:
+            for t2 in labels:
+                for f in _offered(maps, t1, t2):
+                    offered += 1
+                    assert try_verify_graded(f, gradings[t1], gradings[t2]) is not None, (G, t1, t2)
+    assert offered > 0
+
+
+@pytest.mark.parametrize("family", ["cd8", "okubo-omega"])
+def test_flip_after_swap_is_cross_in_characteristic_2(family):
+    """Why iso_condition does not try flip after swap next to cross: over
+    characteristic 2 the signs vanish and the two maps agree."""
+    ctx = _family_algebra(family, F4)
+    A, vectors = ctx["algebra"], ctx["cb"].vectors
+    flip, swap, cross = (_signed_permutation(A, vectors, t)
+                         for t in (_DIM8_FLIP, _DIM8_SWAP, _DIM8_CROSS))
+    assert flip.compose(swap).images == cross.images
 
 
 def test_okubo_triple_equivalence_is_strictly_finer():
@@ -137,7 +174,7 @@ def test_okubo_triple_equivalence_is_strictly_finer():
 def test_okubo_cross_map_realizes_the_swap_negate_class():
     ctx = _family_algebra("okubo-omega", F4)
     A, cb = ctx["algebra"], ctx["cb"]
-    cross = _okubo_cross(A, cb)
+    cross = _signed_permutation(A, cb.vectors, _DIM8_CROSS)
     Z4 = AbGroup(0, (4,))
     t1 = (Z4.element(1), Z4.element(2), Z4.element(1))
     t2 = (Z4.element(2), Z4.element(3), Z4.element(3))  # (-g2, -g1, -g3)

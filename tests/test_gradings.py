@@ -26,7 +26,6 @@ from compsuper.gradings import (
     induce,
     is_refinement,
     main_grading,
-    over_universal_group,
     trivial_grading,
     universal_group,
     validate,
@@ -198,39 +197,12 @@ def test_gamma_grading_dim8():
         gamma_grading_dim8(C, cb, G, (G.element(1, 0), G.element(0, 1), G.element(0, 1)))
 
 
-def test_gamma_grading_cd4():
-    from compsuper.constructions import super_split_quaternion
-    from compsuper.gradings import gamma_grading_cd4
-
-    A, cb = super_split_quaternion(F2)
-    g = gamma_grading_cd4(A, cb, Z, Z.element(1))
-    ok, _ = validate(g)
-    assert ok
-    G, _, inj = universal_group(g)
-    assert str(G) == "Z" and inj
-
-
 def test_gamma_equiv():
     g1, g2, g3 = Z.element(1), Z.element(2), Z.element(-3)
     assert gamma_equiv((g1, g2, g3), (g2, g1, g3))
     assert gamma_equiv((g1, g2, g3), (-g1, -g2, -g3))
     a, b, c = Z.element(1), Z.element(1), Z.element(-2)
     assert not gamma_equiv((a, b, c), (a, c, b))
-
-
-def test_over_universal_group():
-    # relabelling by the universal group recovers the full Z-grading from a
-    # Z6-labelled copy with the same three components
-    B = b12(F3)
-    G6 = AbGroup(0, (6,))
-    g = gamma_grading_b12(B, G6, G6.element(2))
-    gu, inj = over_universal_group(g)
-    assert inj and str(gu.group) == "Z"
-    assert gu.component_keys() == g.component_keys()
-    # with merged components the universal group shrinks: order-3 labels
-    g3 = gamma_grading_b12(B, G6, G6.element(3))  # u, v share degree 3
-    gu3, inj3 = over_universal_group(g3)
-    assert inj3 and str(gu3.group) == "Z2"
 
 
 def test_grading_json_round_trip_fields():

@@ -1,7 +1,9 @@
-"""Every name a module imports is read somewhere in that module.
+"""Every name a module imports is read somewhere in that module, and
+every top-level function and class of the package is read somewhere.
 
-No linter ships with the project, so this is the check for unused imports.
-`__init__.py` is left out: its imports are the package's exports.
+No linter ships with the project, so these are the checks for unused
+imports and dead definitions.  `__init__.py` is left out of the import
+check: its imports are the package's exports.
 """
 
 import ast
@@ -9,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "compsuper"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "compsuper"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -34,3 +37,53 @@ def test_every_import_is_read(path):
 def test_the_check_sees_an_unused_import():
     assert _unused_imports("import os\nfrom a import b, c as d\nprint(b)\n") == [
         (1, "os"), (2, "d")]
+
+
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _names_read(node):
+    """Names loaded, attributes taken and names imported under `node`."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            out.update(alias.name for alias in sub.names)
+    return out
+
+
+def _unread_definitions(modules, readers=()):
+    """(module, name) for each top-level def or class of `modules` (label ->
+    source) that is read nowhere in `modules` or `readers` (more sources)
+    except inside its own definition.  Dunder names are exempt."""
+    defined = []
+    read = set()
+    for label, source in [*modules.items(), *((None, text) for text in readers)]:
+        for node in ast.parse(source).body:
+            names = _names_read(node)
+            if label is not None and isinstance(node, DEFINITIONS):
+                names.discard(node.name)
+                if not (node.name.startswith("__") and node.name.endswith("__")):
+                    defined.append((label, node.name))
+            read |= names
+    return sorted(d for d in defined if d[1] not in read)
+
+
+def test_every_definition_is_read():
+    """Reads count from the package (its export list included), the
+    benchmark and the demos; the tests alone do not keep a name alive."""
+    modules = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    readers = [p.read_text() for d in ("bench", "demos") for p in sorted((ROOT / d).glob("*.py"))]
+    assert _unread_definitions(modules, readers) == []
+
+
+def test_the_check_sees_an_unread_definition():
+    modules = {
+        "m.py": "def used():\n    pass\n\n\ndef shown():\n    pass\n\n\n"
+                "def loop():\n    return loop()\n\n\nclass __Meta__:\n    pass\n",
+        "n.py": "from m import used\n",
+    }
+    assert _unread_definitions(modules, ["import m\nm.shown()\n"]) == [("m.py", "loop")]
