@@ -13,7 +13,7 @@ from itertools import combinations, permutations
 from . import linalg
 from .gradings import _RelationBuilder, _products, _relation_row, _separating_grading, validate
 from .fields import InfiniteField
-from .superalgebra import Morphism, identity_morphism, is_morphism, CheckFailed
+from .superalgebra import CheckFailed, MixedAlgebras, Morphism, identity_morphism, is_morphism
 
 
 class BudgetExhausted(RuntimeError):
@@ -52,21 +52,25 @@ class _GradedMapSearch:
     the next image are used directly instead of enumerating candidates.
 
     `_prepare` builds the source tables once per search, for every `run`:
-    the source basis is inverted with one rref; each source product is
-    written in that basis by one `mat_vec` with the inverse and listed
-    under the slot that checks it; and the inverse's columns turn a
-    solution's images into the images of the standard basis.  Slots are
-    ordered by the size of their source component, then by parity.  Every
-    caller assigns each component a target component of the same census,
-    so this puts the smallest candidate sets first for every assignment.
-    The target rrefs are `gb.spans`; each target component's nonzero
-    vectors are built on first use, once per search.
+    the source basis is inverted with one rref, and the inverse's columns
+    write each standard basis vector in the source basis.  Each source
+    product is written in the source basis as the `lincomb` of those
+    columns over the product's nonzero entries and listed under the slot
+    that checks it, and the same columns turn a solution's images into the
+    images of the standard basis.  Slots are ordered by the size of their
+    source component, then by parity.  Every caller assigns each component
+    a target component of the same census, so this puts the smallest
+    candidate sets first for every assignment.  The target rrefs are
+    `gb.spans`; each target component's nonzero vectors are built on first
+    use, once per search.
 
-    `run`'s `prefix` fixes the images of the first slots: slot t <
-    len(prefix) has the single candidate prefix[t], which is ticked and
-    checked by `consistent` like any other candidate, so `run` searches
-    only the maps that extend it.  With `collect` and no prefix, `run` is
-    the exhaustive reference: every solution, one leaf per map.
+    `run`'s `fixed` gives the candidates of the first slots: slot t <
+    len(fixed) tries exactly fixed[t], each ticked and checked by
+    `consistent` like any other candidate.  With `collect`, a solution
+    sends the search back to the last fixed slot, which goes on with its
+    next candidate: so `collect` gets the first solution under each
+    candidate of that slot, and with no fixed slots every solution, one
+    leaf per map (the exhaustive reference).
     """
 
     def __init__(self, A, ga, B, gb, budget, isometry=True):
@@ -108,26 +112,26 @@ class _GradedMapSearch:
         # listed (in (i, j) order) under their depth: the largest index of
         # a source vector they involve, the slot at which they are checked
         m = len(src_vecs)
-        inverse = linalg.basis_inverse(F, src_vecs)
+        # the inverse's columns: each standard basis vector in the source basis
+        std_coords = tuple(zip(*linalg.basis_inverse(F, src_vecs)))
         by_depth = [[] for _ in range(m)]
         z = F.zero
         for i in range(m):
             for j in range(m):
-                coeffs = linalg.mat_vec(F, inverse, A.mul(src_vecs[i], src_vecs[j]))
+                coeffs = linalg.lincomb(F, A.mul(src_vecs[i], src_vecs[j]), std_coords, m)
                 support = [k for k, c in enumerate(coeffs) if c != z]
                 by_depth[max([i, j] + support)].append((i, j, coeffs, support))
-        # the inverse's columns: each standard basis vector in the source basis
-        std_coords = tuple(zip(*inverse))
         return src_vecs, src_comp, by_depth, std_coords
 
-    def run(self, comp_target, collect=None, prefix=()):
+    def run(self, comp_target, collect=None, fixed=()):
         """Search with a fixed component assignment; returns a Morphism or None.
 
         comp_target: index of the target component for each source
-        component, whose census must match.  With collect (a list), every
-        solution is appended and None returned.  prefix: the images of the
-        first len(prefix) slots; only the maps that extend them are
-        searched.
+        component, whose census must match.  fixed: the candidates of the
+        first len(fixed) slots, one sequence per slot.  With collect (a
+        list), solutions are appended and None returned: the first under
+        each candidate of the last fixed slot, or every solution when
+        nothing is fixed.
         """
         A, B, F = self.A, self.B, self.F
         src_vecs, src_comp, by_depth, std_coords = self.tables
@@ -137,10 +141,11 @@ class _GradedMapSearch:
         images = [None] * m
         z = F.zero
         span_vectors = self._span_vectors
+        last = len(fixed) - 1 if fixed else m - 1  # a collected solution backs up to here
 
         def candidates(t):
-            if t < len(prefix):
-                return (prefix[t],)
+            if t < len(fixed):
+                return fixed[t]
             # a product of two assigned vectors may force the image
             for i, j, coeffs, support in by_depth[t]:
                 if i == t or j == t or coeffs[t] == z:
@@ -181,18 +186,15 @@ class _GradedMapSearch:
             if t == m:
                 imgs = tuple(linalg.lincomb(F, coeffs, images, n) for coeffs in std_coords)
                 f = _checked_map(Morphism(A, B, imgs), self.isometry)
-                if f is None:
-                    return None
-                if collect is not None:
+                if f is not None and collect is not None:
                     collect.append(f)
-                    return None
                 return f
             for cand in candidates(t):
                 self._tick()
                 images[t] = cand
                 if consistent(t):
                     got = dfs(t + 1)
-                    if got is not None:
+                    if got is not None and (collect is None or t > last):
                         return got
                 images[t] = None
             return None
@@ -210,22 +212,44 @@ def _checked_map(f, isometry):
         return None
 
 
-def try_verify_graded(f, ga, gb, isometry=True):
-    """Verify a candidate map as a degree-preserving graded isomorphism;
-    returns the tagged Morphism or None."""
+def _degree_preserving(f, ga, gb):
+    """True when f sends every component of ga into the component of gb of
+    the same degree, which must have the same dimension."""
     F = f.target.field
-    f = _checked_map(f, isometry)
-    if f is None:
-        return None
     for d, vs in ga.comps:
         k = gb.index.get(d)
         if k is None or len(vs) != len(gb.comps[k][1]):
-            return None
+            return False
         rr, piv = gb.spans[k]
         for v in vs:
             if not linalg.in_span(F, rr, piv, f.apply(v)):
-                return None
-    return f
+                return False
+    return True
+
+
+def try_verify_graded(f, ga, gb, isometry=True):
+    """Verify a candidate map as a degree-preserving graded isomorphism;
+    returns the tagged Morphism or None.
+
+    The checks run in order of cost.  First the gradings must belong to
+    f's source and target (ValueError otherwise) and the two algebras to
+    one field (MixedAlgebras otherwise, as `is_morphism` raises).  Then
+    the degree test (`_degree_preserving`: one `apply` and one `in_span`
+    per component vector), and only if it passes `_checked_map`, the
+    algebra-map, parity, bijectivity and isometry checks of
+    `is_morphism`.  Neither test has side effects and each only says yes
+    or no, so the answer is the one either order gives: None when one of
+    them fails, the tagged map when both pass.  A map that moves degrees,
+    such as the identity between two gradings of one algebra, is
+    rejected without a call to `is_morphism`.
+    """
+    if ga.algebra is not f.source or gb.algebra is not f.target:
+        raise ValueError("try_verify_graded needs gradings of the map's source and target")
+    if f.source.field != f.target.field:
+        raise MixedAlgebras(f"a morphism needs one field, got {f.source.field} and {f.target.field}")
+    if not _degree_preserving(f, ga, gb):
+        return None
+    return _checked_map(f, isometry)
 
 
 def find_graded_map(A, ga, B, gb, mode="isomorphism", budget=None, isometry=True):
@@ -235,11 +259,14 @@ def find_graded_map(A, ga, B, gb, mode="isomorphism", budget=None, isometry=True
     mode "equivalence": components map onto components, degrees free.
     Returns a verified Morphism, or None when the search space is
     exhausted (proven none).  Raises BudgetExhausted when the node budget
-    runs out.  In isomorphism mode with A is B the identity is tried
+    runs out, and ValueError when ga does not grade A or gb does not grade
+    B.  In isomorphism mode with A is B the identity is tried
     before any search, so a grading the identity verifies needs no finite
     field.  Only assignments between components of one census are
     searched, all of them by one `_GradedMapSearch`.
     """
+    if ga.algebra is not A or gb.algebra is not B:
+        raise ValueError("find_graded_map needs a grading of A and a grading of B")
     budget = budget or SearchBudget()
     if A.dim != B.dim:
         return None
@@ -272,57 +299,68 @@ def find_graded_map(A, ga, B, gb, mode="isomorphism", budget=None, isometry=True
 def enumerate_automorphisms(S, constraints, budget=None):
     """The graded isometric superalgebra automorphisms of S under the
     grading `constraints`, sorted by their images; `trivial_grading(S)`
-    gives every isometric automorphism.
+    gives every isometric automorphism.  Raises ValueError when
+    `constraints` grades another algebra.
 
     The group G is built from its stabilizer chain, by one
-    `_GradedMapSearch` and one short search per coset representative
-    instead of one search leaf per automorphism.
+    `_GradedMapSearch` and one `run` per slot instead of one search leaf
+    per automorphism.
 
     Let v_0..v_{m-1} be the search's slot vectors and G_t the elements of G
     that fix v_0..v_{t-1}, so G_0 = G and G_m = {id}.  For t = m-1 down to
-    0: c runs over the candidates of slot t when slots 0..t-1 hold the
-    identity's images, and r_c is the first solution whose slots 0..t hold
-    (v_0..v_{t-1}, c), r_c = id when c = v_t; a c that no solution extends
-    is skipped.  Then G_t is the disjoint union of the cosets r_c G_{t+1}.
-    Proof: r_c G_{t+1} lies in G_t and sends v_t to c, so the cosets are
-    disjoint; and any g in G_t with g(v_t) = c agrees with r_c on
-    v_0..v_t, so r_c^-1 g fixes v_0..v_t and g lies in r_c G_{t+1}.  A
-    slot that a product of earlier slots forces has the single candidate
-    v_t, so it leaves the group unchanged and costs no search.
+    0, one run fixes slots 0..t-1 to v_0..v_{t-1}, so it ticks and checks
+    that prefix once, and gives slot t the candidates c != v_t of its
+    component in the search's order.  The run collects r_c, the first
+    solution whose slot t holds c, and then goes on with the next
+    candidate; a c that no solution extends gets no r_c.  With r_{v_t} =
+    id, G_t is the disjoint union of the cosets r_c G_{t+1}.  Proof: r_c
+    G_{t+1} lies in G_t and sends v_t to c, so the cosets are disjoint;
+    and any g in G_t with g(v_t) = c agrees with r_c on v_0..v_t, so r_c^-1
+    g fixes v_0..v_t and g lies in r_c G_{t+1}.  Which element of the coset
+    the run finds first does not matter, so one run per slot gives the
+    same cosets as one run per candidate.  A slot that a product of
+    earlier slots forces has the single candidate v_t, so it leaves the
+    group unchanged and costs no run.
 
-    Each element of G_0 is a composite r_c ... r_c', and each one is
-    verified as a degree-preserving morphism by `try_verify_graded`
-    (`_checked_map` and the target spans) before it is returned, so no
-    map is taken on the strength of the coset argument alone.
+    Each returned map is verified exactly once.  The identity goes through
+    `try_verify_graded`.  A coset representative r_c has passed
+    `_checked_map` at its search leaf, so it only takes the degree test
+    (`_degree_preserving`) on top.  Every other element is a composite
+    r_c h with h != id in G_{t+1}, and goes through `try_verify_graded`.
+    So `is_morphism` runs |G| times, and no map is taken on the strength
+    of the coset argument alone.
     """
+    if constraints.algebra is not S:
+        raise ValueError("enumerate_automorphisms needs a grading of S")
     budget = budget or SearchBudget()
     F = S.field
     if F.order is None:
         raise InfiniteField(f"automorphism search needs a finite field, got {F}")
     g = constraints
+
+    def verified(f):
+        f = try_verify_graded(f, g, g)
+        if f is None:
+            raise RuntimeError("a graded automorphism failed verification")
+        return f
+
     search = _GradedMapSearch(S, g, S, g, budget)
     comp_target = [g.index[d] for d, _ in g.comps]
     slots, slot_comp, by_depth, _ = search.tables
     z = F.zero
-    group = [tuple(S.basis_vector(i) for i in range(S.dim))]  # G_m, as basis images
+    group = [verified(identity_morphism(S))]  # G_m
     for t in reversed(range(len(slots))):
         if any(i != t and j != t and coeffs[t] != z for i, j, coeffs, _ in by_depth[t]):
             continue  # forced slot
+        cands = [c for c in linalg.span_vectors(F, g.comps[comp_target[slot_comp[t]]][1], S.dim)
+                 if c != slots[t]]
         reps = []
-        for c in linalg.span_vectors(F, g.comps[comp_target[slot_comp[t]]][1], S.dim):
-            if c != slots[t]:
-                r = search.run(comp_target, prefix=tuple(slots[:t]) + (c,))
-                if r is not None:
-                    reps.append(r)
-        # G_t: G_{t+1} (c = v_t) and the cosets r_c G_{t+1}, as composites r_c after h
-        group += [tuple(r.apply(v) for v in h) for r in reps for h in group]
-    out = []
-    for images in group:
-        f = try_verify_graded(Morphism(S, S, images), g, g)
-        if f is None:
-            raise RuntimeError("a composite of graded automorphisms failed verification")
-        out.append(f)
-    return sorted(out, key=lambda f: tuple(f.images))
+        search.run(comp_target, collect=reps, fixed=tuple((v,) for v in slots[:t]) + (cands,))
+        if not all(_degree_preserving(r, g, g) for r in reps):
+            raise RuntimeError("a coset representative moved a degree")
+        # G_t: G_{t+1} (c = v_t) and the cosets r_c G_{t+1}, as r_c after h
+        group += reps + [verified(r.compose(h)) for r in reps for h in group[1:]]
+    return sorted(group, key=lambda f: tuple(f.images))
 
 
 def _decompositions_of_block(F, block_basis):

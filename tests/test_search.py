@@ -228,6 +228,9 @@ def test_enumerate_automorphisms_match_solved_coordinates(id, q):
     assert new.nodes == ref.nodes
 
 
+_SEARCH = search._GradedMapSearch
+
+
 def _smallest_field(entry):
     if entry.char == 3:
         return GF(3)
@@ -256,8 +259,118 @@ def test_coset_automorphisms_of_okuboeq4_form_a_group(monkeypatch):
     assert len(autos) == len(images) == 180
     assert identity_morphism(A).images in images
     assert all(f.compose(h).images in images for f in autos for h in autos)
-    # one search; the exhaustive search visits 6,360 nodes
-    assert nodes == [550]
+    # one search, one run per unforced slot (550 nodes with one run per
+    # candidate); the exhaustive search visits 6,360 nodes
+    assert nodes == [472]
+
+
+def _per_candidate_cosets(S, g):
+    """The coset loop as it was with one run per candidate: run r_c
+    fixes slots 0..t-1 to v_0..v_{t-1} and slot t to c.  Returns the
+    representatives of each unforced slot, from t = m-1 down, and the
+    group built from them, each composite verified by try_verify_graded."""
+    F = S.field
+    s = _SEARCH(S, g, S, g, SearchBudget())
+    comp_target = [g.index[d] for d, _ in g.comps]
+    slots, slot_comp, by_depth, _ = s.tables
+    group = [tuple(S.basis_vector(i) for i in range(S.dim))]
+    reps_by_slot = []
+    for t in reversed(range(len(slots))):
+        if any(i != t and j != t and coeffs[t] != F.zero for i, j, coeffs, _ in by_depth[t]):
+            continue
+        reps = []
+        for c in linalg.span_vectors(F, g.comps[comp_target[slot_comp[t]]][1], S.dim):
+            if c != slots[t]:
+                r = s.run(comp_target, fixed=tuple((v,) for v in slots[:t]) + ((c,),))
+                if r is not None:
+                    reps.append(r)
+        reps_by_slot.append([(r.images, r.attrs) for r in reps])
+        group += [tuple(r.apply(v) for v in h) for r in reps for h in group]
+    out = [search.try_verify_graded(Morphism(S, S, images), g, g) for images in group]
+    return reps_by_slot, sorted(out, key=lambda f: tuple(f.images))
+
+
+class _RecordedRuns(_SEARCH):
+    """The search with what each collecting run collected recorded."""
+
+    collected = []
+
+    def run(self, comp_target, collect=None, fixed=()):
+        got = super().run(comp_target, collect, fixed)
+        if collect is not None:
+            self.collected.append([(f.images, f.attrs) for f in collect])
+        return got
+
+
+_COSET_CASES = (
+    [("labelled", id) for id in catalog.LABELLED_IDS]
+    + [("trivial", label) for label in _SMALL_ALGEBRAS]
+)
+
+
+@pytest.mark.parametrize("kind, label", _COSET_CASES)
+def test_one_run_per_slot_matches_one_run_per_candidate(monkeypatch, kind, label):
+    """One run per slot finds the same coset representatives, in the same
+    order, and the same group as one run per candidate; and is_morphism
+    runs once per returned map."""
+    if kind == "labelled":
+        S, g = build_entry(label, _smallest_field(catalog.ENTRIES[label]))
+    else:
+        S = _SMALL_ALGEBRAS[label]()
+        g = trivial_grading(S)
+    want_reps, want = _per_candidate_cosets(S, g)
+    calls = []
+    real = search.is_morphism
+    monkeypatch.setattr(search, "is_morphism", lambda *a: calls.append(1) or real(*a))
+    monkeypatch.setattr(_RecordedRuns, "collected", [])
+    monkeypatch.setattr(search, "_GradedMapSearch", _RecordedRuns)
+    got = enumerate_automorphisms(S, g)
+    assert _RecordedRuns.collected == want_reps
+    assert [(f.images, f.attrs) for f in got] == [(f.images, f.attrs) for f in want]
+    assert len(calls) == len(got)
+
+
+def test_a_rejected_identity_try_makes_no_morphism_check(monkeypatch):
+    """The degree test comes first: the identity between two gradings of
+    B(1,2) with different degrees is rejected without is_morphism, and
+    the verdicts on every ordered pair are those of the morphism checks
+    run first."""
+    B = b12(F3)
+    gs = [gamma_grading_b12(B, Z6, Z6.element(k)) for k in (1, 2, 3, 5)]
+    ident = identity_morphism(B)
+
+    def morphism_first(f, ga, gb):
+        f = search._checked_map(f, True)
+        return f if f is not None and search._degree_preserving(f, ga, gb) else None
+
+    want = [morphism_first(ident, g1, g2) for g1 in gs for g2 in gs]
+    calls = []
+    real = search.is_morphism
+    monkeypatch.setattr(search, "is_morphism", lambda *a: calls.append(1) or real(*a))
+    got = [search.try_verify_graded(ident, g1, g2) for g1 in gs for g2 in gs]
+    assert got == want
+    assert [f is not None for f in got] == [g1 is g2 for g1 in gs for g2 in gs]
+    assert len(calls) == len(gs)
+
+
+def test_gradings_of_another_algebra_are_refused():
+    """find_graded_map, try_verify_graded and enumerate_automorphisms raise
+    ValueError, as is_refinement does, for a grading of another algebra."""
+    A, _ = split_hurwitz(4, F2)
+    P = para_hurwitz(A)
+    with pytest.raises(ValueError):
+        enumerate_automorphisms(A, main_grading(P))
+    S1, S2 = b12(F3), b12(F3)
+    g1 = gamma_grading_b12(S1, Z6, Z6.element(1))
+    g2 = gamma_grading_b12(S2, Z6, Z6.element(5))
+    with pytest.raises(ValueError):
+        find_graded_map(S1, g2, S1, g1)
+    with pytest.raises(ValueError):
+        find_graded_map(S1, g1, S1, g2)
+    with pytest.raises(ValueError):
+        search.try_verify_graded(identity_morphism(S1), g1, g2)
+    with pytest.raises(ValueError):
+        search.try_verify_graded(identity_morphism(S1), g2, g1)
 
 
 def _per_run_tables(search_, comp_target):
@@ -286,17 +399,15 @@ def _per_run_tables(search_, comp_target):
     return src_vecs, src_comp, by_depth, tuple(zip(*inverse))
 
 
-_SEARCH = search._GradedMapSearch
-
 
 class _PerRunSearch(_SEARCH):
     """The search with its tables and target span vectors rebuilt for
     every assignment."""
 
-    def run(self, comp_target, collect=None, prefix=()):
+    def run(self, comp_target, collect=None, fixed=()):
         self.tables = _per_run_tables(self, comp_target)
         self._span_vectors = {}
-        return super().run(comp_target, collect, prefix)
+        return super().run(comp_target, collect, fixed)
 
 
 def _searches(monkeypatch, cls, call):
@@ -429,22 +540,28 @@ def test_fine_check_budget():
 
 
 def _span_dedup_parity_splits(S, comp_vectors):
-    """Reference for `_parity_splits`: every ordered half of both blocks
-    built up front, unordered pairs deduplicated by the spans of W1, W2."""
+    """Reference for `_parity_splits`: every ordered pair of halves of the
+    two blocks, unordered pairs deduplicated by the spans of W1, W2.  The
+    even halves are generated as they are needed and the odd halves listed
+    once, so splits stream out without every half held first."""
     F = S.field
     ev = [v for v in comp_vectors if S.parity_of(v) == 0]
     od = [v for v in comp_vectors if S.parity_of(v) == 1]
 
     def halves(block):
-        res = [(list(block), []), ([], list(block))] if block else [([], [])]
-        for w1, w2 in linalg.complementary_pairs(F, block) if block else []:
-            res.append((w1, w2))
-            res.append((w2, w1))
-        return res
+        if not block:
+            yield [], []
+            return
+        yield list(block), []
+        yield [], list(block)
+        for w1, w2 in linalg.complementary_pairs(F, block):
+            yield w1, w2
+            yield w2, w1
 
+    odd = list(halves(od))
     seen = set()
     for e1, e2 in halves(ev):
-        for o1, o2 in halves(od):
+        for o1, o2 in odd:
             w1 = e1 + o1
             w2 = e2 + o2
             if not w1 or not w2:
