@@ -173,9 +173,13 @@ class AbGroup:
             raise ValueError(
                 f"an element of {self} needs {self.ngens} coordinates, got {len(coords)}"
             )
-        free = coords[: self.rank]
-        tor = tuple(c % d for c, d in zip(coords[self.rank:], self.torsion))
-        return free + tor
+        return self._reduce(coords)
+
+    def _reduce(self, coords):
+        """`coords`, a tuple of the right count, with each torsion
+        coordinate reduced mod its factor."""
+        r = self.rank
+        return coords[:r] + tuple(c % d for c, d in zip(coords[r:], self.torsion))
 
     def element(self, *coords):
         if len(coords) == 1 and isinstance(coords[0], (tuple, list)):
@@ -213,28 +217,75 @@ class AbGroup:
         return " x ".join(parts) if parts else "0"
 
 
-@dataclass(frozen=True)
 class AbElement:
-    group: AbGroup
-    coords: tuple
+    """An element of an AbGroup, used as an immutable value.
+
+    `AbGroup.element` is the only constructor that validates: it checks
+    the coordinate count and reduces each torsion coordinate mod its
+    factor.  The arithmetic checks that its operands share a group and
+    then only reduces the torsion coordinates.  The hash is computed
+    once, from the coordinates, so equal elements hash equal.  `-x` is
+    computed on first use and kept on x, so repeated negation returns
+    one object; the negative does not point back, so no reference cycle
+    forms.
+    """
+
+    __slots__ = ("group", "coords", "_hash", "_neg")
+
+    def __init__(self, group, coords):
+        _set = object.__setattr__
+        _set(self, "group", group)
+        _set(self, "coords", coords)
+        _set(self, "_hash", hash(coords))
+        _set(self, "_neg", None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return AbElement, (self.group, self.coords)
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        if other.__class__ is not AbElement:
+            return NotImplemented
+        return self.coords == other.coords and (
+            self.group is other.group or self.group == other.group)
+
+    def __repr__(self):
+        return f"AbElement(group={self.group!r}, coords={self.coords!r})"
 
     def _check(self, other):
-        if not isinstance(other, AbElement) or other.group != self.group:
+        if not isinstance(other, AbElement) or (
+                other.group is not self.group and other.group != self.group):
             raise WrongGroup(f"elements of {self.group} expected")
 
     def __add__(self, other):
         self._check(other)
-        return self.group.element(tuple(a + b for a, b in zip(self.coords, other.coords)))
+        g = self.group
+        return AbElement(g, g._reduce(tuple(a + b for a, b in zip(self.coords, other.coords))))
 
     def __sub__(self, other):
         self._check(other)
-        return self.group.element(tuple(a - b for a, b in zip(self.coords, other.coords)))
+        g = self.group
+        return AbElement(g, g._reduce(tuple(a - b for a, b in zip(self.coords, other.coords))))
 
     def __neg__(self):
-        return self.group.element(tuple(-a for a in self.coords))
+        n = self._neg
+        if n is None:
+            g = self.group
+            n = AbElement(g, g._reduce(tuple(-a for a in self.coords)))
+            object.__setattr__(self, "_neg", n)
+        return n
 
     def __rmul__(self, n):
-        return self.group.element(tuple(n * a for a in self.coords))
+        g = self.group
+        return AbElement(g, g._reduce(tuple(n * a for a in self.coords)))
 
     def is_zero(self):
         return all(a == 0 for a in self.coords)

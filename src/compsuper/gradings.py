@@ -463,12 +463,16 @@ def gamma_equiv(gamma, gamma2):
 
 def zero_sum_triples(G, max_order=None):
     """All (g1, g2, g1+g2 inverted) triples, optionally capped by element order."""
+    els = list(G.elements())
+    canon = {g: g for g in els}  # sums resolve to the listed objects
+    # elements of a finite group have nonzero order
+    small = {g for g in els if max_order is None or g.order() <= max_order}
     out = []
-    for g1 in G.elements():
-        for g2 in G.elements():
-            g3 = -(g1 + g2)
-            t = (g1, g2, g3)
-            if max_order is not None and any(x.order() > max_order or x.order() == 0 for x in t):
-                continue
-            out.append(t)
+    for g1 in els:
+        if g1 not in small:
+            continue
+        for g2 in els:
+            s = canon[g1 + g2]
+            if g2 in small and s in small:
+                out.append((g1, g2, -s))
     return out

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -140,6 +143,46 @@ def test_element_rejects_wrong_coordinate_count():
         AbGroup(1, (2,)).element((1,))
     with pytest.raises(ValueError):
         AbGroup(0, (4,)).element(())
+
+
+ELEMENT_GROUPS = [(r, t) for r in range(3) for t in ((), (2,), (6,), (2, 4), (3, 3))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(ELEMENT_GROUPS), st.integers(-7, 7), st.data())
+def test_element_values_match_the_validating_constructor(shape, n, data):
+    G = AbGroup(*shape)
+    raw = st.lists(st.integers(-50, 50), min_size=G.ngens, max_size=G.ngens)
+    a, b = data.draw(raw), data.draw(raw)
+    x, y = G.element(a), G.element(b)
+    assert x + y == G.element([p + q for p, q in zip(a, b)])
+    assert x - y == G.element([p - q for p, q in zip(a, b)])
+    assert -x == G.element([-p for p in a])
+    assert n * x == G.element([n * p for p in a])
+    assert hash(x) == hash(G.element(x.coords))
+    # an equal but distinct group object: equal elements, shared arithmetic
+    H = AbGroup(*shape)
+    assert H is not G
+    assert x == H.element(a) and hash(x) == hash(H.element(a))
+    assert x + H.element(b) == x + y
+    assert (-x) is (-x)
+    assert -(-x) == x
+    assert repr(x) == f"AbElement(group={G!r}, coords={x.coords!r})"
+    assert pickle.loads(pickle.dumps(x)) == x and copy.deepcopy(x) == x
+    with pytest.raises(AttributeError):
+        x.coords = (0,) * G.ngens
+    with pytest.raises(AttributeError):
+        x.group = H
+
+
+def test_elements_of_different_groups_differ():
+    a, b = AbGroup(0, (4,)).element(1), AbGroup(0, (6,)).element(1)
+    assert a.coords == b.coords
+    assert a != b
+    assert len({a, b}) == 2
+    with pytest.raises(WrongGroup):
+        a + b
+    assert repr(a) == "AbElement(group=AbGroup(rank=0, torsion=(4,)), coords=(1,))"
 
 
 def test_hom_apply():
