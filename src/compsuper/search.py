@@ -363,19 +363,46 @@ def enumerate_automorphisms(S, constraints, budget=None):
     return sorted(group, key=lambda f: tuple(f.images))
 
 
-def _decompositions_of_block(F, block_basis):
-    """All unordered direct-sum decompositions of span(block_basis).
+def _decompositions_of_block(S, block_basis, tick):
+    """The closed unordered direct-sum decompositions of span(block_basis),
+    a block of one parity of S.  A decomposition is closed when, for every
+    ordered pair of its pieces (a, b), the product space P_ab = span(a*b)
+    meets the block only in 0 or lies inside one piece.  `tick()` is called
+    once per piece pushed onto the search stack, before its closure
+    test, so the caller's budget bounds the listing.
 
-    A decomposition lists its subspaces in increasing order of their span
-    keys; decompositions come in depth-first order over the subspaces of
-    each dimension, smallest dimension first.  Each step asks whether the
-    span of the subspaces chosen so far and the next subspace form a
-    direct sum.  The answer depends only on that span and that subspace,
-    and many choices reach the same span, so it is memoized: (span id,
-    subspace index) -> id of the rref of their sum, or None when they are
-    dependent, under the integer key `span id * len(subspaces) + subspace
-    index`.  Spans are numbered as they are first met.
+    Why only closed decompositions matter, and why the prune is sound.  A
+    candidate that `_RelationBuilder.relations` accepts has components
+    e + o, one even and one odd piece (either may be absent), and sends
+    the products of each pair of components into one component.  Even x
+    even products are even, so for even pieces a and b, P_ab lies in the
+    even part of one component, which is its even piece.  So every even
+    decomposition that is not closed gets None from `relations` for every
+    odd decomposition and every matching.  Now let the chosen pieces of a
+    partial decomposition span V.  A piece added later meets V only in 0,
+    so a nonzero P_ab that meets V nontrivially must lie in a chosen
+    piece; if it lies in none, no completion is closed, and the branch is
+    pruned.  The rule holds in either block.  In the odd block it never
+    fires, because odd x odd products are even and meet V only in 0, so
+    every odd decomposition is listed.
+
+    The search tries pieces largest first, which fills V early so that
+    the rule fires sooner, and picks each set of pieces once, in
+    increasing search position.  It memoizes under integer keys, with n
+    the number of subspaces:
+    - the direct sum of a span and a piece, under `span id * n + piece`
+      (the id of the sum's rref, or None when they are dependent; spans
+      are numbered as they are first met);
+    - the rref of each P_ab, under the pair key `a * n + b`;
+    - "P_ab lies in piece c", under `pair * n + c`;
+    - "P_ab meets span sid", under `sid * n * n + pair`.
+
+    The survivors are sorted back into the order of the unpruned listing:
+    subspaces are indexed by dimension, smallest first, a decomposition
+    lists its pieces in increasing order of their span keys, and
+    decompositions are sorted lexicographically by their piece indices.
     """
+    F = S.field
     d = len(block_basis)
     if d == 0:
         return [()]
@@ -384,23 +411,65 @@ def _decompositions_of_block(F, block_basis):
         subspaces.extend(linalg.subspaces_of_span(F, block_basis, k))
     keys = [linalg.span_key(F, s) for s in subspaces]
     ns = len(subspaces)
+    order = sorted(range(ns), key=lambda t: -len(subspaces[t]))  # search position -> subspace
+    # first search position of a subspace of dimension <= k, for k = 0..d
+    first = [next((p for p, t in enumerate(order) if len(subspaces[t]) <= k), ns)
+             for k in range(d + 1)]
     spans = [()]  # span id -> rref rows; 0 is the zero space
     span_ids = {(): 0}
     sums = {}  # span id * ns + subspace index -> span id of the direct sum, or None
+    products = {}  # a * ns + b -> rref rows of P_ab, () when a*b = 0
+    piece_spans = {}  # subspace index -> its (rref rows, pivots)
+    inside = {}  # pair * ns + c -> P_ab lies in piece c
+    meets = {}  # span id * ns * ns + pair -> P_ab meets the span nontrivially
+
+    def holds(pair, c):
+        key = pair * ns + c
+        got = inside.get(key)
+        if got is None:
+            prods = products[pair]
+            got = False
+            if len(prods) <= len(subspaces[c]):
+                if c not in piece_spans:
+                    piece_spans[c] = linalg.rref(F, subspaces[c])
+                rr, piv = piece_spans[c]
+                got = all(linalg.in_span(F, rr, piv, p) for p in prods)
+            inside[key] = got
+        return got
+
+    def closed(chosen, sid):
+        for a in chosen:
+            for b in chosen:
+                pair = a * ns + b
+                prods = products.get(pair)
+                if prods is None:
+                    rr, _ = linalg.rref(F, _products(S, subspaces[a], subspaces[b]))
+                    prods = products[pair] = tuple(rr)
+                if not prods or any(holds(pair, c) for c in chosen):
+                    continue
+                key = sid * ns * ns + pair
+                hit = meets.get(key)
+                if hit is None:
+                    span = spans[sid]
+                    m = len(span) + len(prods)  # above S.dim, they must meet
+                    hit = meets[key] = m > S.dim or linalg.rank(F, list(span) + list(prods)) < m
+                if hit:
+                    return False
+        return True
+
     out = []
     chosen = []  # subspace indices of the current partial decomposition
-    stack = [[0, 0]]  # per depth: [span id of the chosen sum, next subspace index]
+    stack = [[0, 0]]  # per depth: [span id of the chosen sum, next search position]
     while stack:
         frame = stack[-1]
-        sid, t = frame
-        if t == ns:
+        sid, p = frame
+        if p == ns:
             stack.pop()
             if chosen:
                 chosen.pop()
             continue
-        frame[1] = t + 1
-        if chosen and keys[t] <= keys[chosen[-1]]:
-            continue
+        frame[1] = p + 1
+        t = order[p]
         span, s = spans[sid], subspaces[t]
         if len(span) + len(s) > d:
             continue
@@ -416,13 +485,17 @@ def _decompositions_of_block(F, block_basis):
             sums[sid * ns + t] = nid
         if nid is None:
             continue
+        tick()
         chosen.append(t)
-        if len(spans[nid]) == d:
-            out.append(tuple([subspaces[c] for c in chosen]))
+        if not closed(chosen, nid):
+            chosen.pop()
+        elif len(spans[nid]) == d:
+            out.append(sorted(chosen, key=keys.__getitem__))
             chosen.pop()
         else:
-            stack.append([nid, 0])
-    return out
+            stack.append([nid, max(p + 1, first[d - len(spans[nid])])])
+    out.sort()
+    return [tuple(subspaces[t] for t in dec) for dec in out]
 
 
 def _partial_matchings(na, nb):
@@ -438,10 +511,19 @@ def _partial_matchings(na, nb):
 def enumerate_all_gradings(S, budget=None):
     """Every grading of S over its universal group, for dim(S) <= 4.
 
-    Enumerates all decompositions into parity-split subspaces, keeps the
-    valid set gradings whose universal group separates components, and
-    deduplicates by component subspaces.  The result is complete unless
-    the budget is exhausted.
+    Lists the closed decompositions of the even and of the odd block
+    (`_decompositions_of_block`, which also gives the closure rule and
+    its proof), joins them into parity-split candidates, keeps the valid
+    set gradings whose universal group separates components, and
+    deduplicates by component subspaces.  Every candidate built from an
+    even decomposition that is not closed gets None from `relations`, so
+    listing only closed ones returns the same gradings in the same order
+    as the Cartesian product of all decompositions.  The result is
+    complete unless the budget is exhausted.
+
+    `nodes` counts the pieces pushed by both block listings plus the
+    candidates tried, and each one is charged to the budget, so the
+    budget bounds the listing as well as the candidate loop.
 
     The subspaces of the even and odd decompositions are the pieces of one
     `_RelationBuilder` per call, and a candidate component is (even
@@ -453,44 +535,51 @@ def enumerate_all_gradings(S, budget=None):
     if S.dim > 4:
         raise DimensionTooLarge("exhaustive grading enumeration is limited to dim <= 4")
     budget = budget or SearchBudget()
-    F = S.field
     nodes = 0
+
+    def tick():
+        nonlocal nodes
+        nodes += 1
+        if nodes > budget.max_nodes:
+            raise BudgetExhausted(nodes)
+
     ev = [S.basis_vector(i) for i in S.even_indices()]
     od = [S.basis_vector(i) for i in S.odd_indices()]
-    blocks = (_decompositions_of_block(F, ev), _decompositions_of_block(F, od))
-    pieces = list(dict.fromkeys(sub for block in blocks for dec in block for sub in dec))
-    piece_ids = {sub: i for i, sub in enumerate(pieces)}
-    even_decomps, odd_decomps = (
-        [tuple(piece_ids[sub] for sub in dec) for dec in block] for block in blocks
-    )
-    del blocks  # the index tuples replace the subspace tuples
-    builder = _RelationBuilder(S, pieces)
     out = []
     seen = set()
-    for de in even_decomps:
-        for do in odd_decomps:
-            for matching in _partial_matchings(len(de), len(do)):
-                nodes += 1
-                if nodes > budget.max_nodes:
-                    return EnumResult(out, complete=False, nodes=nodes)
-                comps = []
-                used_odd = set(matching.values())
-                for i, e in enumerate(de):
-                    comps.append((e, do[matching[i]]) if i in matching else (e,))
-                for j, o in enumerate(do):
-                    if j not in used_odd:
-                        comps.append((o,))
-                rels = builder.relations(comps)
-                if rels is None:
-                    continue
-                cand = _separating_grading(S, rels, [builder.vectors(c) for c in comps])
-                if cand is None:
-                    continue
-                key = cand.component_keys()
-                if key in seen:
-                    continue
-                seen.add(key)
-                out.append(cand)
+    try:
+        blocks = (_decompositions_of_block(S, ev, tick), _decompositions_of_block(S, od, tick))
+        pieces = list(dict.fromkeys(sub for block in blocks for dec in block for sub in dec))
+        piece_ids = {sub: i for i, sub in enumerate(pieces)}
+        even_decomps, odd_decomps = (
+            [tuple(piece_ids[sub] for sub in dec) for dec in block] for block in blocks
+        )
+        del blocks  # the index tuples replace the subspace tuples
+        builder = _RelationBuilder(S, pieces)
+        for de in even_decomps:
+            for do in odd_decomps:
+                for matching in _partial_matchings(len(de), len(do)):
+                    tick()
+                    comps = []
+                    used_odd = set(matching.values())
+                    for i, e in enumerate(de):
+                        comps.append((e, do[matching[i]]) if i in matching else (e,))
+                    for j, o in enumerate(do):
+                        if j not in used_odd:
+                            comps.append((o,))
+                    rels = builder.relations(comps)
+                    if rels is None:
+                        continue
+                    cand = _separating_grading(S, rels, [builder.vectors(c) for c in comps])
+                    if cand is None:
+                        continue
+                    key = cand.component_keys()
+                    if key in seen:
+                        continue
+                    seen.add(key)
+                    out.append(cand)
+    except BudgetExhausted:
+        return EnumResult(out, complete=False, nodes=nodes)
     return EnumResult(out, complete=True, nodes=nodes)
 
 

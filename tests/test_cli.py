@@ -102,6 +102,15 @@ def test_enumerate_subcommand(capsys):
     assert payload["complete"] and payload["count"] == 2
 
 
+def test_enumerate_budget_exhausted_exits_1(capsys):
+    """The budget bounds the decomposition listing: split4/GF(4) stops
+    inside its even block with no grading."""
+    code = run(["enumerate", "--construction", "split4", "--field", "GF(4)", "--budget", "10"])
+    assert code == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["complete"], payload["count"]) == (False, 0)
+
+
 def test_fine_subcommand(capsys):
     code = run(["fine", "--catalog", "eq7", "--field", "GF(2)"])
     assert code == 0

@@ -293,15 +293,21 @@ def test_coarsening_relations_match_reference(monkeypatch):
 
 def test_grading_enumeration_relations_match_reference(monkeypatch):
     """The shared builder gives the from-scratch relations, or None, on
-    every candidate that `enumerate_all_gradings` builds."""
+    every candidate that `enumerate_all_gradings` builds.  An all-even
+    algebra's candidates are its closed decompositions, so none of them
+    gets None; with odd parts, some candidates get None and some
+    component joins an even and an odd piece."""
     from compsuper.search import enumerate_all_gradings
 
     for S in (split_hurwitz(4, F2)[0], b12(F3),
               cayley_dickson_super(split_hurwitz(2, F4)[0], F4.one), super_split_quaternion(F2)[0]):
         calls = _recorded_relations(monkeypatch, lambda: enumerate_all_gradings(S))
-        assert calls and any(got is None for _, _, got in calls), S
-        if S.odd_indices():  # some component joins an even and an odd piece
+        assert calls, S
+        if S.odd_indices():
+            assert any(got is None for _, _, got in calls), S
             assert any(len(c) == 2 for _, comps, _ in calls for c in comps), S
+        else:
+            assert all(got is not None for _, _, got in calls), S
         _assert_matches_reference(calls)
 
 

@@ -8,6 +8,7 @@ from compsuper.catalog import build_entry
 from compsuper.constructions import (
     b12,
     b12_lambda,
+    cayley_dickson_super,
     nonsplit_quadratic,
     okubo_super,
     para_hurwitz,
@@ -17,6 +18,8 @@ from compsuper.constructions import (
 )
 from compsuper.fields import GF, QQ, InfiniteField
 from compsuper.gradings import (
+    _RelationBuilder,
+    _separating_grading,
     coarsenings_enum,
     _products,
     _set_grading_relations,
@@ -767,10 +770,23 @@ def _reference_decompositions_of_block(F, block_basis):
     return out
 
 
+def _zero_algebra(F, n):
+    """The all-even n-dimensional algebra with zero multiplication and a
+    zero form: every decomposition of a block of it is closed."""
+    z = F.zero
+    zeros = [[z] * n for _ in range(n)]
+    return SuperAlgebra(F, (0,) * n, [zeros] * n, [z] * n, zeros)
+
+
+def _no_budget():
+    pass
+
+
 def test_decompositions_of_block_match_rank_check():
-    """The memoized direct sums give the same decompositions, in the same
-    order, as a rank check per candidate, on whole spaces and on a block
-    spanned by some coordinates of a larger space."""
+    """On an algebra with zero multiplication, which prunes nothing, the
+    closure-pruned listing gives every decomposition, in the order of a
+    rank check per candidate, on whole spaces and on a block spanned by
+    some coordinates of a larger space."""
     def unit(F, n, i):
         return tuple(F.one if j == i else F.zero for j in range(n))
 
@@ -778,13 +794,145 @@ def test_decompositions_of_block_match_rank_check():
     for q, d in ((2, 4), (3, 2), (4, 2), (9, 2), (2, 1), (2, 0)):
         F = GF(q)
         block = [unit(F, d, i) for i in range(d)]
-        got = _decompositions_of_block(F, block)
+        got = _decompositions_of_block(_zero_algebra(F, d), block, _no_budget)
         assert got == _reference_decompositions_of_block(F, block), (q, d)
         counts[q, d] = len(got)
     assert counts == {(2, 4): 2921, (3, 2): 7, (4, 2): 11, (9, 2): 46, (2, 1): 1, (2, 0): 1}
     F = GF(3)
     block = [unit(F, 5, 1), unit(F, 5, 3), unit(F, 5, 4)]
-    assert _decompositions_of_block(F, block) == _reference_decompositions_of_block(F, block)
+    got = _decompositions_of_block(_zero_algebra(F, 5), block, _no_budget)
+    assert got == _reference_decompositions_of_block(F, block)
+
+
+@pytest.fixture(scope="module")
+def reference_blocks():
+    """The reference listings of the blocks met in this module, kept
+    across tests: split4/GF(3) has 132,706 even decompositions."""
+    return {}
+
+
+def _reference_blocks(S, cache):
+    """The reference listings of S's even and odd blocks."""
+    out = []
+    for idx in (S.even_indices(), S.odd_indices()):
+        block = tuple(S.basis_vector(i) for i in idx)
+        if (S.field, block) not in cache:
+            cache[S.field, block] = _reference_decompositions_of_block(S.field, list(block))
+        out.append(cache[S.field, block])
+    return out
+
+
+def _closed_under_products(S, block, dec, memo):
+    """Whether the products of each ordered pair of pieces of `dec`, a
+    decomposition of span(block), lie in a single piece whenever they lie
+    in the block, by a rank test per pair and piece.  Products of two
+    odd pieces are even, so every decomposition of the odd block passes.
+    `memo` keeps the products and the tests under the subspaces."""
+    F = S.field
+    for a in dec:
+        for b in dec:
+            if (a, b) not in memo:
+                prods = [S.mul(x, y) for x in a for y in b]
+                memo[a, b] = prods if linalg.rank(F, block + prods) == len(block) else None
+            prods = memo[a, b]
+            if prods is None:
+                continue
+            for c in dec:
+                if (a, b, c) not in memo:
+                    memo[a, b, c] = linalg.rank(F, list(c) + prods) == len(c)
+                if memo[a, b, c]:
+                    break
+            else:
+                return False
+    return True
+
+
+# the algebras of the brute-force cross-checks of the grading enumeration
+CROSS_CHECK_ALGEBRAS = {
+    "split4/GF(2)": lambda: split_hurwitz(4, F2)[0],
+    "para-split4/GF(2)": lambda: para_hurwitz(split_hurwitz(4, F2)[0]),
+    "split4/GF(3)": lambda: split_hurwitz(4, F3)[0],
+    "CD(split2,1)/GF(4)": lambda: cayley_dickson_super(split_hurwitz(2, F4)[0], F4.one),
+    "K/GF(4)": lambda: nonsplit_quadratic(F4),
+    "B(1,2)/GF(9)": lambda: b12(GF(9)),
+}
+
+
+@pytest.mark.parametrize("label", sorted(CROSS_CHECK_ALGEBRAS))
+def test_closed_decompositions_match_the_filtered_rank_check(label, reference_blocks):
+    """The closure-pruned listing of each block is the rank-check
+    listing filtered by "every pair product lies in one piece", in the
+    same order."""
+    S = CROSS_CHECK_ALGEBRAS[label]()
+    refs = _reference_blocks(S, reference_blocks)
+    for idx, ref in zip((S.even_indices(), S.odd_indices()), refs):
+        block = [S.basis_vector(i) for i in idx]
+        got = _decompositions_of_block(S, block, _no_budget)
+        memo = {}
+        assert got == [dec for dec in ref if _closed_under_products(S, block, dec, memo)], label
+
+
+def _cartesian_gradings(S, blocks):
+    """Test-local copy of the grading enumeration over every pair of
+    block decompositions `blocks` (even, odd), closed or not, with no
+    budget."""
+    pieces = list(dict.fromkeys(sub for block in blocks for dec in block for sub in dec))
+    piece_ids = {sub: i for i, sub in enumerate(pieces)}
+    even_decomps, odd_decomps = (
+        [tuple(piece_ids[sub] for sub in dec) for dec in block] for block in blocks
+    )
+    builder = _RelationBuilder(S, pieces)
+    out = []
+    seen = set()
+    for de in even_decomps:
+        for do in odd_decomps:
+            for matching in search._partial_matchings(len(de), len(do)):
+                used_odd = set(matching.values())
+                comps = [(e, do[matching[i]]) if i in matching else (e,)
+                         for i, e in enumerate(de)]
+                comps += [(o,) for j, o in enumerate(do) if j not in used_odd]
+                rels = builder.relations(comps)
+                if rels is None:
+                    continue
+                cand = _separating_grading(S, rels, [builder.vectors(c) for c in comps])
+                if cand is None or cand.component_keys() in seen:
+                    continue
+                seen.add(cand.component_keys())
+                out.append(cand)
+    return out
+
+
+@pytest.mark.parametrize("label", ["split4/GF(2)", "para-split4/GF(2)", "split4/GF(3)",
+                                   "CD(split2,1)/GF(4)", "B(1,2)/GF(9)"])
+def test_enumerate_all_gradings_matches_the_cartesian_listing(label, reference_blocks):
+    """Listing only closed even decompositions returns the gradings of
+    the Cartesian listing, in the same order."""
+    S = CROSS_CHECK_ALGEBRAS[label]()
+    res = enumerate_all_gradings(S)
+    want = _cartesian_gradings(S, _reference_blocks(S, reference_blocks))
+    assert res.complete
+    assert [g.to_json() for g in res.gradings] == [g.to_json() for g in want], label
+    if label == "split4/GF(3)":
+        assert len(want) == 20
+
+
+def test_budget_bounds_the_decomposition_listing():
+    """A budget of 10 nodes stops split4/GF(4) inside its even-block
+    listing (2,488,257 decompositions unpruned): the eleventh charged
+    node ends the search with no grading."""
+    class CountingBudget(SearchBudget):
+        def __init__(self):
+            self.charged = 0
+
+        @property
+        def max_nodes(self):
+            self.charged += 1
+            return 10
+
+    budget = CountingBudget()
+    res = enumerate_all_gradings(split_hurwitz(4, F4)[0], budget=budget)
+    assert (res.complete, res.gradings, res.nodes) == (False, [], 11)
+    assert budget.charged == 11
 
 
 def test_dimension_guard():
