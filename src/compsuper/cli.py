@@ -198,7 +198,10 @@ def _grading_file(path, field_name):
     """(algebra, decomposition) read from a grading file; a given
     field_name must name the file's field."""
     with open(path) as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
     A = SuperAlgebra.from_json(json_member(data, "algebra", dict, "grading file"))
     if field_name is not None and field_from_string(field_name) != A.field:
         raise UsageError(
@@ -322,7 +325,7 @@ def make_parser():
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, construction=False, grading=False, two=False):
+    def common(sp, construction=False, grading=False, two=False, budget=False):
         fields = '"Q", "GF(2)", "GF(3)", "GF(4)", "GF(9)"'
         if grading:
             sp.add_argument("--field", default=None,
@@ -330,7 +333,8 @@ def make_parser():
         else:
             sp.add_argument("--field", default="GF(2)", help=fields)
         sp.add_argument("--out", default=None, help="write JSON to this path")
-        sp.add_argument("--budget", type=int, default=2_000_000)
+        if budget:
+            sp.add_argument("--budget", type=int, default=2_000_000)
         if construction:
             sp.add_argument("--construction", required=True, choices=CONSTRUCTIONS)
             sp.add_argument("--alpha", default=None, help="doubling scalar")
@@ -361,16 +365,16 @@ def make_parser():
     common(sp, grading=True)
     sp.set_defaults(fn=cmd_universal_group)
     sp = sub.add_parser("equiv", help="search for a graded isomorphism between two entries")
-    common(sp, grading=True, two=True)
+    common(sp, grading=True, two=True, budget=True)
     sp.set_defaults(fn=cmd_equiv)
     sp = sub.add_parser("autos", help="enumerate graded automorphisms")
-    common(sp, grading=True)
+    common(sp, grading=True, budget=True)
     sp.set_defaults(fn=cmd_autos)
     sp = sub.add_parser("enumerate", help="enumerate all gradings (dim <= 4)")
-    common(sp, construction=True)
+    common(sp, construction=True, budget=True)
     sp.set_defaults(fn=cmd_enumerate)
     sp = sub.add_parser("fine", help="single-split fineness check")
-    common(sp, grading=True)
+    common(sp, grading=True, budget=True)
     sp.set_defaults(fn=cmd_fine)
     sp = sub.add_parser("report", help="run the full acceptance suite")
     sp.add_argument("--out", default=None)

@@ -84,8 +84,8 @@ CAYLEY_TABLE = {
     ("v3", "u3"): [("e2", -1)],
 }
 
-# polar form: b(e1,e2)=1, b(u_i,v_i)=1 (dual bases), everything else 0
-CAYLEY_POLAR_PAIRS = [("e1", "e2"), ("u1", "v1"), ("u2", "v2"), ("u3", "v3")]
+# polar form, (a, b) -> sign of b(a, b): b(e1,e2)=1, b(u_i,v_i)=1 (dual bases), else 0
+CAYLEY_POLAR_PAIRS = {("e1", "e2"): 1, ("u1", "v1"): 1, ("u2", "v2"): 1, ("u3", "v3"): 1}
 
 SUPER_CAYLEY_PARITY = {"e1": 0, "e2": 0, "u1": 1, "u2": 1, "u3": 0, "v1": 1, "v2": 1, "v3": 0}
 
@@ -152,7 +152,7 @@ def _table_algebra(field, names, parity, table_pairs, polar_pairs, q0_names=(), 
     n = len(names)
     idx = {nm: i for i, nm in enumerate(names)}
     z = field.zero
-    one = field.one
+    sign = {1: field.one, -1: field.neg(field.one)}
     table = [[[z] * n for _ in range(n)] for _ in range(n)]
     for (a, b), terms in table_pairs.items():
         if a not in idx or b not in idx:
@@ -161,17 +161,17 @@ def _table_algebra(field, names, parity, table_pairs, polar_pairs, q0_names=(), 
             if res not in idx:
                 raise ValueError(f"product {a}*{b} leaves the chosen basis")
             table[idx[a]][idx[b]][idx[res]] = field.add(
-                table[idx[a]][idx[b]][idx[res]], one if sgn == 1 else field.neg(one)
+                table[idx[a]][idx[b]][idx[res]], sign[sgn]
             )
     polar = [[z] * n for _ in range(n)]
-    for a, b in polar_pairs:
+    for (a, b), sgn in polar_pairs.items():
         if a in idx and b in idx:
             i, j = idx[a], idx[b]
-            polar[i][j] = one
+            polar[i][j] = sign[sgn]
             if parity[i] == 1 and parity[j] == 1:
-                polar[j][i] = field.neg(one)
+                polar[j][i] = field.neg(sign[sgn])
             else:
-                polar[j][i] = one
+                polar[j][i] = sign[sgn]
     q0 = [z] * n
     for nm, val in q0_names:
         q0[idx[nm]] = field.from_int(val) if isinstance(val, int) else val
@@ -186,9 +186,7 @@ def split_hurwitz(dim, field):
     (trivial odd part); works over any field."""
     if dim not in (2, 4, 8):
         raise ValueError(f"split Hurwitz algebras have dimension 2, 4 or 8, got {dim!r}")
-    names = CAYLEY_NAMES[: {2: 2, 4: 4, 8: 8}[dim]]
-    if dim == 4:
-        names = ("e1", "e2", "u1", "v1")
+    names = {2: CAYLEY_NAMES[:2], 4: ("e1", "e2", "u1", "v1"), 8: CAYLEY_NAMES}[dim]
     A = _table_algebra(
         field,
         names,
@@ -230,24 +228,15 @@ def super_split_quaternion(field):
 def nonsplit_quadratic(field):
     """The 2-dimensional Hurwitz algebra F[w]/(w^2+w+1) with the norm form;
     anisotropic exactly when x^2+x+1 has no root in F."""
-    z, o = field.zero, field.one
-    names = ("1", "w")
     table = {
         ("1", "1"): [("1", 1)],
         ("1", "w"): [("w", 1)],
         ("w", "1"): [("w", 1)],
         ("w", "w"): [("1", -1), ("w", -1)],
     }
-    n = 2
-    tbl = [[[z] * n for _ in range(n)] for _ in range(n)]
-    idx = {"1": 0, "w": 1}
-    for (a, b), terms in table.items():
-        for res, sgn in terms:
-            tbl[idx[a]][idx[b]][idx[res]] = o if sgn == 1 else field.neg(o)
-    # norm of a+bw is a^2 - ab*? : q(1)=1, q(w)=1, b(1,w)=-1 (from w^2+w+1=0)
-    polar = [[field.add(o, o), field.neg(o)], [field.neg(o), field.add(o, o)]]
-    q0 = [o, o]
-    return SuperAlgebra(field, (0, 0), tbl, q0, polar, basis_names=names, name="K(w^2+w+1)")
+    # q(1) = q(w) = 1 and b(1, w) = -1, from w^2 + w + 1 = 0
+    return _table_algebra(field, ("1", "w"), (0, 0), table, {("1", "w"): -1},
+                          q0_names=[("1", 1), ("w", 1)], name="K(w^2+w+1)")
 
 
 def cayley_dickson(Q, alpha, super_grading):
@@ -333,7 +322,7 @@ def b12(field):
         names,
         (0, 1, 1),
         table,
-        [("u", "v")],
+        {("u", "v"): 1},
         q0_names=[("1", 1)],
         name="B(1,2)",
     )
@@ -374,14 +363,9 @@ def b42(field):
         ("u", "v"): [("e2", -1)],
         ("v", "u"): [("e1", 1)],
     }
-    polar_pairs = [("e1", "e2"), ("u", "v")]
-    A = _table_algebra(field, names, (0, 0, 0, 0, 1, 1), table, polar_pairs, name="B(4,2)")
     # b(x,y) = det(x+y) - det x - det y = -1
-    polar = [list(row) for row in A.polar]
-    i, j = names.index("x"), names.index("y")
-    polar[i][j] = field.neg(field.one)
-    polar[j][i] = field.neg(field.one)
-    return SuperAlgebra(field, A.parity, A.table, A.q0, polar, basis_names=names, name="B(4,2)")
+    polar_pairs = {("e1", "e2"): 1, ("u", "v"): 1, ("x", "y"): -1}
+    return _table_algebra(field, names, (0, 0, 0, 0, 1, 1), table, polar_pairs, name="B(4,2)")
 
 
 def para_hurwitz(C):
@@ -625,99 +609,3 @@ def canonical_basis_find(C, a):
     )
     cb.verify()
     return cb
-
-
-def adapt_basis_to_automorphism(C, phi):
-    """Canonical basis of parity-homogeneous vectors in which phi acts as
-    tau_nst, or as tau_omega when phi restricted to U cap C_1 is
-    diagonalizable.  Returns (cb, label)."""
-    F = C.field
-    if C.dim != 8:
-        raise BadAutomorphism("expected the dimension-8 split Cayley superalgebra")
-    if not phi.power(3).is_identity() or phi.is_identity():
-        raise BadAutomorphism("phi must have order exactly 3")
-    for i in C.even_indices():
-        if phi.images[i] != C.basis_vector(i):
-            raise BadAutomorphism("phi must fix the even part pointwise")
-    even = [C.basis_vector(i) for i in C.even_indices()]
-    odd = [C.basis_vector(i) for i in C.odd_indices()]
-    if linalg.eigenspace(F, phi.images, F.one, odd):
-        raise BadAutomorphism("phi has nonzero fixed points on the odd part")
-    one = C.unit()
-    e1 = next((v for v in linalg.span_vectors(F, even, C.dim) if v != one and C.mul(v, v) == v),
-              None)
-    if e1 is None:
-        raise NotSplit("even part has no proper idempotent")
-    pd = peirce_decomposition(C, e1)
-    u_odd = _intersect(F, pd.U, odd)
-    u_even = _intersect(F, pd.U, even)
-    if len(u_odd) != 2 or len(u_even) != 1:
-        raise BadAutomorphism("Peirce spaces are not compatible with the parity")
-    omega = F.primitive_cube_root_raw()
-    label = None
-    u1 = u2 = None
-    if omega is not None:
-        eig = linalg.eigenspace(F, phi.images, omega, u_odd)
-        if eig:
-            label = "omega"
-            u1 = eig[0]
-            eig2 = linalg.eigenspace(F, phi.images, F.mul(omega, omega), u_odd)
-            if not eig2:
-                raise BadAutomorphism("phi is diagonalizable with a single eigenvalue")
-            u2 = eig2[0]
-    if label is None:
-        label = "nst"
-        for cand in linalg.span_vectors(F, u_odd, C.dim):
-            img = phi.apply(cand)
-            if linalg.rank(F, [cand, img]) == 2:
-                u1 = cand
-                u2 = img
-                break
-        if u1 is None:
-            raise BadAutomorphism("phi acts as a scalar on U cap C_1")
-    w = C.mul(u1, u2)
-    zgen = u_even[0]
-    c = C.eval_b(w, zgen)
-    if c == F.zero:
-        raise BadAutomorphism("pairing with U cap C_0 is degenerate")
-    u3 = linalg.vec_scale(F, F.inv(c), zgen)
-    cb = CanonicalBasis(
-        C,
-        {
-            "e1": tuple(e1),
-            "e2": pd.e2,
-            "u1": u1,
-            "u2": u2,
-            "u3": u3,
-            "v1": C.mul(u2, u3),
-            "v2": C.mul(u3, u1),
-            "v3": C.mul(u1, u2),
-        },
-    )
-    cb.verify()
-    expected = tau_nst(cb) if label == "nst" else tau_omega(cb)
-    if expected.images != phi.images:
-        raise BadAutomorphism(f"phi does not act as tau_{label} in the adapted basis")
-    return cb, label
-
-
-def _intersect(F, space_a, space_b):
-    """Basis of the intersection of two spans."""
-    if not space_a or not space_b:
-        return []
-    n = len(space_a[0])
-    # x in A cap B  <=>  x = A^T s = B^T t; solve [A^T | -B^T] kernel
-    rows = []
-    for i in range(n):
-        rows.append(
-            tuple(space_a[j][i] for j in range(len(space_a)))
-            + tuple(F.neg(space_b[j][i]) for j in range(len(space_b)))
-        )
-    ker = linalg.nullspace(F, rows)
-    out = []
-    for k in ker:
-        vec = linalg.lincomb(F, k[: len(space_a)], space_a, n)
-        if not linalg.vec_is_zero(F, vec):
-            out.append(vec)
-    rr, _ = linalg.rref(F, out) if out else ([], [])
-    return list(rr)

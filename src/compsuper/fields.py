@@ -287,13 +287,18 @@ class QuadraticField(Field):
 
 QQ = RationalField()
 _CACHE = {}
+# Orders from here up are refused before the primality test: trial division
+# up to sqrt(q) stays under 46,341 steps below it.
+MAX_ORDER = 2**31
 
 
 def GF(q):
-    """GF(q) for q prime, or the fixed models GF(4)=GF(2)[x]/(x^2+x+1),
-    GF(9)=GF(3)[x]/(x^2+1)."""
+    """GF(q) for q prime below MAX_ORDER, or the fixed models
+    GF(4)=GF(2)[x]/(x^2+x+1), GF(9)=GF(3)[x]/(x^2+1)."""
     if q in _CACHE:
         return _CACHE[q]
+    if q >= MAX_ORDER:
+        raise FieldError(f"field order {q} is too large: orders must be below {MAX_ORDER}")
     if q == 4:
         f = QuadraticField(2, (1, 1))
     elif q == 9:
@@ -305,11 +310,13 @@ def GF(q):
 
 
 def field_from_string(s):
-    """Parse a field name: "Q", "GF(2)", "GF(3)", "GF(4)", "GF(9)"."""
+    """Parse a field name: "Q", or "GF(q)" with q in ASCII digits, such as
+    "GF(2)", "GF(3)", "GF(4)", "GF(9)"."""
     s = s.strip()
     if s == "Q":
         return QQ
-    if s.startswith("GF(") and s.endswith(")"):
-        return GF(int(s[3:-1]))
+    m = re.fullmatch(r"GF\(([0-9]+)\)", s)
+    if m:
+        return GF(int(m.group(1)))
     raise FieldError(f"unknown field {s!r}")
 

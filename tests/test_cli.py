@@ -257,6 +257,64 @@ def test_structure_index_out_of_range_exits_2(capsys, tmp_path, bad):
 
 
 
+@pytest.mark.parametrize("argv", [
+    ["build", "--construction", "split2"],
+    ["check", "--construction", "split2"],
+    ["universal-group", "--catalog", "eq7"],
+], ids=["build", "check", "universal-group"])
+def test_budget_is_refused_where_nothing_searches(capsys, argv):
+    assert run(argv + ["--budget", "10"]) == 2
+    assert "unrecognized arguments: --budget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["equiv", "--catalog", "eq2", "--catalog2", "eq2", "--field", "GF(3)"],
+    ["autos", "--catalog", "eq7"],
+    ["enumerate", "--construction", "split2"],
+    ["fine", "--catalog", "eq7"],
+], ids=["equiv", "autos", "enumerate", "fine"])
+def test_searching_subcommands_read_the_budget(capsys, argv):
+    assert run(argv + ["--budget", "0"]) == 2
+    assert "search budget must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", [
+    "GF(1000000000000000003)", "GF(1_1)", "GF(\u0663)", "GF( 3)",
+], ids=["huge-order", "underscore", "arabic-indic-digit", "inner-space"])
+def test_bad_field_names_exit_2(capsys, tmp_path, name):
+    """On the command line and in a grading file, a field order of 2**31 or
+    more exits 2 at once (trial division would take 10**9 steps on this
+    prime), and the order must be spelled in ASCII digits."""
+    from compsuper.catalog import build_entry
+    from compsuper.fields import GF
+
+    code = run(["check", "--construction", "split2", "--field", name])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    A, g = build_entry("eq3", GF(3))
+    algebra = A.to_json()
+    algebra["field"] = name
+    path = tmp_path / "grading.json"
+    path.write_text(json.dumps({"algebra": algebra, "grading": g.to_json()}))
+    code = run(["universal-group", "--grading-file", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error:") and len(captured.err.strip().splitlines()) == 1
+
+
+def test_deeply_nested_grading_file_exits_2(capsys, tmp_path):
+    """json.load raises RecursionError on 200,000 nested lists; the CLI
+    reports it as malformed input, not as a failed verification."""
+    path = tmp_path / "grading.json"
+    path.write_text("[" * 200_000)
+    code = run(["fine", "--grading-file", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error:") and len(captured.err.strip().splitlines()) == 1
+    assert "nested too deeply" in captured.err
+
+
 def _first_component(data):
     return data["grading"]["components"][0]
 

@@ -8,7 +8,6 @@ from compsuper.constructions import (
     NotIsotropic,
     WrongCharacteristic,
     ZeroAlpha,
-    adapt_basis_to_automorphism,
     b12,
     b12_lambda,
     b42,
@@ -302,35 +301,6 @@ def test_canonical_basis_find():
         canonical_basis_find(C, C.unit())  # q(1) = 1
     with pytest.raises(NotIsotropic):
         canonical_basis_find(C, C.zero())
-
-
-def test_adapt_basis_recovers_nst_from_scrambled():
-    C, cb = super_split_cayley(F2)
-    phi = tau_nst(cb)
-    # conjugate by a parity-preserving automorphism: the flip e1 <-> e2, u <-> v
-    from compsuper.catalog import _DIM8_FLIP, _signed_permutation
-
-    g = _signed_permutation(C, cb.vectors, _DIM8_FLIP)
-    scrambled = g.compose(phi).compose(g.inverse())
-    cb2, label = adapt_basis_to_automorphism(C, scrambled)
-    assert label == "nst"
-    assert tau_nst(cb2).images == scrambled.images
-
-
-def test_adapt_basis_omega():
-    C, cb = super_split_cayley(F4)
-    phi = tau_omega(cb)
-    cb2, label = adapt_basis_to_automorphism(C, phi)
-    assert label == "omega"
-    # tau_nst over GF(4) is diagonalizable, so it is identified as omega
-    cb3, label3 = adapt_basis_to_automorphism(C, tau_nst(cb))
-    assert label3 == "omega"
-
-
-def test_adapt_basis_rejects_identity():
-    C, cb = super_split_cayley(F2)
-    with pytest.raises(BadAutomorphism):
-        adapt_basis_to_automorphism(C, identity_morphism(C))
 
 
 def test_nonsplit_quadratic_is_anisotropic_over_gf2():

@@ -129,11 +129,23 @@ def test_rational_field():
 
 
 def test_field_from_string_and_fmt():
-    for name in ("Q", "GF(2)", "GF(3)", "GF(4)", "GF(9)"):
+    for name in ("Q", "GF(2)", "GF(3)", "GF(4)", "GF(9)", "GF(13)", "GF(1000003)",
+                 "GF(2147483647)"):
         assert field_from_string(name).name == name
     F = GF(9)
     for a in F.elements():
         assert F.parse_elt(F.fmt(a)) == a
+
+
+@pytest.mark.parametrize("name", [
+    "GF(2147483648)", "GF(1000000000000000003)", "GF(1_1)", "GF(\u0663)", "GF( 3)", "GF(+3)",
+], ids=["order-2**31", "huge-prime", "underscore", "arabic-indic-digit", "inner-space", "plus"])
+def test_field_names_need_ascii_digits_and_an_order_below_2_31(name):
+    """The order is refused before the primality test, whose trial division
+    would take 10**9 steps on the huge prime; below 2**31 it takes at most
+    46,341 steps."""
+    with pytest.raises(FieldError):
+        field_from_string(name)
 
 
 def test_characteristic_reported():

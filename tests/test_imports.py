@@ -87,3 +87,57 @@ def test_the_check_sees_an_unread_definition():
         "n.py": "from m import used\n",
     }
     assert _unread_definitions(modules, ["import m\nm.shown()\n"]) == [("m.py", "loop")]
+
+
+# Exported names that only the tests read, each with the reason it stays
+# public; every other export must have a reader outside the tests.
+TEST_ONLY_EXPORTS = {
+    "induce": "builds the induced gradings ^alpha Gamma whose Weyl-group orbits are the "
+              "isomorphism classes (ROADMAP item 5)",
+}
+
+
+def _exports(init_source):
+    return sorted(alias.asname or alias.name for node in ast.parse(init_source).body
+                  if isinstance(node, ast.ImportFrom) for alias in node.names)
+
+
+def _defined_by(node):
+    if isinstance(node, DEFINITIONS):
+        return {node.name}
+    if isinstance(node, ast.Assign):
+        return {t.id for t in node.targets if isinstance(t, ast.Name)}
+    return set()
+
+
+def _unread_exports(exports, modules, readers=()):
+    """The names of `exports` read nowhere in `modules` (label -> source,
+    the package without its `__init__.py`) except inside their own
+    top-level definition, nor in `readers` (more sources)."""
+    read = set()
+    for source in modules.values():
+        for node in ast.parse(source).body:
+            read |= _names_read(node) - _defined_by(node)
+    for source in readers:
+        read |= _names_read(ast.parse(source))
+    return [name for name in exports if name not in read]
+
+
+def test_every_export_has_a_reader_outside_the_tests():
+    """The check above counts the export list as a read, so a public name
+    that only its own tests call passes it; this one does not."""
+    modules = {p.name: p.read_text() for p in MODULES}
+    readers = [p.read_text() for d in ("bench", "demos") for p in sorted((ROOT / d).glob("*.py"))]
+    exports = _exports((SRC / "__init__.py").read_text())
+    assert sorted(TEST_ONLY_EXPORTS) == _unread_exports(exports, modules, readers)
+
+
+def test_the_check_sees_an_export_read_only_by_itself():
+    modules = {
+        "m.py": "def used():\n    pass\n\n\ndef alone():\n    return alone()\n\n\n"
+                "TABLE = {}\n",
+        "n.py": "from m import used\n",
+    }
+    init = "from .m import used, alone, TABLE\nfrom .n import shown\n"
+    assert _unread_exports(_exports(init), modules, ["import pkg\npkg.shown()\n"]) == [
+        "TABLE", "alone"]

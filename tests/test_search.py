@@ -179,6 +179,19 @@ def test_tau_nst_is_a_graded_automorphism_of_the_five_grading():
     assert any(f.images == t.images for f in autos)
 
 
+def test_okubo_nst_and_omega_are_isomorphic_over_gf4():
+    """Over GF(4), where tau_nst is diagonalizable, twisting by tau_nst or
+    by tau_omega gives one superalgebra: the search finds a map between
+    the main gradings in each direction, and each map passes
+    try_verify_graded."""
+    nst, omega = okubo_super(F4, "nst")[0], okubo_super(F4, "omega")[0]
+    for A, B in ((nst, omega), (omega, nst)):
+        ga, gb = main_grading(A), main_grading(B)
+        f = find_graded_map(A, ga, B, gb)
+        assert f is not None
+        assert search.try_verify_graded(f, ga, gb) is not None
+
+
 def test_identity_is_found_over_q_without_a_search():
     A, _ = split_hurwitz(4, QQ)
     g = main_grading(A)
