@@ -245,12 +245,7 @@ def cmd_equiv(args):
     field = field_from_string(args.field or "GF(2)")
     A, ga = _catalog_entry(args.catalog, field)
     B, gb = _catalog_entry(args.catalog2, field)
-    budget = SearchBudget(args.budget)
-    try:
-        f = find_graded_map(A, ga, B, gb, mode=args.mode, budget=budget)
-    except BudgetExhausted as exc:
-        _emit({"result": "budget-exhausted", "nodes": exc.nodes}, args.out)
-        return 1
+    f = find_graded_map(A, ga, B, gb, mode=args.mode, budget=SearchBudget(args.budget))
     payload = {
         "mode": args.mode,
         "a": args.catalog,
@@ -266,12 +261,7 @@ def cmd_equiv(args):
 
 def cmd_autos(args):
     A, g = _grading_from_args(args)
-    budget = SearchBudget(args.budget)
-    try:
-        autos = enumerate_automorphisms(A, constraints=g, budget=budget)
-    except BudgetExhausted as exc:
-        _emit({"result": "budget-exhausted", "nodes": exc.nodes}, args.out)
-        return 1
+    autos = enumerate_automorphisms(A, constraints=g, budget=SearchBudget(args.budget))
     payload = {
         "count": len(autos),
         "maps": [[[A.field.fmt(c) for c in img] for img in f.images] for f in autos],
@@ -299,11 +289,7 @@ def cmd_enumerate(args):
 
 def cmd_fine(args):
     A, g = _grading_from_args(args)
-    try:
-        status, witness = fine_check(g, budget=SearchBudget(args.budget))
-    except BudgetExhausted as exc:
-        _emit({"result": "budget-exhausted", "nodes": exc.nodes}, args.out)
-        return 1
+    status, witness = fine_check(g, budget=SearchBudget(args.budget))
     payload = {"result": status}
     if witness is not None:
         payload["witness"] = witness.to_json()
@@ -318,8 +304,17 @@ def cmd_report(args):
     return 0 if payload["all_passed"] else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors print one line,
+    `error: <message>`, and exit 2; `add_subparsers` makes the
+    subcommand parsers of the same class."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def make_parser():
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="compsuper",
         description="Exact constructions and grading verification for composition superalgebras.",
     )
@@ -392,6 +387,9 @@ def run(argv=None):
         return args.fn(args)
     except NotAGrading as exc:
         _emit({"valid": False, "witness": [str(w) for w in exc.witness]}, args.out)
+        return 1
+    except BudgetExhausted as exc:
+        _emit({"result": "budget-exhausted", "nodes": exc.nodes}, args.out)
         return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -30,7 +30,7 @@ class NotSetGrading(ValueError):
 class Grading:
     """A decomposition of `algebra` into components, each with a degree.
 
-    Three read-only lookups are computed on first use and kept for the
+    Five read-only lookups are computed on first use and kept for the
     life of the grading; validation, the graded-map searches, `fine_check`
     and the grading checks in `axioms` read them instead of rebuilding
     them per call:
@@ -40,7 +40,12 @@ class Grading:
     - `spans`: per component, in the order of `comps`, its rref rows and
       pivot columns, as tuples;
     - `census`: degree -> (even dim, odd dim) of its component, where a
-      vector that is not even counts as odd.
+      vector that is not even counts as odd;
+    - `landing`: `landing[a][b]` is the position of the component of
+      degree deg(a) + deg(b), or None when there is none;
+    - `products(a, b)`: the nonzero products x*y, x over component a and
+      y over component b, x-then-y order, as a tuple; each ordered pair
+      is computed on its first call.
     """
 
     algebra: object
@@ -72,6 +77,22 @@ class Grading:
             ev = sum(1 for v in vs if A.parity_of(v) == 0)
             out[d] = (ev, len(vs) - ev)
         return MappingProxyType(out)
+
+    @cached_property
+    def landing(self):
+        index = self.index
+        return tuple(tuple(index.get(da + db) for db, _ in self.comps) for da, _ in self.comps)
+
+    @cached_property
+    def _pair_products(self):
+        return {}  # (a, b) -> products(a, b)
+
+    def products(self, a, b):
+        got = self._pair_products.get((a, b))
+        if got is None:
+            got = tuple(_products(self.algebra, self.comps[a][1], self.comps[b][1]))
+            self._pair_products[a, b] = got
+        return got
 
     def degrees(self):
         return [d for d, _ in self.comps]
@@ -135,7 +156,11 @@ def main_grading(algebra):
 
 
 def validate(grading):
-    """Exact check of all grading invariants; returns (ok, witness)."""
+    """Exact check of all grading invariants; returns (ok, witness).
+
+    The component products come from the grading's `landing` and
+    `products`, which are kept, so a later `fine_check` of the same
+    grading does not compute them again."""
     A = grading.algebra
     F = A.field
     allvecs = []
@@ -152,17 +177,12 @@ def validate(grading):
         return False, ("components do not decompose the algebra",)
     if len(grading.index) != len(grading.comps):
         return False, ("duplicate degrees",)
-    for gi, vi in grading.comps:
-        for gj, vj in grading.comps:
-            k = grading.index.get(gi + gj)
-            tgt = None if k is None else grading.spans[k]
-            for x in vi:
-                for y in vj:
-                    p = A.mul(x, y)
-                    if linalg.vec_is_zero(F, p):
-                        continue
-                    if tgt is None or not linalg.in_span(F, tgt[0], tgt[1], p):
-                        return False, (str(gi), str(gj), A.fmt(p))
+    for a, (gi, _) in enumerate(grading.comps):
+        for b, (gj, _) in enumerate(grading.comps):
+            k = grading.landing[a][b]
+            for p in grading.products(a, b):
+                if k is None or not linalg.in_span(F, *grading.spans[k], p):
+                    return False, (str(gi), str(gj), A.fmt(p))
     return True, None
 
 

@@ -368,8 +368,9 @@ def _decompositions_of_block(S, block_basis, tick):
     a block of one parity of S.  A decomposition is closed when, for every
     ordered pair of its pieces (a, b), the product space P_ab = span(a*b)
     meets the block only in 0 or lies inside one piece.  `tick()` is called
-    once per piece pushed onto the search stack, before its closure
-    test, so the caller's budget bounds the listing.
+    once per subspace of the block as it is listed, before its span key is
+    computed, and once per piece pushed onto the search stack, before its
+    closure test, so the caller's budget bounds the whole listing.
 
     Why only closed decompositions matter, and why the prune is sound.  A
     candidate that `_RelationBuilder.relations` accepts has components
@@ -408,7 +409,9 @@ def _decompositions_of_block(S, block_basis, tick):
         return [()]
     subspaces = []
     for k in range(1, d + 1):
-        subspaces.extend(linalg.subspaces_of_span(F, block_basis, k))
+        for sub in linalg.subspaces_of_span(F, block_basis, k):
+            tick()
+            subspaces.append(sub)
     keys = [linalg.span_key(F, s) for s in subspaces]
     ns = len(subspaces)
     order = sorted(range(ns), key=lambda t: -len(subspaces[t]))  # search position -> subspace
@@ -521,9 +524,10 @@ def enumerate_all_gradings(S, budget=None):
     as the Cartesian product of all decompositions.  The result is
     complete unless the budget is exhausted.
 
-    `nodes` counts the pieces pushed by both block listings plus the
-    candidates tried, and each one is charged to the budget, so the
-    budget bounds the listing as well as the candidate loop.
+    `nodes` counts the subspaces listed and the pieces pushed by both
+    block listings plus the candidates tried, and each one is charged to
+    the budget, so the budget bounds the listing as well as the candidate
+    loop.
 
     The subspaces of the even and odd decompositions are the pieces of one
     `_RelationBuilder` per call, and a candidate component is (even
@@ -640,37 +644,7 @@ def _parity_splits(S, comp_vectors):
                 yield w1, w2
 
 
-class _PairTable:
-    """Per ordered pair (a, b) of a grading's components, for one
-    `fine_check` call: `landing(a, b)`, the position of the component of
-    degree deg(a) + deg(b) (None when the grading has none), and
-    `products(a, b)`, the nonzero products of their vectors.  Each is
-    computed on first use and kept; a degree lookup never forces the
-    products."""
-
-    def __init__(self, grading):
-        self.algebra = grading.algebra
-        self.comps = [vs for _, vs in grading.comps]
-        self._degs = grading.degrees()
-        self._index = grading.index
-        self._n = len(self.comps)
-        self._landing = {}  # a * n + b -> landing position or None
-        self._products = {}  # a * n + b -> nonzero products
-
-    def landing(self, a, b):
-        key = a * self._n + b
-        if key not in self._landing:
-            self._landing[key] = self._index.get(self._degs[a] + self._degs[b])
-        return self._landing[key]
-
-    def products(self, a, b):
-        key = a * self._n + b
-        if key not in self._products:
-            self._products[key] = _products(self.algebra, self.comps[a], self.comps[b])
-        return self._products[key]
-
-
-def _split_relations(table, ci, w1, w2):
+def _split_relations(grading, ci, w1, w2):
     """`_set_grading_relations` on the components of a grading with
     component ci replaced by the parts w1 and w2, listed last after the
     untouched components, or None.
@@ -678,30 +652,32 @@ def _split_relations(table, ci, w1, w2):
     The nonzero products of components a and b lie in the component of
     degree deg(a) + deg(b) and, as the components are independent, in no
     other; so do those of a part with b, since the part lies in ci.  So a
-    pair whose products land outside ci gets its row from the degree
-    table alone, and only products landing in ci are tested, against the
-    two parts: k is the first part holding all of them, as in
-    `_set_grading_relations`, and None is returned when neither does.
-    Untouched pairs read their products from the table; the products
-    that involve a part are computed per split.  The rows come in the
-    order of `_set_grading_relations`, so `presentation_to_group` returns
-    the same reassignment.
+    pair whose products land outside ci gets its row from the grading's
+    table (`Grading.landing`) alone, and only products landing in ci are
+    tested, against the two parts: k is the first part holding all of
+    them, as in `_set_grading_relations`, and None is returned when
+    neither does.  Untouched pairs read their products from the table
+    too (`Grading.products`); the products that involve a part are
+    computed per split.  The rows come in the order of
+    `_set_grading_relations`, so `presentation_to_group` returns the same
+    reassignment.
     """
-    S = table.algebra
+    S = grading.algebra
     F = S.field
-    m = len(table.comps) - 1
+    m = len(grading.comps) - 1
     n = m + 2
     src = [k for k in range(m + 1) if k != ci] + [ci, ci]  # candidate -> component
-    cand = [table.comps[k] for k in src[:m]] + [w1, w2]
+    cand = [grading.comps[k][1] for k in src[:m]] + [w1, w2]
+    landing = grading.landing
     parts = None
     rels = []
     for i in range(n):
         for j in range(n):
-            k = table.landing(src[i], src[j])
+            k = landing[src[i]][src[j]]
             if k is None:
                 continue  # in a grading these products are all zero
             if i < m and j < m:
-                prods = table.products(src[i], src[j])
+                prods = grading.products(src[i], src[j])
             else:
                 prods = _products(S, cand[i], cand[j])
             if not prods:
@@ -733,11 +709,12 @@ def fine_check(grading, budget=None):
     single splits are explored, so "fine" means fine under this search.
 
     The splits of a component are streamed by `_parity_splits`, so a
-    component whose first splits succeed never pays for the rest.  One
-    `_PairTable` per call holds where each pair of components lands and
-    its products; every split reads it (`_split_relations`) and pays only
-    for the products that involve its parts and for checking that the
-    products landing in the split component fit inside one part.
+    component whose first splits succeed never pays for the rest.  Where
+    each pair of components lands and its products are read from the
+    grading's table (`Grading.landing` and `Grading.products`), which
+    outlives the call; every split reads it (`_split_relations`) and pays
+    only for the products that involve its parts and for checking that
+    the products landing in the split component fit inside one part.
 
     A component is skipped when the nonzero products of untouched pairs
     landing in it already span it.  The rule assumes that those products
@@ -754,25 +731,25 @@ def fine_check(grading, budget=None):
     S = grading.algebra
     F = S.field
     nodes = 0
-    table = _PairTable(grading)
-    n = len(table.comps)
-    for ci, comp in enumerate(table.comps):
+    comps = [vs for _, vs in grading.comps]
+    landing = grading.landing
+    for ci, comp in enumerate(comps):
         if len(comp) < 2:
             continue
         # products of the untouched components that land in this component
         # must fit inside one of the two parts; if they already span the
         # whole component, no split can succeed (see above)
-        untouched = [k for k in range(n) if k != ci]
+        untouched = [k for k in range(len(comps)) if k != ci]
         incoming = [p for j in untouched for k in untouched
-                    if table.landing(j, k) == ci for p in table.products(j, k)]
+                    if landing[j][k] == ci for p in grading.products(j, k)]
         if incoming and linalg.rank(F, incoming) == len(comp):
             continue
-        others = [table.comps[k] for k in untouched]
+        others = [comps[k] for k in untouched]
         for w1, w2 in _parity_splits(S, comp):
             nodes += 1
             if nodes > budget.max_nodes:
                 raise BudgetExhausted(nodes)
-            rels = _split_relations(table, ci, w1, w2)
+            rels = _split_relations(grading, ci, w1, w2)
             if rels is None:
                 continue
             witness = _separating_grading(S, rels, others + [w1, w2])

@@ -86,11 +86,31 @@ def test_autos_subcommand(capsys):
     assert json.loads(capsys.readouterr().out)["count"] == 2
 
 
-def test_autos_budget_exhausted_exits_1(capsys):
-    code = run(["autos", "--catalog", "okuboeq4", "--field", "GF(4)", "--budget", "10"])
+@pytest.mark.parametrize("argv", [
+    ["autos", "--catalog", "okuboeq4", "--field", "GF(4)"],
+    ["equiv", "--catalog", "eq6", "--catalog2", "okuboeq1", "--field", "GF(4)"],
+    ["fine", "--catalog", "main-cd8", "--field", "GF(2)"],
+], ids=["autos", "equiv", "fine"])
+def test_autos_budget_exhausted_exits_1(capsys, argv):
+    """Every search command reports an exhausted budget the same way."""
+    code = run(argv + ["--budget", "10"])
     captured = capsys.readouterr()
     assert code == 1 and captured.err == ""
     assert json.loads(captured.out) == {"result": "budget-exhausted", "nodes": 11}
+
+
+@pytest.mark.parametrize("argv", [
+    ["build", "--construction", "nope"],
+    ["fine", "--budget", "x"],
+    ["equiv", "--catalog", "eq2"],
+    [],
+    ["build", "--construction", "split2", "--budget", "10"],
+], ids=["bad-choice", "bad-int", "missing-catalog2", "no-command", "unknown-option"])
+def test_usage_errors_print_one_line(capsys, argv):
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
 
 
 def test_enumerate_subcommand(capsys):
@@ -106,6 +126,16 @@ def test_enumerate_budget_exhausted_exits_1(capsys):
     """The budget bounds the decomposition listing: split4/GF(4) stops
     inside its even block with no grading."""
     code = run(["enumerate", "--construction", "split4", "--field", "GF(4)", "--budget", "10"])
+    assert code == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["complete"], payload["count"]) == (False, 0)
+
+
+def test_budget_bounds_the_subspace_listing(capsys):
+    """The even block of split2/GF(1000003) has 1,000,005 subspaces; each
+    one listed is charged, so a small budget stops the listing itself."""
+    code = run(["enumerate", "--construction", "split2", "--field", "GF(1000003)",
+                "--budget", "1000"])
     assert code == 1
     payload = json.loads(capsys.readouterr().out)
     assert (payload["complete"], payload["count"]) == (False, 0)

@@ -52,11 +52,18 @@ def test_validate_cartan_and_eq1():
 
 
 def test_validate_rejects_bad_degrees():
-    B = b12(F3)
-    # u and v both in degree 1: u.v = 1 would have to land in degree 2
-    bad = grading_from_degrees(B, Z, [Z.element(0), Z.element(1), Z.element(1)])
-    ok, witness = validate(bad)
-    assert not ok and witness is not None
+    """The witness is the first product, pair by pair in component order,
+    that lies outside the component of its degree."""
+    for algebra, degrees, witness in (
+        # u and v both in degree 1: u.v = 1 would have to land in degree 2
+        (b12, [0, 1, 1], ("1", "1", "1")),
+        # 1 and v in degree 0, u in degree 1: v.u = 2 lands in degree 1, outside span(u)
+        (b12, [0, 1, 0], ("0", "1", "(2)*1")),
+        # x in degree 2, v in degree 1: x.v = 2u would land in degree 3, which is absent
+        (b42, [0, 0, 2, -2, -1, 1], ("2", "1", "(2)*u")),
+    ):
+        bad = grading_from_degrees(algebra(F3), Z, [Z.element(d) for d in degrees])
+        assert validate(bad) == (False, witness), (algebra.__name__, degrees)
 
 
 def test_support():

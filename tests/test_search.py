@@ -31,10 +31,9 @@ from compsuper.gradings import (
     is_refinement,
     validate,
 )
-from compsuper import search
+from compsuper import gradings, search
 from compsuper.search import (
     BudgetExhausted,
-    _PairTable,
     _decompositions_of_block,
     _parity_splits,
     _split_relations,
@@ -647,27 +646,28 @@ def test_parity_splits_match_span_dedup():
 
 
 def test_split_relations_match_set_grading_relations():
-    """Reading the untouched pairs and every landing off one pair table
-    gives the relations computed from scratch, split by split, including
-    pairs whose products must fit inside one part (eq7/GF(4) has pairs
-    landing in each part)."""
+    """Reading the untouched pairs and every landing off the grading's
+    table gives the relations computed from scratch, split by split,
+    including pairs whose products must fit inside one part (eq7/GF(4)
+    has pairs landing in each part)."""
     for id, q in (("eq7", 4), ("main-cd4", 4), ("main-cd8", 2)):
         _, g = build_entry(id, GF(q))
         S = g.algebra
-        table = _PairTable(g)
         comps = [list(vs) for _, vs in g.comps]
         for ci, comp in enumerate(comps):
             others = comps[:ci] + comps[ci + 1:]
             for w1, w2 in _parity_splits(S, comp):
                 want = _set_grading_relations(S, others + [w1, w2])
-                assert _split_relations(table, ci, w1, w2) == want, (id, q, ci)
+                assert _split_relations(g, ci, w1, w2) == want, (id, q, ci)
 
 
 def test_fine_check_builds_each_component_pair_products_once(monkeypatch):
-    """One `fine_check` call computes the products of each ordered pair of
-    whole components at most once, whichever components it splits: the
-    first three gradings have two components whose splits are tried, and
-    eq7 skips all of its components on their incoming products."""
+    """`validate` and then two `fine_check` calls on one grading compute
+    the products of each ordered pair of whole components at most once
+    between them, whichever components are split: all three read them
+    from the grading's table.  The first three gradings have two
+    components whose splits are tried, and eq7 skips all of its
+    components on their incoming products."""
     for id, q in (("cor1eq5", 2), ("cor1eq6", 4), ("okuboeq4", 4), ("eq7", 4)):
         _, g = build_entry(id, GF(q))
         whole = {tuple(vs): k for k, (_, vs) in enumerate(g.comps)}
@@ -679,7 +679,10 @@ def test_fine_check_builds_each_component_pair_products_once(monkeypatch):
                 built.append((a, b))
             return _products(algebra, xs, ys)
 
+        monkeypatch.setattr(gradings, "_products", counting)
         monkeypatch.setattr(search, "_products", counting)
+        assert validate(g) == (True, None), (id, q)
+        fine_check(g)
         fine_check(g)
         monkeypatch.undo()
         assert built, (id, q)
@@ -946,6 +949,25 @@ def test_budget_bounds_the_decomposition_listing():
     res = enumerate_all_gradings(split_hurwitz(4, F4)[0], budget=budget)
     assert (res.complete, res.gradings, res.nodes) == (False, [], 11)
     assert budget.charged == 11
+
+
+def test_budget_bounds_the_subspace_listing(monkeypatch):
+    """Each subspace listed is charged before the next is made: the even
+    block of split2/GF(1000003) has 1,000,005 subspaces, and a budget of
+    1000 nodes stops the listing at the 1001st."""
+    listed = []
+    subspaces_of_span = linalg.subspaces_of_span
+
+    def counting(field, basis, k):
+        for sub in subspaces_of_span(field, basis, k):
+            listed.append(sub)
+            yield sub
+
+    S = split_hurwitz(2, GF(1000003))[0]
+    monkeypatch.setattr(linalg, "subspaces_of_span", counting)
+    res = enumerate_all_gradings(S, budget=SearchBudget(1000))
+    assert (res.complete, res.gradings, res.nodes) == (False, [], 1001)
+    assert len(listed) == 1001
 
 
 def test_dimension_guard():
