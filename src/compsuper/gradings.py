@@ -274,6 +274,23 @@ class _RelationBuilder:
         self._inside[cid * self._npairs + pair] = got
         return got
 
+    def landing(self, a, b):
+        """The first piece c whose span holds every product of pieces a
+        and b, or None when those products are zero or no single piece
+        holds them; read from and kept in the memo that `relations`
+        reads, with c as the component (c,)."""
+        pair = a * len(self.pieces) + b
+        if not self._pair_products((a,), (b,)):
+            return None
+        for c in range(len(self.pieces)):
+            cid = self._comp_id((c,))
+            got = self._inside.get(cid * self._npairs + pair)
+            if got is None:
+                got = self._holds(pair, (c,), cid)
+            if got:
+                return c
+        return None
+
     def vectors(self, comp):
         """The concatenated vectors of a component's pieces."""
         return [v for a in comp for v in self.pieces[a]]
@@ -372,27 +389,43 @@ def is_refinement(fine, coarse):
     return True
 
 
-def _partitions(items):
-    """Set partitions in a deterministic (restricted-growth) order."""
-    items = list(items)
-    n = len(items)
-    if n == 0:
-        yield []
-        return
+def _partitions(n, triples):
+    """Set partitions of range(n), as lists of blocks, in restricted-growth
+    order, skipping every partition that splits a triple: a partition is
+    skipped when two triples (a, b, c) and (a2, b2, c2) have a ~ a2 and
+    b ~ b2 but c and c2 in different blocks.  A partial partition is
+    dropped as soon as such two triples are assigned, so no completion
+    of it is made.  The partitions that are kept come in the order of
+    the unpruned listing."""
+    due = [[] for _ in range(n)]  # item -> the triples whose last item it is
+    for t in triples:
+        due[max(t)].append(t)
+    label = [0] * n  # item -> its block
+    target = {}  # (block of a, block of b) -> block of c, for assigned triples
 
-    def rec(i, parts):
+    def rec(i, nblocks):
         if i == n:
-            yield [list(p) for p in parts]
+            blocks = [[] for _ in range(nblocks)]
+            for item, lab in enumerate(label):
+                blocks[lab].append(item)
+            yield blocks
             return
-        for p in parts:
-            p.append(items[i])
-            yield from rec(i + 1, parts)
-            p.pop()
-        parts.append([items[i]])
-        yield from rec(i + 1, parts)
-        parts.pop()
+        for lab in range(nblocks + 1):
+            label[i] = lab
+            added = []
+            for a, b, c in due[i]:
+                key = (label[a], label[b])
+                if key not in target:
+                    target[key] = label[c]
+                    added.append(key)
+                elif target[key] != label[c]:
+                    break
+            else:
+                yield from rec(i + 1, max(nblocks, lab + 1))
+            for key in added:
+                del target[key]
 
-    yield from rec(0, [])
+    yield from rec(0, 0)
 
 
 def coarsenings_enum(grading):
@@ -401,22 +434,49 @@ def coarsenings_enum(grading):
 
     Includes the grading itself (over its universal group).  Merges whose
     decomposition is not a set grading, or whose universal group does not
-    separate the merged components, are discarded.
+    separate the merged components, are discarded.  Raises ValueError
+    when the components are not independent.
 
     One `_RelationBuilder` over the grading's components serves every
     partition: a merged component is the tuple of its block's indices, so
     the products of each pair of original components, the rref of each
     block and each "products of a pair lie in a block" test are computed
     once per call rather than once per partition.
+
+    Partitions are pruned before `relations` sees them.  The landing of
+    an ordered pair (a, b) of components is the single component c that
+    holds every product of C_a and C_b (`_RelationBuilder.landing`; for
+    a grading, `Grading.landing[a][b]`); pairs whose products are zero or
+    lie in no single component have none.  Why the prune is sound: the
+    components form a direct sum, so a nonzero P_ab inside C_c lies in
+    span(block L) iff c is in L (if c is not in L, span(L) meets C_c only
+    in 0).  `relations` needs one block that holds the products of every
+    pair of original components across two merged blocks I and J.  If
+    pairs (a, b) and (a2, b2) of I x J land in components that sit in
+    different blocks, no block holds both products, and `relations`
+    gives None.  So `_partitions` drops such a partition, and every
+    partial one that already splits two such pairs, and the partitions
+    left reach `relations` in their old order: the coarsenings and their
+    order are those of trying every partition.
     """
     comps = [list(vs) for _, vs in grading.comps]
-    if len(comps) > 8:
-        raise SupportTooLarge(f"support of size {len(comps)} exceeds 8")
+    n = len(comps)
+    if n > 8:
+        raise SupportTooLarge(f"support of size {n} exceeds 8")
     A = grading.algebra
+    vecs = [v for vs in comps for v in vs]
+    if linalg.rank(A.field, vecs) != len(vecs):
+        raise ValueError("coarsenings_enum needs independent components")
     builder = _RelationBuilder(A, comps)
+    triples = []
+    for a in range(n):
+        for b in range(n):
+            c = builder.landing(a, b)
+            if c is not None:
+                triples.append((a, b, c))
     out = []
     seen = set()
-    for partition in _partitions(range(len(comps))):
+    for partition in _partitions(n, triples):
         blocks = [tuple(block) for block in partition]
         rels = builder.relations(blocks)
         if rels is None:

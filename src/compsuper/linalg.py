@@ -227,21 +227,34 @@ def eigenspace(field, images, lam, space=None):
     return [lincomb(field, k, space, n) for k in nullspace(field, list(zip(*cols)))]
 
 
+def _element_tuples(field, m):
+    """The m-tuples of field elements in the order of
+    `product(field.elements(), repeat=m)`, drawn lazily: no list of the
+    field is built, so the first tuple costs m elements."""
+    if m == 0:
+        yield ()
+        return
+    for head in field.elements():
+        for tail in _element_tuples(field, m - 1):
+            yield (head,) + tail
+
+
 def rref_profiles(field, k, d):
     """All k x d matrices in reduced row echelon form with rank k.
 
     Each k-dimensional subspace of F^d has exactly one such matrix as a
-    basis, so this enumerates subspaces canonically.
+    basis, so this enumerates subspaces canonically.  The free entries
+    are drawn lazily from `field.elements()`, so over a large field the
+    first matrices come without a list of the field.
     """
     z, o = field.zero, field.one
-    nonpivot_elts = list(field.elements())
     for pivots in combinations(range(d), k):
         free_pos = []
         for i in range(k):
             for j in range(pivots[i] + 1, d):
                 if j not in pivots:
                     free_pos.append((i, j))
-        for vals in product(nonpivot_elts, repeat=len(free_pos)):
+        for vals in _element_tuples(field, len(free_pos)):
             M = [[z] * d for _ in range(k)]
             for i, p in enumerate(pivots):
                 M[i][p] = o

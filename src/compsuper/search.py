@@ -365,12 +365,13 @@ def enumerate_automorphisms(S, constraints, budget=None):
 
 def _decompositions_of_block(S, block_basis, tick):
     """The closed unordered direct-sum decompositions of span(block_basis),
-    a block of one parity of S.  A decomposition is closed when, for every
-    ordered pair of its pieces (a, b), the product space P_ab = span(a*b)
-    meets the block only in 0 or lies inside one piece.  `tick()` is called
-    once per subspace of the block as it is listed, before its span key is
-    computed, and once per piece pushed onto the search stack, before its
-    closure test, so the caller's budget bounds the whole listing.
+    the even or the odd part of S.  A decomposition is closed when, for
+    every ordered pair of its pieces (a, b), the product space
+    P_ab = span(a*b) meets the block only in 0 or lies inside one piece.
+    `tick()` is called once per subspace of the block as it is listed,
+    before its span key is computed, and once per piece pushed onto the
+    search stack, before its closure test, so the caller's budget bounds
+    the whole listing.
 
     Why only closed decompositions matter, and why the prune is sound.  A
     candidate that `_RelationBuilder.relations` accepts has components
@@ -387,16 +388,30 @@ def _decompositions_of_block(S, block_basis, tick):
     fires, because odd x odd products are even and meet V only in 0, so
     every odd decomposition is listed.
 
+    The subspace questions are answered with sets of lines.  Every line
+    of the block is a listed 1-dimensional subspace, and its index is
+    the line's id; each subspace gets, when first asked, the frozenset of
+    the lines it contains (one per nonzero combination of its rref rows
+    whose first nonzero coefficient is 1; each such combination has its
+    leading entry 1, so it is the rref row of its line).  Two subspaces
+    meet only in 0 iff their sets are disjoint.  The span of the chosen
+    pieces and, in the even block, each P_ab are subspaces of the block,
+    so they are listed and found by their span keys; in the odd block
+    P_ab is even, is not listed, and meets V only in 0.  So:
+    - a piece is independent of V iff their sets are disjoint, and only
+      an independent sum takes an rref, to find the sum's subspace;
+    - P_ab lies in piece c iff it is c, or is smaller and each of its
+      rref rows is a line of c;
+    - P_ab meets V iff dim P_ab + dim V exceeds the block's dimension or
+      their sets meet.
+
     The search tries pieces largest first, which fills V early so that
     the rule fires sooner, and picks each set of pieces once, in
     increasing search position.  It memoizes under integer keys, with n
-    the number of subspaces:
-    - the direct sum of a span and a piece, under `span id * n + piece`
-      (the id of the sum's rref, or None when they are dependent; spans
-      are numbered as they are first met);
-    - the rref of each P_ab, under the pair key `a * n + b`;
-    - "P_ab lies in piece c", under `pair * n + c`;
-    - "P_ab meets span sid", under `sid * n * n + pair`.
+    the number of subspaces: the subspace of each independent sum of a
+    span and a piece, under `span * n + piece`, and the subspace of each
+    P_ab (None when it is zero or not in the block), under the pair key
+    `a * n + b`.
 
     The survivors are sorted back into the order of the unpruned listing:
     subspaces are indexed by dimension, smallest first, a decomposition
@@ -407,62 +422,57 @@ def _decompositions_of_block(S, block_basis, tick):
     d = len(block_basis)
     if d == 0:
         return [()]
+    n = len(block_basis[0])
     subspaces = []
     for k in range(1, d + 1):
         for sub in linalg.subspaces_of_span(F, block_basis, k):
             tick()
             subspaces.append(sub)
     keys = [linalg.span_key(F, s) for s in subspaces]
+    index = {key: t for t, key in enumerate(keys)}  # span key -> subspace; (row,) is a line
     ns = len(subspaces)
     order = sorted(range(ns), key=lambda t: -len(subspaces[t]))  # search position -> subspace
     # first search position of a subspace of dimension <= k, for k = 0..d
     first = [next((p for p, t in enumerate(order) if len(subspaces[t]) <= k), ns)
              for k in range(d + 1)]
-    spans = [()]  # span id -> rref rows; 0 is the zero space
-    span_ids = {(): 0}
-    sums = {}  # span id * ns + subspace index -> span id of the direct sum, or None
-    products = {}  # a * ns + b -> rref rows of P_ab, () when a*b = 0
-    piece_spans = {}  # subspace index -> its (rref rows, pivots)
-    inside = {}  # pair * ns + c -> P_ab lies in piece c
-    meets = {}  # span id * ns * ns + pair -> P_ab meets the span nontrivially
+    line_sets = {}  # subspace -> frozenset of the lines in it
+    sums = {}  # span * ns + piece -> subspace of their direct sum
+    products = {}  # a * ns + b -> subspace of P_ab, None when zero or not in the block
 
-    def holds(pair, c):
-        key = pair * ns + c
-        got = inside.get(key)
+    def lines(t):
+        got = line_sets.get(t)
         if got is None:
-            prods = products[pair]
-            got = False
-            if len(prods) <= len(subspaces[c]):
-                if c not in piece_spans:
-                    piece_spans[c] = linalg.rref(F, subspaces[c])
-                rr, piv = piece_spans[c]
-                got = all(linalg.in_span(F, rr, piv, p) for p in prods)
-            inside[key] = got
+            rows = keys[t]
+            got = line_sets[t] = frozenset(
+                index[(linalg.lincomb(F, coeffs, rows, n),)]
+                for (coeffs,) in linalg.rref_profiles(F, 1, len(rows)))
         return got
+
+    def inside(p, c):
+        if p == c:
+            return True
+        if len(keys[p]) >= len(keys[c]):
+            return False
+        got = lines(c)
+        return all(index[(row,)] in got for row in keys[p])
 
     def closed(chosen, sid):
         for a in chosen:
             for b in chosen:
                 pair = a * ns + b
-                prods = products.get(pair)
-                if prods is None:
+                p = products.get(pair, -1)
+                if p == -1:
                     rr, _ = linalg.rref(F, _products(S, subspaces[a], subspaces[b]))
-                    prods = products[pair] = tuple(rr)
-                if not prods or any(holds(pair, c) for c in chosen):
+                    p = products[pair] = index.get(tuple(rr))
+                if p is None or any(inside(p, c) for c in chosen):
                     continue
-                key = sid * ns * ns + pair
-                hit = meets.get(key)
-                if hit is None:
-                    span = spans[sid]
-                    m = len(span) + len(prods)  # above S.dim, they must meet
-                    hit = meets[key] = m > S.dim or linalg.rank(F, list(span) + list(prods)) < m
-                if hit:
+                if len(keys[p]) + len(keys[sid]) > d or not lines(p).isdisjoint(lines(sid)):
                     return False
         return True
 
     out = []
     chosen = []  # subspace indices of the current partial decomposition
-    stack = [[0, 0]]  # per depth: [span id of the chosen sum, next search position]
+    stack = [[None, 0]]  # per depth: [subspace of the chosen sum (None: 0), next search position]
     while stack:
         frame = stack[-1]
         sid, p = frame
@@ -473,30 +483,26 @@ def _decompositions_of_block(S, block_basis, tick):
             continue
         frame[1] = p + 1
         t = order[p]
-        span, s = spans[sid], subspaces[t]
-        if len(span) + len(s) > d:
-            continue
-        nid = sums.get(sid * ns + t, -1)
-        if nid == -1:
-            rr, _ = linalg.rref(F, list(span) + list(s))
-            nid = None
-            if len(rr) == len(span) + len(s):
-                rr = tuple(rr)
-                nid = span_ids.setdefault(rr, len(spans))
-                if nid == len(spans):
-                    spans.append(rr)
-            sums[sid * ns + t] = nid
-        if nid is None:
-            continue
+        if sid is None:
+            nid = t
+        else:
+            if len(keys[sid]) + len(keys[t]) > d:
+                continue
+            nid = sums.get(sid * ns + t)
+            if nid is None:
+                if not lines(sid).isdisjoint(lines(t)):
+                    continue
+                rr, _ = linalg.rref(F, keys[sid] + keys[t])
+                nid = sums[sid * ns + t] = index[tuple(rr)]
         tick()
         chosen.append(t)
         if not closed(chosen, nid):
             chosen.pop()
-        elif len(spans[nid]) == d:
+        elif len(keys[nid]) == d:
             out.append(sorted(chosen, key=keys.__getitem__))
             chosen.pop()
         else:
-            stack.append([nid, max(p + 1, first[d - len(spans[nid])])])
+            stack.append([nid, max(p + 1, first[d - len(keys[nid])])])
     out.sort()
     return [tuple(subspaces[t] for t in dec) for dec in out]
 

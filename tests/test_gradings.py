@@ -284,18 +284,70 @@ def test_set_grading_relations_match_reference():
         assert _set_grading_relations(g.algebra, split) == _reference_relations(g.algebra, split)
 
 
-def test_coarsening_relations_match_reference(monkeypatch):
-    """The shared builder gives the from-scratch relations, or None, on
-    every partition that `coarsenings_enum` tries."""
+def _all_partitions(n):
+    """Every set partition of range(n), as tuples of blocks, each block a
+    tuple: item i joins each block of a partition of range(i), in order,
+    or opens a new one."""
+    parts = [()]
+    for i in range(n):
+        parts = [p[:k] + (p[k] + (i,),) + p[k + 1:] for p in parts for k in range(len(p))] + \
+            [p + ((i,),) for p in parts]
+    return parts
+
+
+def _growth(partition):
+    """The restricted-growth string of a partition: item -> its block."""
+    return tuple(k for _, k in sorted((i, k) for k, block in enumerate(partition) for i in block))
+
+
+def test_coarsening_relations_match_reference_or_are_pruned(monkeypatch):
+    """On every partition of the components, `relations` either ran in
+    `coarsenings_enum` and gave the from-scratch relations, or the
+    partition was pruned and the from-scratch relations are None.  The
+    partitions that ran did so once each, in restricted-growth order."""
     from compsuper.catalog import build_entry
 
+    bell = {5: 52, 7: 877}
     for id, q in (("eq7", 2), ("eq2", 3), ("okuboeq3", 4)):
         _, g = build_entry(id, GF(q))
         calls = _recorded_relations(monkeypatch, lambda: coarsenings_enum(g))
-        bell = {4: 15, 5: 52, 6: 203, 7: 877, 8: 4140}
-        assert len(calls) == bell[len(g.comps)], (id, q)
-        assert any(got is None for _, _, got in calls), (id, q)
         _assert_matches_reference(calls)
+        tried = [tuple(comps) for _, comps, _ in calls]
+        comps = [list(vs) for _, vs in g.comps]
+        everything = sorted(_all_partitions(len(comps)), key=_growth)
+        assert len(everything) == bell[len(comps)]
+        assert tried == [p for p in everything if p in set(tried)], (id, q)
+        for partition in set(everything) - set(tried):
+            merged = [[v for a in block for v in comps[a]] for block in partition]
+            assert _reference_relations(g.algebra, merged) is None, (id, q, partition)
+        if (id, q) == ("eq7", 2):
+            assert len(tried) == 19  # of 877: every partition left gives a coarsening
+
+
+def test_coarsenings_need_independent_components():
+    A = split_hurwitz(2, F2)[0]
+    e1, e2 = A.basis_vector(0), A.basis_vector(1)
+    g = Grading(A, Z2, ((Z2.element(0), (e1,)), (Z2.element(1), (e1, e2))))
+    with pytest.raises(ValueError, match="independent"):
+        coarsenings_enum(g)
+
+
+def test_coarsenings_of_a_decomposition_that_is_not_a_grading():
+    """On split4/GF(2) with {e1, u1} in degree 0 and {e2, v1} in degree 1
+    of Z2, where u1 e2 = u1 lies in degree 0, the only coarsening is the
+    trivial grading (the output computed before partitions were pruned)."""
+    A, cb = split_hurwitz(4, F2)
+    v = cb.vectors
+    g = grading_from_components(A, Z2, [(Z2.element(0), [v["e1"], v["u1"]]),
+                                        (Z2.element(1), [v["e2"], v["v1"]])])
+    assert [c.to_json() for c in coarsenings_enum(g)] == [{
+        "group": "0",
+        "components": [{
+            "degree": "0", "coords": [], "parity": [0, 0, 0, 0],
+            "basis": [["1", "0", "0", "0"], ["0", "0", "1", "0"],
+                      ["0", "1", "0", "0"], ["0", "0", "0", "1"]],
+        }],
+    }]
 
 
 def test_grading_enumeration_relations_match_reference(monkeypatch):

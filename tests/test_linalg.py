@@ -114,3 +114,48 @@ def test_span_vectors_match_a_scan_of_every_vector(q):
         assert got == [linalg.lincomb(F, c, basis, n) for c in linalg.nonzero_vectors(F, len(basis))]
         rr, piv = linalg.rref(F, basis)
         assert sorted(got) == [x for x in everything if linalg.in_span(F, rr, piv, x)]
+
+
+def _listed_rref_profiles(field, k, d):
+    """Reference: the rref profiles with the free entries drawn from
+    `itertools.product` over a list of the whole field."""
+    from itertools import combinations, product
+
+    elts = list(field.elements())
+    for pivots in combinations(range(d), k):
+        free = [(i, j) for i in range(k) for j in range(pivots[i] + 1, d) if j not in pivots]
+        for vals in product(elts, repeat=len(free)):
+            M = [[field.zero] * d for _ in range(k)]
+            for i, p in enumerate(pivots):
+                M[i][p] = field.one
+            for (i, j), val in zip(free, vals):
+                M[i][j] = val
+            yield tuple(tuple(row) for row in M)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_rref_profiles_keep_the_order_of_a_listed_field(q):
+    F = GF(q)
+    for d in range(5):
+        for k in range(d + 1):
+            assert list(linalg.rref_profiles(F, k, d)) == list(_listed_rref_profiles(F, k, d))
+
+
+def test_first_rref_profile_draws_few_elements(monkeypatch):
+    """Over GF(1000003) the first profile comes after a few elements are
+    drawn from `elements()`, not after a list of the whole field."""
+    F = GF(1000003)
+    drawn = []
+    elements = F.elements
+
+    def counted():
+        for a in elements():
+            drawn.append(a)
+            yield a
+
+    monkeypatch.setattr(F, "elements", counted)
+    first = next(linalg.rref_profiles(F, 1, 2))
+    assert first == ((1, 0),) and len(drawn) == 1
+    drawn.clear()
+    first = next(linalg.rref_profiles(F, 2, 4))
+    assert first == ((1, 0, 0, 0), (0, 1, 0, 0)) and len(drawn) == 4

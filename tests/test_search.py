@@ -932,6 +932,31 @@ def test_enumerate_all_gradings_matches_the_cartesian_listing(label, reference_b
         assert len(want) == 20
 
 
+# (nodes, groups, sha256 of the gradings' `to_json` list dumped with sorted
+# keys) of `enumerate_all_gradings`, computed before the listing answered
+# its subspace questions with line sets
+PINNED_LISTINGS = {
+    "split4/GF(2)": (1341, ["Z", "Z", "Z", "Z2", "Z2", "Z2", "Z2", "0"],
+                     "1c53f2684c86674d621f4b7294ca71cbb8df90743aec9ffcfffca66a01881f01"),
+    "para-split4/GF(2)": (912, ["Z", "Z", "Z", "Z2", "Z2", "Z2", "Z2", "0"],
+                          "1c53f2684c86674d621f4b7294ca71cbb8df90743aec9ffcfffca66a01881f01"),
+    "split2/GF(101)": (5362, ["Z2", "0"],
+                       "5b6f9aeb22b162e7b666bd4c9fe3f1719daf28648ae3e6eb742d1e323e69775f"),
+}
+
+
+@pytest.mark.parametrize("label", sorted(PINNED_LISTINGS))
+def test_grading_listing_keeps_its_nodes_and_gradings(label):
+    import hashlib
+    import json
+
+    S = {**CROSS_CHECK_ALGEBRAS, "split2/GF(101)": lambda: split_hurwitz(2, GF(101))[0]}[label]()
+    res = enumerate_all_gradings(S)
+    data = [g.to_json() for g in res.gradings]
+    digest = hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()
+    assert (res.complete, res.nodes, [g["group"] for g in data], digest) == (True, *PINNED_LISTINGS[label])
+
+
 def test_budget_bounds_the_decomposition_listing():
     """A budget of 10 nodes stops split4/GF(4) inside its even-block
     listing (2,488,257 decompositions unpruned): the eleventh charged
