@@ -60,22 +60,19 @@ def _hurwitz_suite_instances():
     return out
 
 
+# (label, label of its Hurwitz algebra in _hurwitz_suite_instances) for
+# each para-Hurwitz algebra of the suites
+_PARA_HURWITZ = (
+    *((f"para-split{d}/GF({q})", f"split{d}/GF({q})") for q in (2, 3) for d in (2, 4, 8)),
+    *((f"para-CD{2 * d}/GF({q})", f"CD(split{d},1)/GF({q})") for q in (2, 4) for d in (2, 4)),
+    *((f"para-{b}/GF({q})", f"{b}/GF({q})") for q in (3, 9) for b in ("B(1,2)", "B(4,2)")),
+)
+
+
 def _symmetric_suite_instances():
     """(label, algebra) pairs expected to be symmetric composition."""
-    out = []
-    for q in (2, 3):
-        for d in (2, 4, 8):
-            A, _ = split_hurwitz(d, GF(q))
-            out.append((f"para-split{d}/GF({q})", para_hurwitz(A)))
-    for q in (2, 4):
-        F = GF(q)
-        s2, _ = split_hurwitz(2, F)
-        s4, _ = split_hurwitz(4, F)
-        out.append((f"para-CD4/GF({q})", para_hurwitz(cayley_dickson_super(s2, F.one))))
-        out.append((f"para-CD8/GF({q})", para_hurwitz(cayley_dickson_super(s4, F.one))))
-    for q in (3, 9):
-        out.append((f"para-B(1,2)/GF({q})", para_hurwitz(b12(GF(q)))))
-        out.append((f"para-B(4,2)/GF({q})", para_hurwitz(b42(GF(q)))))
+    hurwitz = dict(_hurwitz_suite_instances())
+    out = [(label, para_hurwitz(hurwitz[base])) for label, base in _PARA_HURWITZ]
     for q in (3, 9):
         F = GF(q)
         for lam in F.elements():
@@ -92,25 +89,24 @@ def _symmetric_suite_instances():
 def criterion_1():
     """Axiom suite for every catalogued construction."""
     failures = []
-    ran = []
-    for label, A in _hurwitz_suite_instances():
+    hurwitz = _hurwitz_suite_instances()
+    symmetric = _symmetric_suite_instances()
+    for label, A in hurwitz:
         r1 = check_hurwitz(A)
         r2 = check_composition_super(A)
-        ran.append((label, r1.mode))
         if not r1.passed:
             failures.append((label, "hurwitz", r1.witness))
         if not r2.passed:
             failures.append((label, "composition", r2.witness))
-    for label, S in _symmetric_suite_instances():
+    for label, S in symmetric:
         r = check_symmetric(S)
-        ran.append((label, "basis-triples"))
         if not r.passed:
             failures.append((label, "symmetric", r.witness))
     return {
         "id": 1,
         "title": "axiom suite (Hurwitz, composition, symmetric)",
         "passed": not failures,
-        "instances": len(ran),
+        "instances": len(hurwitz) + len(symmetric),
         "failures": failures,
     }
 
@@ -300,20 +296,12 @@ def criterion_8():
     """Unique para-unit on para-Hurwitz superalgebras of dim >= 3, and the
     recovery of the Hurwitz product from it."""
     failures = []
-    cases = []
-    for q in (2, 3):
-        F = GF(q)
-        s4, _ = split_hurwitz(4, F)
-        s8, _ = split_hurwitz(8, F)
-        cases.append((f"para-split4/GF({q})", s4))
-        cases.append((f"para-split8/GF({q})", s8))
-    F2, F3 = GF(2), GF(3)
-    s2, _ = split_hurwitz(2, F2)
-    cases.append(("para-CD4/GF(2)", cayley_dickson_super(s2, F2.one)))
-    s4, _ = split_hurwitz(4, F2)
-    cases.append(("para-CD8/GF(2)", cayley_dickson_super(s4, F2.one)))
-    cases.append(("para-B(1,2)/GF(3)", b12(F3)))
-    cases.append(("para-B(4,2)/GF(3)", b42(F3)))
+    hurwitz = dict(_hurwitz_suite_instances())
+    base = dict(_PARA_HURWITZ)
+    cases = [(label, hurwitz[base[label]]) for label in (
+        "para-split4/GF(2)", "para-split8/GF(2)", "para-split4/GF(3)", "para-split8/GF(3)",
+        "para-CD4/GF(2)", "para-CD8/GF(2)", "para-B(1,2)/GF(3)", "para-B(4,2)/GF(3)",
+    )]
     for label, C in cases:
         S = para_hurwitz(C)
         units = find_para_units(S)

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field as dc_field
 from itertools import combinations
 
 from . import linalg
+from .fields import InfiniteField
 from .superalgebra import is_regular_superform
 
 MODE = "polarized"  # how the quadratic identities are proved, see above
@@ -215,76 +216,41 @@ def even_commutant(S, others):
     return out
 
 
+def line_idempotent(S, z):
+    """The nonzero idempotent of the line F*z, or None when it has none.
+
+    Proof: (t z)*(t z) = t^2 (z*z).  If z*z = c z with c != 0, then
+    t^2 c z = t z with t != 0 forces t = 1/c, so z/c is the one nonzero
+    idempotent; if z*z is 0 or off the line, t^2 (z*z) = t z has no
+    solution with t != 0.
+    """
+    F = S.field
+    c = linalg.coords_in_basis(F, [z], S.mul(z, z))
+    if c is None or c[0] == F.zero:
+        return None
+    return linalg.vec_scale(F, F.inv(c[0]), z)
+
+
 def find_para_units(S):
     """All even idempotents e with e*x = x*e = b(e,x)e - x, sorted.
 
-    Every para-unit commutes with every x, so the search runs over the
-    even commutant of the whole basis: all of its vectors over a finite
-    field, the remaining quadratic conditions solved symbolically over Q.
+    Every para-unit commutes with every x, so it lies in the even
+    commutant of the whole basis.  When that commutant is a line, its one
+    nonzero idempotent (`line_idempotent`) is the only candidate, on every
+    field.  A larger commutant is scanned vector by vector over a finite
+    field; over an infinite field that raises InfiniteField.
     """
     F = S.field
     kvecs = even_commutant(S, S.basis())
+    if len(kvecs) == 1:
+        e = line_idempotent(S, kvecs[0])
+        return [e] if e is not None and _is_para_unit(S, e) else []
     if not kvecs:
         return []
     if F.order is None:
-        return _solve_para_units_rational(S, kvecs)
+        raise InfiniteField(
+            f"para-units in a {len(kvecs)}-dimensional commutant need a finite field, got {F}")
     return sorted(e for e in linalg.span_vectors(F, kvecs, S.dim) if _is_para_unit(S, e))
-
-
-def _solve_para_units_rational(S, kvecs):
-    import sympy
-
-    F = S.field
-    syms = sympy.symbols(f"t0:{len(kvecs)}", rational=True)
-    e = [sympy.Integer(0)] * S.dim
-    for s, v in zip(syms, kvecs):
-        for i, a in enumerate(v):
-            e[i] = e[i] + s * sympy.Rational(a)
-    eqs = []
-
-    def smul(x, y):
-        out = [sympy.Integer(0)] * S.dim
-        for i in range(S.dim):
-            if x[i] == 0:
-                continue
-            for j in range(S.dim):
-                if y[j] == 0:
-                    continue
-                for k, c in S._sparse[i][j]:
-                    out[k] = out[k] + x[i] * y[j] * sympy.Rational(c)
-        return out
-
-    ee = smul(e, e)
-    eqs += [sympy.expand(ee[i] - e[i]) for i in range(S.dim)]
-    for t in range(S.dim):
-        x = [sympy.Rational(c) for c in S.basis_vector(t)]
-        c = sympy.Integer(0)
-        for i in range(S.dim):
-            for j in range(S.dim):
-                if S.polar[i][j] != F.zero:
-                    c = c + e[i] * x[j] * sympy.Rational(S.polar[i][j])
-        want = [c * e[i] - x[i] for i in range(S.dim)]
-        ex = smul(e, x)
-        xe = smul(x, e)
-        eqs += [sympy.expand(ex[i] - want[i]) for i in range(S.dim)]
-        eqs += [sympy.expand(xe[i] - want[i]) for i in range(S.dim)]
-    sols = sympy.solve(eqs, list(syms), dict=True)
-    out = []
-    from fractions import Fraction
-
-    for sol in sols:
-        try:
-            coeffs = [sympy.Rational(sol.get(s, 0)) for s in syms]
-        except (TypeError, ValueError):  # parametric or irrational solution
-            continue
-        e_num = [Fraction(0)] * S.dim
-        for c, v in zip(coeffs, kvecs):
-            for i, a in enumerate(v):
-                e_num[i] += Fraction(int(c.p), int(c.q)) * a
-        e_num = tuple(e_num)
-        if _is_para_unit(S, e_num):
-            out.append(e_num)
-    return sorted(set(out))
 
 
 def check_remark_identities(S, phi, C):

@@ -17,6 +17,7 @@ from .axioms import (
     check_orthogonality,
     check_phi_invariance,
     even_commutant,
+    line_idempotent,
 )
 from .constructions import (
     b12,
@@ -429,16 +430,8 @@ def _para_unit_certificate(S, phi):
     Returns the unique commuting idempotent (None when the commutant is
     not a line holding one) and whether the left square of e is phi.
     """
-    F = S.field
     commutant = even_commutant(S, [S.basis_vector(i) for i in S.even_indices()])
-    e = None
-    if len(commutant) == 1:
-        # z*z = c z with c != 0 gives the single nonzero idempotent z/c
-        z = commutant[0]
-        zz = S.mul(z, z)
-        c = linalg.coords_in_basis(F, [z], zz)
-        if c is not None and c[0] != F.zero:
-            e = linalg.vec_scale(F, F.inv(c[0]), z)
+    e = line_idempotent(S, commutant[0]) if len(commutant) == 1 else None
     left_square = e is not None and all(
         S.mul(e, S.mul(e, S.basis_vector(i))) == phi.images[i] for i in range(S.dim)
     )

@@ -324,6 +324,26 @@ class _RelationBuilder:
                     return None
         return rels
 
+    def distinct_gradings(self, comp_lists):
+        """The gradings that the component lists of `comp_lists` separate,
+        in order, each once.  A list is skipped when some product lies in
+        no single component (`relations` gives None), when its group gives
+        two components one degree, or when an earlier list gave a grading
+        with the same components.  Lazy, so a caller's budget stops it
+        after the gradings already given."""
+        seen = set()
+        for comps in comp_lists:
+            rels = self.relations(comps)
+            if rels is None:
+                continue
+            cand = _separating_grading(self.algebra, rels, [self.vectors(c) for c in comps])
+            if cand is None:
+                continue
+            key = cand.component_keys()
+            if key not in seen:
+                seen.add(key)
+                yield cand
+
 
 def _set_grading_relations(algebra, comps):
     """Relations i+j=k for nonzero products of a component list, or None if
@@ -474,22 +494,8 @@ def coarsenings_enum(grading):
             c = builder.landing(a, b)
             if c is not None:
                 triples.append((a, b, c))
-    out = []
-    seen = set()
-    for partition in _partitions(n, triples):
-        blocks = [tuple(block) for block in partition]
-        rels = builder.relations(blocks)
-        if rels is None:
-            continue
-        cand = _separating_grading(A, rels, [builder.vectors(block) for block in blocks])
-        if cand is None:
-            continue
-        key = cand.component_keys()
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(cand)
-    return out
+    partitions = _partitions(n, triples)
+    return list(builder.distinct_gradings([tuple(b) for b in p] for p in partitions))
 
 
 def gamma_grading_b12(algebra, G, g):

@@ -259,19 +259,22 @@ def find_graded_map(A, ga, B, gb, mode="isomorphism", budget=None, isometry=True
     mode "equivalence": components map onto components, degrees free.
     Returns a verified Morphism, or None when the search space is
     exhausted (proven none).  Raises BudgetExhausted when the node budget
-    runs out, and ValueError when ga does not grade A or gb does not grade
-    B.  In isomorphism mode with A is B the identity is tried
-    before any search, so a grading the identity verifies needs no finite
-    field.  Only assignments between components of one census are
+    runs out, and ValueError, before any other answer, when ga does not
+    grade A or gb does not grade B, on an unknown mode, or when A and B
+    lie over different fields.  In isomorphism mode with A is B the
+    identity is tried before any search, so a grading the identity
+    verifies needs no finite field.  Only assignments between components of one census are
     searched, all of them by one `_GradedMapSearch`.
     """
     if ga.algebra is not A or gb.algebra is not B:
         raise ValueError("find_graded_map needs a grading of A and a grading of B")
-    budget = budget or SearchBudget()
-    if A.dim != B.dim:
-        return None
+    if mode not in ("isomorphism", "equivalence"):
+        raise ValueError(f"unknown mode {mode!r}")
     if A.field != B.field:
         raise ValueError(f"graded maps need one field, got {A.field} and {B.field}")
+    if A.dim != B.dim:
+        return None
+    budget = budget or SearchBudget()
     ca, cb = ga.census, gb.census
     if mode == "isomorphism":
         if ca != cb:
@@ -282,18 +285,16 @@ def find_graded_map(A, ga, B, gb, mode="isomorphism", budget=None, isometry=True
             if ident is not None:
                 return ident
         return _GradedMapSearch(A, ga, B, gb, budget, isometry=isometry).run(comp_target)
-    if mode == "equivalence":
-        if sorted(ca.values()) != sorted(cb.values()):
-            return None
-        search = _GradedMapSearch(A, ga, B, gb, budget, isometry=isometry)
-        for perm in permutations(range(len(gb.comps))):
-            if any(ca[d] != cb[gb.comps[k][0]] for (d, _), k in zip(ga.comps, perm)):
-                continue
-            got = search.run(list(perm))
-            if got is not None:
-                return got
+    if sorted(ca.values()) != sorted(cb.values()):
         return None
-    raise ValueError(f"unknown mode {mode!r}")
+    search = _GradedMapSearch(A, ga, B, gb, budget, isometry=isometry)
+    for perm in permutations(range(len(gb.comps))):
+        if any(ca[d] != cb[gb.comps[k][0]] for (d, _), k in zip(ga.comps, perm)):
+            continue
+        got = search.run(list(perm))
+        if got is not None:
+            return got
+    return None
 
 
 def enumerate_automorphisms(S, constraints, budget=None):
@@ -556,7 +557,6 @@ def enumerate_all_gradings(S, budget=None):
     ev = [S.basis_vector(i) for i in S.even_indices()]
     od = [S.basis_vector(i) for i in S.odd_indices()]
     out = []
-    seen = set()
     try:
         blocks = (_decompositions_of_block(S, ev, tick), _decompositions_of_block(S, od, tick))
         pieces = list(dict.fromkeys(sub for block in blocks for dec in block for sub in dec))
@@ -565,29 +565,23 @@ def enumerate_all_gradings(S, budget=None):
             [tuple(piece_ids[sub] for sub in dec) for dec in block] for block in blocks
         )
         del blocks  # the index tuples replace the subspace tuples
-        builder = _RelationBuilder(S, pieces)
-        for de in even_decomps:
-            for do in odd_decomps:
-                for matching in _partial_matchings(len(de), len(do)):
-                    tick()
-                    comps = []
-                    used_odd = set(matching.values())
-                    for i, e in enumerate(de):
-                        comps.append((e, do[matching[i]]) if i in matching else (e,))
-                    for j, o in enumerate(do):
-                        if j not in used_odd:
-                            comps.append((o,))
-                    rels = builder.relations(comps)
-                    if rels is None:
-                        continue
-                    cand = _separating_grading(S, rels, [builder.vectors(c) for c in comps])
-                    if cand is None:
-                        continue
-                    key = cand.component_keys()
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    out.append(cand)
+
+        def comp_lists():
+            for de in even_decomps:
+                for do in odd_decomps:
+                    for matching in _partial_matchings(len(de), len(do)):
+                        tick()
+                        comps = []
+                        used_odd = set(matching.values())
+                        for i, e in enumerate(de):
+                            comps.append((e, do[matching[i]]) if i in matching else (e,))
+                        for j, o in enumerate(do):
+                            if j not in used_odd:
+                                comps.append((o,))
+                        yield comps
+
+        for cand in _RelationBuilder(S, pieces).distinct_gradings(comp_lists()):
+            out.append(cand)
     except BudgetExhausted:
         return EnumResult(out, complete=False, nodes=nodes)
     return EnumResult(out, complete=True, nodes=nodes)

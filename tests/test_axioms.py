@@ -11,6 +11,7 @@ from compsuper.axioms import (
     check_remark_identities,
     check_symmetric,
     find_para_units,
+    line_idempotent,
 )
 from compsuper.constructions import (
     b12,
@@ -23,7 +24,7 @@ from compsuper.constructions import (
     split_hurwitz,
     super_split_cayley,
 )
-from compsuper.fields import GF, QQ
+from compsuper.fields import GF, QQ, InfiniteField
 from compsuper.superalgebra import SuperAlgebra, is_regular_superform
 
 F2, F3, F4, F9 = GF(2), GF(3), GF(4), GF(9)
@@ -346,19 +347,49 @@ def test_para_units_dimension_two_exception():
 
 
 def test_para_units_solve_mode_agrees_with_scan():
-    for A in (
-        para_hurwitz(split_hurwitz(4, F3)[0]),
-        para_hurwitz(split_hurwitz(8, F3)[0]),
-        para_hurwitz(split_hurwitz(2, F4)[0]),
-        para_hurwitz(cayley_dickson_super(split_hurwitz(2, F2)[0], F2.one)),
-    ):
-        assert find_para_units(A) == _scan_para_units(A)
+    """On every para-Hurwitz algebra, both Okubo twists, every B(1,2)
+    twist and P8 over GF(2), GF(3) and GF(4) whose even part has at most
+    2^16 vectors, the answer equals the scan of the whole even part."""
+    from compsuper.acceptance import _hurwitz_suite_instances, _symmetric_suite_instances
+
+    cases = [(f"para-{label}", para_hurwitz(A)) for label, A in _hurwitz_suite_instances()]
+    cases += [(label, S) for label, S in _symmetric_suite_instances()
+              if not label.startswith("para-")]
+    cases += [("para-K/GF(2)", para_hurwitz(nonsplit_quadratic(F2))),
+              ("para-K/GF(4)", para_hurwitz(nonsplit_quadratic(F4)))]
+    ran = set()
+    for label, A in cases:
+        q = A.field.order
+        if q > 4 or q ** len(A.even_indices()) > 2 ** 16:
+            continue
+        assert find_para_units(A) == _scan_para_units(A), label
+        ran.add(label.split("/")[0].split("_")[0])
+    assert {"para-split8", "para-super-cayley", "para-B(4,2)", "okubo-nst", "okubo-omega",
+            "B(1,2)", "P8"} <= ran
 
 
 def test_para_units_over_q():
-    C, _ = split_hurwitz(8, QQ)
-    P = para_hurwitz(C)
-    assert find_para_units(P) == [C.unit()]
+    """Exact over Q when the commutant is a line; a plane needs a finite
+    field, and the answer says so instead of guessing."""
+    for d in (4, 8):
+        C, _ = split_hurwitz(d, QQ)
+        assert find_para_units(para_hurwitz(C)) == [C.unit()]
+    C2, _ = split_hurwitz(2, QQ)
+    for A in (C2, para_hurwitz(C2), para_hurwitz(nonsplit_quadratic(QQ))):
+        with pytest.raises(InfiniteField):
+            find_para_units(A)
+
+
+def test_line_idempotent():
+    C, _ = split_hurwitz(4, F3)
+    e1, e2, u1, _ = C.basis()
+    two = F3.add(F3.one, F3.one)
+    assert line_idempotent(C, linalg.vec_scale(F3, two, e1)) == e1
+    assert linalg.vec_is_zero(F3, C.mul(u1, u1))  # z*z = 0
+    assert line_idempotent(C, u1) is None
+    z = linalg.vec_add(F3, C.unit(), u1)  # z*z = 1 + 2 u1, off the line F z
+    assert linalg.coords_in_basis(F3, [z], C.mul(z, z)) is None
+    assert line_idempotent(C, z) is None
 
 
 def test_remark_identities_and_phi_square_fails():

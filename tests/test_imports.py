@@ -7,6 +7,7 @@ check: its imports are the package's exports.
 """
 
 import ast
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -38,6 +39,37 @@ def test_every_import_is_read(path):
 def test_the_check_sees_an_unused_import():
     assert _unused_imports("import os\nfrom a import b, c as d\nprint(b)\n") == [
         (1, "os"), (2, "d")]
+
+
+def _non_stdlib_imports(source):
+    """(line, module) for each absolute import, at any depth, whose
+    top-level package is not in the standard library.  Relative imports
+    are the package's own modules."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        out += [(node.lineno, name) for name in names
+                if name.split(".")[0] not in sys.stdlib_module_names]
+    return sorted(out)
+
+
+def test_src_imports_only_the_standard_library():
+    """The package installs with no runtime dependency."""
+    found = [(p.name, *hit) for p in sorted(SRC.glob("*.py"))
+             for hit in _non_stdlib_imports(p.read_text())]
+    assert found == []
+
+
+def test_the_check_sees_a_non_stdlib_import():
+    source = ("import os, sympy.core\nfrom fractions import Fraction\n"
+              "from . import linalg\nfrom .fields import GF\n\n\n"
+              "def solve():\n    import sympy\n    from numpy import linalg\n")
+    assert _non_stdlib_imports(source) == [(1, "sympy.core"), (8, "sympy"), (9, "numpy")]
 
 
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)

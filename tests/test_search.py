@@ -388,6 +388,19 @@ def test_gradings_of_another_algebra_are_refused():
         search.try_verify_graded(identity_morphism(S1), g2, g1)
 
 
+def test_find_graded_map_refuses_bad_input_before_comparing_dimensions():
+    """An unknown mode or two fields is a ValueError, never None, the
+    proven-none answer, even when the dimensions already differ."""
+    A2, A4 = split_hurwitz(2, F2)[0], split_hurwitz(4, F2)[0]
+    for A, B in ((A2, A4), (A4, A4)):
+        with pytest.raises(ValueError, match="unknown mode"):
+            find_graded_map(A, main_grading(A), B, main_grading(B), mode="bogus")
+    B3, B5 = split_hurwitz(2, F3)[0], split_hurwitz(4, GF(5))[0]
+    for mode in ("isomorphism", "equivalence"):
+        with pytest.raises(ValueError, match="one field"):
+            find_graded_map(B3, main_grading(B3), B5, main_grading(B5), mode=mode)
+
+
 def _per_run_tables(search_, comp_target):
     """The source tables as each `run` built them before they were built
     once per search: slots ordered by the size of their assigned target
