@@ -294,11 +294,34 @@ def _corrupted(f):
             for edit in edits]
 
 
+def _found_dim8_maps():
+    """Graded maps that find_graded_map finds between gamma gradings of the
+    dim-8 Cayley and Okubo superalgebras over GF(4): the first six pairs
+    of equal census per test group of criterion 6, where a map exists."""
+    from compsuper.catalog import _family_algebra, iso_test_groups
+    from compsuper.gradings import gamma_grading_dim8, zero_sum_triples
+    from compsuper.search import find_graded_map
+
+    maps = []
+    for family in ("cd8", "okubo-omega"):
+        ctx = _family_algebra(family, F4)
+        A = ctx["algebra"]
+        for G in iso_test_groups():
+            gs = [gamma_grading_dim8(A, ctx["cb"], G, t) for t in zero_sum_triples(G, max_order=4)]
+            pairs = [(g1, g2) for g1 in gs for g2 in gs if g1 is not g2 and g1.census == g2.census]
+            found = (find_graded_map(A, g1, A, g2) for g1, g2 in pairs[:6])
+            maps.extend(f for f in found if f is not None)
+    return maps
+
+
 def test_is_morphism_matches_reference():
-    """Table-driven is_morphism against the reference: the same attrs, or
-    the same failed flag and witness, under every check alone and all of
-    them in order, on identities, the tau maps, found automorphisms and
-    corrupted copies of each."""
+    """is_morphism, which reads each image's nonzero entries, against the
+    per-pair reference: the same attrs, or the same failed flag and
+    witness, under every check alone and all of them in order, on
+    identities (one over Q), the tau maps, found automorphisms, the whole
+    groups of okuboeq4/GF(4) and cor1eq3/GF(2), graded maps found between
+    dim-8 Cayley and Okubo gradings over GF(4), and corrupted copies of
+    each."""
     maps = []
     for A in (b12(F3), split_hurwitz(4, QQ)[0], okubo_super(F4, "nst")[0]):
         maps.append(identity_morphism(A))
@@ -310,6 +333,12 @@ def test_is_morphism_matches_reference():
     for id, F in (("eq1", F3), ("eq6", F2), ("okuboeq1", F2)):
         A, g = build_entry(id, F)
         maps.extend(enumerate_automorphisms(A, constraints=g)[:3])
+    groups = [enumerate_automorphisms(*build_entry(id, F)) for id, F in (("okuboeq4", F4), ("cor1eq3", F2))]
+    assert [len(G) for G in groups] == [180, 18]
+    maps.extend(f for G in groups for f in G)
+    found = _found_dim8_maps()
+    assert len(found) == 47
+    maps.extend(found)
     maps.extend([bad for f in list(maps) for bad in _corrupted(f)])
     failed = set()
     for f in maps:
@@ -320,6 +349,68 @@ def test_is_morphism_matches_reference():
                 failed.add(want[1])
     # the corrupted maps reach every kind of failure
     assert failed == set(KNOWN_CHECKS)
+
+
+def test_is_morphism_refuses_a_malformed_map():
+    """A map needs source.dim images of length target.dim: one image too
+    many, one too few or one of the wrong length is a ValueError, even
+    when no check is asked for; the field check still comes first."""
+    B = b12(F3)
+    images = identity_morphism(B).images
+    C, _ = super_split_cayley(F4)
+    for bad in (images + (B.zero(),), images[:-1], images[:-1] + (images[-1][:-1],)):
+        for checks in (KNOWN_CHECKS, ()):
+            with pytest.raises(ValueError) as exc:
+                is_morphism(Morphism(B, B, bad), checks)
+            assert type(exc.value) is ValueError
+        with pytest.raises(MixedAlgebras):
+            is_morphism(Morphism(B, C, bad))
+
+
+def test_is_morphism_refuses_an_unknown_flag_before_any_check(monkeypatch):
+    """The whole flag list is read first: an unknown flag after a check
+    that would fail, or pass, is a plain ValueError, and no check runs."""
+    C, _ = split_hurwitz(8, F2)
+    images = list(C.basis())
+    images[0], images[2] = images[2], images[0]  # not an algebra map
+    calls = []
+    real = linalg.rank
+    monkeypatch.setattr(linalg, "rank", lambda *a: calls.append(a) or real(*a))
+    for f, checks in ((Morphism(C, C, tuple(images)), ("algebra-hom", "bogus")),
+                      (identity_morphism(C), ("bijective", "bogus"))):
+        with pytest.raises(ValueError) as exc:
+            is_morphism(f, checks)
+        assert type(exc.value) is ValueError and "bogus" in str(exc.value)
+    assert calls == []  # the bijective check never ran
+
+
+def test_power_refuses_a_negative_exponent():
+    """power(k) composes k copies; k < 0 is a ValueError, not the identity
+    that an empty loop gives, since the inverse of a nontrivial
+    automorphism is not the identity."""
+    A, g = build_entry("eq1", F3)
+    f = next(f for f in enumerate_automorphisms(A, constraints=g) if not f.is_identity())
+    assert not f.inverse().is_identity()
+    assert f.power(0).is_identity()
+    with pytest.raises(ValueError):
+        f.power(-1)
+
+
+def test_verifying_the_okuboeq4_group_makes_no_dense_product(monkeypatch):
+    """Work-count guard: try_verify_graded on each of the 180 graded
+    automorphisms of okuboeq4/GF(4) reads the images' nonzero entries and
+    makes no SuperAlgebra.mul or linalg.mat_vec call."""
+    from compsuper.search import try_verify_graded
+
+    A, g = build_entry("okuboeq4", F4)
+    group = enumerate_automorphisms(A, constraints=g)
+    calls = []
+    for owner, name in ((SuperAlgebra, "mul"), (linalg, "mat_vec")):
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
+    verified = [try_verify_graded(f, g, g) for f in group]
+    assert len(verified) == 180 and None not in verified
+    assert calls == []
 
 
 def test_serialization_round_trip():
