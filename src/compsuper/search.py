@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from itertools import combinations, permutations
 
 from . import linalg
+from .axioms import _polar_value, _terms
 from .gradings import _RelationBuilder, _products, _relation_row, _separating_grading, validate
 from .fields import InfiniteField
 from .superalgebra import CheckFailed, MixedAlgebras, Morphism, identity_morphism, is_morphism
@@ -64,6 +65,20 @@ class _GradedMapSearch:
     `gb.spans`; each target component's nonzero vectors are built on first
     use, once per search.
 
+    The source vectors never change during a search, so `consistent`
+    reads their values from three more tables, in slot order: the parity
+    of each slot vector, q0 of each even one, and the Gram matrix
+    b(src_k, src_t) under [k][t], summed over the two vectors' nonzero
+    entries.  The last two are built only for an isometry search.  Each
+    entry is the value `parity_of`, `eval_q0` or `eval_b` gives on the
+    source vectors, so every check decides as it would on the vectors
+    themselves.  The target side is evaluated per candidate (`parity_of`,
+    `eval_q0`, `eval_b` both ways, `in_span`, the rank and the products).
+    Tables of the target side, one entry per candidate of a component,
+    were faster still, but they hold memory for every candidate for the
+    whole search, so they are left out until that memory is measured
+    apart from throughput.
+
     `run`'s `fixed` gives the candidates of the first slots: slot t <
     len(fixed) tries exactly fixed[t], each ticked and checked by
     `consistent` like any other candidate.  With `collect`, a solution
@@ -93,21 +108,29 @@ class _GradedMapSearch:
 
     def _prepare(self):
         """(source vectors in slot order, their component indices, source
-        products by depth, standard basis vectors in the source basis)."""
+        products by depth, standard basis vectors in the source basis,
+        slot parities, slot q0 values, source Gram matrix).
+
+        Raises ValueError naming the component when a source basis vector
+        is not parity-homogeneous: no graded map preserves its parity."""
         A, F = self.A, self.F
         src_vecs = []
         src_comp = []
-        for ci, (_, vs) in enumerate(self.ga.comps):
+        src_parity = []
+        for ci, (d, vs) in enumerate(self.ga.comps):
             for v in vs:
+                p = A.parity_of(v)
+                if p is None:
+                    raise ValueError(f"the component of degree {d} has a basis vector "
+                                     f"of mixed parity, {A.fmt(v)}")
                 src_vecs.append(v)
                 src_comp.append(ci)
+                src_parity.append(p)
         sizes = self.ga.dims()
-        order = sorted(
-            range(len(src_vecs)),
-            key=lambda t: (sizes[src_comp[t]], A.parity_of(src_vecs[t]), t),
-        )
+        order = sorted(range(len(src_vecs)), key=lambda t: (sizes[src_comp[t]], src_parity[t], t))
         src_vecs = [src_vecs[t] for t in order]
         src_comp = [src_comp[t] for t in order]
+        src_parity = [src_parity[t] for t in order]
         # products of source vectors expanded in the source-vector basis,
         # listed (in (i, j) order) under their depth: the largest index of
         # a source vector they involve, the slot at which they are checked
@@ -121,7 +144,14 @@ class _GradedMapSearch:
                 coeffs = linalg.lincomb(F, A.mul(src_vecs[i], src_vecs[j]), std_coords, m)
                 support = [k for k, c in enumerate(coeffs) if c != z]
                 by_depth[max([i, j] + support)].append((i, j, coeffs, support))
-        return src_vecs, src_comp, by_depth, std_coords
+        src_q0 = src_gram = None
+        if self.isometry:
+            # q0 of the even slots (None on the odd ones), and b(src_k, src_t)
+            # under [k][t], each summed over the two vectors' nonzero entries
+            src_q0 = [A.eval_q0(v) if p == 0 else None for v, p in zip(src_vecs, src_parity)]
+            terms = [_terms(F, v) for v in src_vecs]
+            src_gram = [[_polar_value(F, A.polar, x, y) for y in terms] for x in terms]
+        return src_vecs, src_comp, by_depth, std_coords, src_parity, src_q0, src_gram
 
     def run(self, comp_target, collect=None, fixed=()):
         """Search with a fixed component assignment; returns a Morphism or None.
@@ -134,7 +164,7 @@ class _GradedMapSearch:
         nothing is fixed.
         """
         A, B, F = self.A, self.B, self.F
-        src_vecs, src_comp, by_depth, std_coords = self.tables
+        src_vecs, src_comp, by_depth, std_coords, src_parity, src_q0, src_gram = self.tables
         tgt_comps, tgt_spans = self.gb.comps, self.gb.spans
         m = len(src_vecs)
         n = B.dim
@@ -161,19 +191,21 @@ class _GradedMapSearch:
 
         def consistent(t):
             v = images[t]
-            if A.parity_of(src_vecs[t]) != B.parity_of(v) or linalg.vec_is_zero(F, v):
+            parity = src_parity[t]
+            if parity != B.parity_of(v) or linalg.vec_is_zero(F, v):
                 return False
             rr, piv = tgt_spans[comp_target[src_comp[t]]]
             if not linalg.in_span(F, rr, piv, v):
                 return False
             if self.isometry:
-                if A.parity_of(src_vecs[t]) == 0:
-                    if B.eval_q0(v) != A.eval_q0(src_vecs[t]):
+                if parity == 0:
+                    if B.eval_q0(v) != src_q0[t]:
                         return False
+                row = src_gram[t]
                 for k in range(t + 1):
-                    if B.eval_b(images[k], v) != A.eval_b(src_vecs[k], src_vecs[t]):
+                    if B.eval_b(images[k], v) != src_gram[k][t]:
                         return False
-                    if B.eval_b(v, images[k]) != A.eval_b(src_vecs[t], src_vecs[k]):
+                    if B.eval_b(v, images[k]) != row[k]:
                         return False
             if linalg.rank(F, [im for im in images[: t + 1]]) != t + 1:
                 return False
@@ -264,7 +296,9 @@ def find_graded_map(A, ga, B, gb, mode="isomorphism", budget=None, isometry=True
     lie over different fields.  In isomorphism mode with A is B the
     identity is tried before any search, so a grading the identity
     verifies needs no finite field.  Only assignments between components of one census are
-    searched, all of them by one `_GradedMapSearch`.
+    searched, all of them by one `_GradedMapSearch`.  A search raises
+    ValueError naming the component when a basis vector of ga is not
+    parity-homogeneous.
     """
     if ga.algebra is not A or gb.algebra is not B:
         raise ValueError("find_graded_map needs a grading of A and a grading of B")
@@ -301,7 +335,8 @@ def enumerate_automorphisms(S, constraints, budget=None):
     """The graded isometric superalgebra automorphisms of S under the
     grading `constraints`, sorted by their images; `trivial_grading(S)`
     gives every isometric automorphism.  Raises ValueError when
-    `constraints` grades another algebra.
+    `constraints` grades another algebra, or naming the component when a
+    basis vector of `constraints` is not parity-homogeneous.
 
     The group G is built from its stabilizer chain, by one
     `_GradedMapSearch` and one `run` per slot instead of one search leaf
@@ -347,7 +382,7 @@ def enumerate_automorphisms(S, constraints, budget=None):
 
     search = _GradedMapSearch(S, g, S, g, budget)
     comp_target = [g.index[d] for d, _ in g.comps]
-    slots, slot_comp, by_depth, _ = search.tables
+    slots, slot_comp, by_depth, *_ = search.tables
     z = F.zero
     group = [verified(identity_morphism(S))]  # G_m
     for t in reversed(range(len(slots))):

@@ -214,7 +214,7 @@ class _SolvedCoordinatesSearch(search._GradedMapSearch):
     vector, in the same slot order."""
 
     def _prepare(self):
-        src_vecs, src_comp, _, _ = super()._prepare()
+        src_vecs, src_comp, _, _, *source_values = super()._prepare()
         A, F = self.A, self.F
         m = len(src_vecs)
         by_depth = [[] for _ in range(m)]
@@ -226,7 +226,7 @@ class _SolvedCoordinatesSearch(search._GradedMapSearch):
                 by_depth[max([i, j] + support)].append((i, j, coeffs, support))
         std_coords = [linalg.coords_in_basis(F, src_vecs, A.basis_vector(i))
                       for i in range(A.dim)]
-        return src_vecs, src_comp, by_depth, std_coords
+        return src_vecs, src_comp, by_depth, std_coords, *source_values
 
 
 @pytest.mark.parametrize("id, q", [("eq1", 3), ("eq6", 2), ("okuboeq4", 4)])
@@ -287,7 +287,7 @@ def _per_candidate_cosets(S, g):
     F = S.field
     s = _SEARCH(S, g, S, g, SearchBudget())
     comp_target = [g.index[d] for d, _ in g.comps]
-    slots, slot_comp, by_depth, _ = s.tables
+    slots, slot_comp, by_depth, *_ = s.tables
     group = [tuple(S.basis_vector(i) for i in range(S.dim))]
     reps_by_slot = []
     for t in reversed(range(len(slots))):
@@ -404,7 +404,9 @@ def test_find_graded_map_refuses_bad_input_before_comparing_dimensions():
 def _per_run_tables(search_, comp_target):
     """The source tables as each `run` built them before they were built
     once per search: slots ordered by the size of their assigned target
-    component, then by parity."""
+    component, then by parity.  The slot parities, q0 values and Gram
+    matrix are evaluated by the algebra's own `parity_of`, `eval_q0` and
+    `eval_b`."""
     A, F = search_.A, search_.F
     src_vecs, src_comp = [], []
     for ci, (_, vs) in enumerate(search_.ga.comps):
@@ -424,7 +426,10 @@ def _per_run_tables(search_, comp_target):
             coeffs = linalg.mat_vec(F, inverse, A.mul(src_vecs[i], src_vecs[j]))
             support = [k for k, c in enumerate(coeffs) if c != F.zero]
             by_depth[max([i, j] + support)].append((i, j, coeffs, support))
-    return src_vecs, src_comp, by_depth, tuple(zip(*inverse))
+    parity = [A.parity_of(v) for v in src_vecs]
+    q0 = [A.eval_q0(v) if p == 0 else None for v, p in zip(src_vecs, parity)]
+    gram = [[A.eval_b(x, y) for y in src_vecs] for x in src_vecs]
+    return src_vecs, src_comp, by_depth, tuple(zip(*inverse)), parity, q0, gram
 
 
 
@@ -454,10 +459,10 @@ def _searches(monkeypatch, cls, call):
     return [None if f is None else (f.images, f.attrs) for f in maps], [s.nodes for s in made]
 
 
-def test_tables_once_per_search_match_per_run_tables(monkeypatch):
-    """find_graded_map in both modes and enumerate_automorphisms give the
-    same maps and node counts with the tables built once per search as with
-    the tables rebuilt, in the target-keyed slot order, for each run."""
+def _table_cases():
+    """Calls that search: criterion 6's Cayley and Okubo pairs over GF(4)
+    (every 5th pair of one census), equivalence between eq2, eq3 and eq4
+    over GF(3), and four automorphism groups."""
     from compsuper.catalog import _family_algebra, iso_test_groups
     from compsuper.gradings import gamma_grading_dim8, zero_sum_triples
 
@@ -479,6 +484,14 @@ def test_tables_once_per_search_match_per_run_tables(monkeypatch):
     for id, q in (("eq1", 3), ("eq6", 2), ("okuboeq4", 4), ("eq3", 3)):
         A, g = build_entry(id, GF(q))
         cases.append(lambda A=A, g=g: enumerate_automorphisms(A, constraints=g))
+    return cases
+
+
+def test_tables_once_per_search_match_per_run_tables(monkeypatch):
+    """find_graded_map in both modes and enumerate_automorphisms give the
+    same maps and node counts with the tables built once per search as with
+    the tables rebuilt, in the target-keyed slot order, for each run."""
+    cases = _table_cases()
     searched = found = 0
     for call in cases:
         got = _searches(monkeypatch, _SEARCH, call)
@@ -486,6 +499,171 @@ def test_tables_once_per_search_match_per_run_tables(monkeypatch):
         searched += bool(got[1])
         found += any(f is not None for f in got[0])
     assert (len(cases), searched, found) == (179, 173, 129)
+
+
+class _PerCandidateSearch(_SEARCH):
+    """The search with `consistent` as it was before the source tables:
+    the parity, q0 and polar values of the fixed source vectors are
+    evaluated by the source algebra for every candidate."""
+
+    def run(self, comp_target, collect=None, fixed=()):
+        A, B, F = self.A, self.B, self.F
+        src_vecs, src_comp, by_depth, std_coords = self.tables[:4]
+        tgt_comps, tgt_spans = self.gb.comps, self.gb.spans
+        m = len(src_vecs)
+        n = B.dim
+        images = [None] * m
+        z = F.zero
+        span_vectors = self._span_vectors
+        last = len(fixed) - 1 if fixed else m - 1
+
+        def candidates(t):
+            if t < len(fixed):
+                return fixed[t]
+            for i, j, coeffs, support in by_depth[t]:
+                if i == t or j == t or coeffs[t] == z:
+                    continue
+                lhs = B.mul(images[i], images[j])
+                rest = [k for k in support if k != t]
+                known = linalg.lincomb(F, [coeffs[k] for k in rest], [images[k] for k in rest], n)
+                return [linalg.vec_scale(F, F.inv(coeffs[t]), linalg.vec_sub(F, lhs, known))]
+            ci = comp_target[src_comp[t]]
+            if ci not in span_vectors:
+                span_vectors[ci] = list(linalg.span_vectors(F, tgt_comps[ci][1], n))
+            return span_vectors[ci]
+
+        def consistent(t):
+            v = images[t]
+            if A.parity_of(src_vecs[t]) != B.parity_of(v) or linalg.vec_is_zero(F, v):
+                return False
+            rr, piv = tgt_spans[comp_target[src_comp[t]]]
+            if not linalg.in_span(F, rr, piv, v):
+                return False
+            if self.isometry:
+                if A.parity_of(src_vecs[t]) == 0:
+                    if B.eval_q0(v) != A.eval_q0(src_vecs[t]):
+                        return False
+                for k in range(t + 1):
+                    if B.eval_b(images[k], v) != A.eval_b(src_vecs[k], src_vecs[t]):
+                        return False
+                    if B.eval_b(v, images[k]) != A.eval_b(src_vecs[t], src_vecs[k]):
+                        return False
+            if linalg.rank(F, [im for im in images[: t + 1]]) != t + 1:
+                return False
+            for i, j, coeffs, _ in by_depth[t]:
+                if B.mul(images[i], images[j]) != linalg.lincomb(F, coeffs, images, n):
+                    return False
+            return True
+
+        def dfs(t):
+            if t == m:
+                imgs = tuple(linalg.lincomb(F, coeffs, images, n) for coeffs in std_coords)
+                f = search._checked_map(Morphism(A, B, imgs), self.isometry)
+                if f is not None and collect is not None:
+                    collect.append(f)
+                return f
+            for cand in candidates(t):
+                self._tick()
+                images[t] = cand
+                if consistent(t):
+                    got = dfs(t + 1)
+                    if got is not None and (collect is None or t > last):
+                        return got
+                images[t] = None
+            return None
+
+        return dfs(0)
+
+
+def _okubo_pairs():
+    """Criterion 6's Okubo algebra (okubo-omega over GF(4)) and its pairs
+    of gradings, as (stated condition holds, corrected condition holds,
+    ga, gb)."""
+    from compsuper.catalog import _family_algebra, iso_test_groups, okubo_gamma_equiv
+    from compsuper.gradings import gamma_equiv, gamma_grading_dim8, zero_sum_triples
+
+    ctx = _family_algebra("okubo-omega", F4)
+    A = ctx["algebra"]
+    pairs = []
+    for G in iso_test_groups():
+        triples = zero_sum_triples(G, max_order=4)
+        gs = {t: gamma_grading_dim8(A, ctx["cb"], G, t) for t in triples}
+        pairs += [(gamma_equiv(t1, t2), okubo_gamma_equiv(t1, t2), gs[t1], gs[t2])
+                  for t1 in triples for t2 in triples]
+    return A, pairs
+
+
+def test_source_tables_match_per_candidate_evaluation(monkeypatch):
+    """Reading the source parity, q0 and Gram tables gives the same maps
+    and node counts as evaluating the source algebra per candidate: on
+    every 4th hard Okubo pair of criterion 6 (the stated condition says
+    isomorphic, the search proves none), on the table cases above, and on
+    searches without the isometry checks."""
+    A, pairs = _okubo_pairs()
+    hard = [(ga, gb) for stated, corrected, ga, gb in pairs if stated and not corrected]
+    assert len(hard) == 248
+    cases = [lambda ga=ga, gb=gb: find_graded_map(A, ga, A, gb) for ga, gb in hard[::4]]
+    cases += _table_cases()
+    mixed = [(ga, gb) for _, _, ga, gb in pairs if ga is not gb and ga.census == gb.census]
+    cases += [lambda ga=ga, gb=gb: find_graded_map(A, ga, A, gb, isometry=False)
+              for ga, gb in mixed[::20]]
+    equiv = [build_entry(id, F3) for id in ("eq2", "eq3", "eq4")]
+    cases += [lambda A=A, ga=ga, B=B, gb=gb:
+              find_graded_map(A, ga, B, gb, mode="equivalence", isometry=False)
+              for A, ga in equiv for B, gb in equiv]
+    found = 0
+    for call in cases:
+        got = _searches(monkeypatch, _SEARCH, call)
+        assert got == _searches(monkeypatch, _PerCandidateSearch, call)
+        found += any(f is not None for f in got[0])
+    assert (len(cases), found) == (271, 140)
+
+
+def test_the_search_reads_the_source_algebra_only_while_preparing(monkeypatch):
+    """Between the main gradings of okubo-nst and okubo-omega over GF(4),
+    two algebra objects, the search evaluates the source algebra's
+    eval_b, eval_q0 and parity_of only in `_prepare`: every candidate
+    reads the source tables instead."""
+    nst, omega = okubo_super(F4, "nst")[0], okubo_super(F4, "omega")[0]
+    phase = ["before"]
+    real_prepare = _SEARCH._prepare
+
+    def prepare(self):
+        phase[0] = "prepare"
+        tables = real_prepare(self)
+        phase[0] = "search"
+        return tables
+
+    monkeypatch.setattr(_SEARCH, "_prepare", prepare)
+    calls = []
+    for A in (nst, omega):
+        for name in ("eval_b", "eval_q0", "parity_of"):
+            real = getattr(A, name)
+            monkeypatch.setattr(A, name, lambda *a, A=A, name=name, real=real:
+                                calls.append((A, phase[0], name)) or real(*a))
+    for A, B in ((nst, omega), (omega, nst)):
+        calls.clear()
+        phase[0] = "before"
+        f = find_graded_map(A, main_grading(A), B, main_grading(B))
+        assert f is not None
+        assert {n for a, p, n in calls if a is A and p == "prepare"} >= {"eval_q0", "parity_of"}
+        assert [n for a, p, n in calls if a is A and p == "search"] == []
+        assert [n for a, p, n in calls if a is B and p == "search"]  # the target side
+
+
+def test_mixed_parity_source_vector_is_refused():
+    """A grading whose basis vector 1 + u of B(1,2)/GF(3) has no parity
+    is refused by the search with a ValueError naming its component."""
+    B = b12(F3)
+    G = AbGroup(0, ())
+    one, u, v = B.basis()
+    g = grading_from_components(B, G, [(G.zero(), [linalg.vec_add(F3, one, u), u, v])])
+    with pytest.raises(ValueError, match="degree 0 has a basis vector of mixed parity, 1 \\+ u"):
+        enumerate_automorphisms(B, g)
+    C = b12(F3)
+    gc = grading_from_components(C, G, [(G.zero(), [linalg.vec_add(F3, one, u), u, v])])
+    with pytest.raises(ValueError, match="mixed parity"):
+        find_graded_map(B, g, C, gc)
 
 
 def test_enumerate_all_gradings_b12_lambda():
