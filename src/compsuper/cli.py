@@ -321,7 +321,7 @@ def make_parser():
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp, construction=False, grading=False, two=False, budget=False):
-        fields = '"Q", "GF(2)", "GF(3)", "GF(4)", "GF(9)"'
+        fields = '"Q", or "GF(q)" for q a prime, or a prime power up to 256'
         if grading:
             sp.add_argument("--field", default=None,
                             help=fields + "; default GF(2), or the grading file's field")

@@ -1,13 +1,14 @@
-"""Exact scalar arithmetic over Q, GF(p) and GF(p^2) for small p.
+"""Exact scalar arithmetic over Q, GF(p) and GF(p^k), k >= 2, for p^k
+up to MAX_TABLE_ORDER.
 
 Finite field elements are plain ints (codes 0..q-1), rationals are
 `fractions.Fraction`; a Field object interprets the raw values.  All
-operations are pure and exact, so exhaustive axiom checks over q <= 9
-are cheap table lookups.
+operations are pure and exact; in GF(p^k) they are table lookups.
 """
 
 import re
 from fractions import Fraction
+from math import isqrt
 
 
 class FieldError(ValueError):
@@ -22,15 +23,16 @@ class InfiniteField(FieldError):
     pass
 
 
-def _is_prime(n):
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+def _prime_power(q):
+    """(p, k) with q = p^k for a prime p and k >= 1, or None; the trial
+    division runs up to sqrt(q)."""
+    if q < 2:
+        return None
+    p = next((d for d in range(2, isqrt(q) + 1) if q % d == 0), q)
+    k = 1
+    while p**k < q:
+        k += 1
+    return (p, k) if p**k == q else None
 
 
 class Field:
@@ -71,8 +73,9 @@ class Field:
         type, bool included, and for a string that names no element.
 
         A string may use only `spelling`: ASCII digits, "+", "-", "/" and,
-        in GF(p^2), the generator "x".  So `int()`'s other spellings, such
-        as "1_0", non-ASCII digits and surrounding spaces, are refused."""
+        in GF(p^k) with k >= 2, the generator "x" and "^", as in "x^2+x+1".
+        So `int()`'s other spellings, such as "1_0", non-ASCII digits and
+        surrounding spaces, are refused."""
         if isinstance(s, bool) or not isinstance(s, (str, int)):
             raise FieldError(f"{self.name} value must be a string or an integer, "
                              f"got {type(s).__name__} {s!r}")
@@ -147,7 +150,7 @@ class RationalField(Field):
 
 class PrimeField(Field):
     def __init__(self, p):
-        if not _is_prime(p):
+        if _prime_power(p) != (p, 1):
             raise FieldError(f"{p} is not prime")
         self.p = p
         self.char = p
@@ -186,61 +189,52 @@ class PrimeField(Field):
         return int(s) % self.p
 
 
-class QuadraticField(Field):
-    """GF(p^2) as GF(p)[x]/(x^2 + c1*x + c0); element a+bx coded as a + b*p."""
+class ExtensionField(Field):
+    """GF(p^k) for k >= 2 as GF(p)[x]/(m), with m the first monic
+    irreducible of degree k in the code order of its lower coefficients
+    c_0 + c_1 p + ... + c_{k-1} p^(k-1): x^2+x+1 for GF(4), x^2+1 for
+    GF(9), x^3+x+1 for GF(8), x^4+x+1 for GF(16), x^3+2x+1 for GF(27).
+    The element a_0 + a_1 x + ... + a_{k-1} x^(k-1) is coded
+    a_0 + a_1 p + ... + a_{k-1} p^(k-1); add, mul, neg and inv read
+    tables built once.  GF(q) builds it for p prime and k >= 2."""
 
-    spelling = Field.spelling | {"x"}
+    spelling = Field.spelling | {"x", "^"}
 
-    def __init__(self, p, modulus):
-        if not _is_prime(p):
-            raise FieldError(f"{p} is not prime")
-        c0, c1 = modulus
-        c0 %= p
-        c1 %= p
-        for t in range(p):  # irreducibility by trial roots
-            if (t * t + c1 * t + c0) % p == 0:
-                raise FieldError(f"x^2+{c1}x+{c0} is reducible over GF({p})")
-        self.p = p
-        self.modulus = (c0, c1)
+    def __init__(self, p, k):
+        q = p**k
+        self.p, self.k = p, k
         self.char = p
-        self.order = p * p
-        self.name = f"GF({p * p})"
+        self.order = q
+        self.name = f"GF({q})"
         self.zero = 0
         self.one = 1
-        q = self.order
-        self._add = [[self._add_raw(a, b) for b in range(q)] for a in range(q)]
-        self._mul = [[self._mul_raw(a, b) for b in range(q)] for a in range(q)]
-        self._neg = [self._neg_raw(a) for a in range(q)]
-        inv = [None] * q
-        for a in range(1, q):
-            for b in range(1, q):
-                if self._mul[a][b] == 1:
-                    inv[a] = b
+        self._digits = digits = [[a // p**i % p for i in range(k)] for a in range(q)]
+
+        def code(ds):
+            return sum(d % p * p**i for i, d in enumerate(ds))
+
+        self._add = add = [[code([s + t for s, t in zip(da, db)]) for db in digits]
+                           for da in digits]
+        scale = [[code([c * s for s in da]) for da in digits] for c in range(p)]
+        self._neg = scale[p - 1]
+        # The lower coefficients m of the modulus, in code order, until every
+        # nonzero element has an inverse: a row of products without 1 is a
+        # zero divisor, so x^k + m is reducible.
+        for m in digits:
+            # a*x: shift the digits up and replace x^k by -(m_0 + ... + m_{k-1} x^(k-1))
+            xtimes = [code([s - da[-1] * c for s, c in zip([0, *da[:-1]], m)]) for da in digits]
+            # a*b = b_0 a + x (a (b // p)), Horner's rule on the digits of b
+            self._mul = [[0] * q]
+            for a in range(1, q):
+                row = [0]
+                for b in range(1, q):
+                    row.append(add[scale[b % p][a]][xtimes[row[b // p]]])
+                if 1 not in row:
                     break
-        self._inv = inv
-
-    def _split(self, a):
-        return a % self.p, a // self.p
-
-    def _join(self, a0, a1):
-        return (a0 % self.p) + (a1 % self.p) * self.p
-
-    def _add_raw(self, a, b):
-        a0, a1 = self._split(a)
-        b0, b1 = self._split(b)
-        return self._join(a0 + b0, a1 + b1)
-
-    def _neg_raw(self, a):
-        a0, a1 = self._split(a)
-        return self._join(-a0, -a1)
-
-    def _mul_raw(self, a, b):
-        # (a0+a1 x)(b0+b1 x) with x^2 = -c1 x - c0
-        a0, a1 = self._split(a)
-        b0, b1 = self._split(b)
-        c0, c1 = self.modulus
-        hi = a1 * b1
-        return self._join(a0 * b0 - hi * c0, a0 * b1 + a1 * b0 - hi * c1)
+                self._mul.append(row)
+            else:
+                break
+        self._inv = [None] + [row.index(1) for row in self._mul[1:]]
 
     def add(self, a, b):
         return self._add[a][b]
@@ -259,53 +253,59 @@ class QuadraticField(Field):
             raise DivisionByZero(f"inverse of 0 in {self.name}")
         return self._inv[a]
 
-    def from_int(self, n):
-        return n % self.p
+    from_int = PrimeField.from_int
 
     def elements(self):
         return range(self.order)
 
     def fmt(self, a):
-        a0, a1 = self._split(a)
-        if a1 == 0:
-            return str(a0)
-        xs = "x" if a1 == 1 else f"{a1}x"
-        return xs if a0 == 0 else f"{xs}+{a0}"
+        terms = []
+        for e, c in reversed(list(enumerate(self._digits[a]))):
+            if c:
+                mono = "" if e == 0 else "x" if e == 1 else f"x^{e}"
+                terms.append(mono if c == 1 and e else f"{c}{mono}")
+        return "+".join(terms) or "0"
 
-    # a1 x + a0 spelled [+|-][digits]x[(+|-)digits]; without "x", an integer
-    _TERMS = re.compile(r"([+-]?)([0-9]*)x([+-][0-9]+)?")
+    # one term: a sign (required after the first term), digits, x or x^e
+    _TERM = re.compile(r"([+-]?)([0-9]*)(x(?:\^([2-9]))?)?")
 
     def _parse(self, s):
-        if "x" not in s:
-            return int(s) % self.p
-        m = self._TERMS.fullmatch(s)
-        if m is None:
-            raise ValueError(f"{s!r} is not of the form a1x+a0")
-        sign, a1, a0 = m.groups()
-        return self._join(int(a0 or 0), int(sign + (a1 or "1")))
+        code, pos, top = 0, 0, self.k
+        while True:
+            m = self._TERM.match(s, pos)
+            sign, coeff, mono, e = m.groups()
+            deg = 0 if mono is None else int(e or 1)
+            if not (coeff or mono) or (pos and not sign) or deg >= top:
+                raise ValueError(f"{s!r} is not a sum of terms in falling degree below {self.k}")
+            code += int(sign + (coeff or "1")) % self.p * self.p**deg
+            pos, top = m.end(), deg
+            if pos == len(s):
+                return code
 
 
 QQ = RationalField()
 _CACHE = {}
-# Orders from here up are refused before the primality test: trial division
-# up to sqrt(q) stays under 46,341 steps below it.
+# Orders from here up are refused before the prime-power test: trial
+# division up to sqrt(q) stays under 46,341 steps below it.
 MAX_ORDER = 2**31
+# GF(p^k) with k >= 2 keeps q x q tables of sums and products; q = 256
+# gives 2 x 65,536 entries, built in under a second.
+MAX_TABLE_ORDER = 256
 
 
 def GF(q):
-    """GF(q) for q prime below MAX_ORDER, or the fixed models
-    GF(4)=GF(2)[x]/(x^2+x+1), GF(9)=GF(3)[x]/(x^2+1)."""
+    """GF(q) for q a prime below MAX_ORDER (a PrimeField), or a prime
+    power p^k, k >= 2, up to MAX_TABLE_ORDER (an ExtensionField); raises
+    FieldError for any other q."""
     if q in _CACHE:
         return _CACHE[q]
     if q >= MAX_ORDER:
         raise FieldError(f"field order {q} is too large: orders must be below {MAX_ORDER}")
-    if q == 4:
-        f = QuadraticField(2, (1, 1))
-    elif q == 9:
-        f = QuadraticField(3, (1, 0))
-    else:
-        f = PrimeField(q)
-    _CACHE[q] = f
+    p, k = _prime_power(q) or (q, 0)
+    if k == 0 or k > 1 and q > MAX_TABLE_ORDER:
+        raise FieldError(f"GF({q}) is not supported: the order must be a prime, "
+                         f"or a prime power up to {MAX_TABLE_ORDER}")
+    _CACHE[q] = f = PrimeField(p) if k == 1 else ExtensionField(p, k)
     return f
 
 

@@ -43,6 +43,21 @@ class EnumResult:
     nodes: int
 
 
+def _parities(S, g):
+    """The parity of each basis vector of the grading g of S, component by
+    component.  Raises ValueError naming the component when one is not
+    parity-homogeneous: no graded map preserves its parity."""
+    out = []
+    for d, vs in g.comps:
+        for v in vs:
+            p = S.parity_of(v)
+            if p is None:
+                raise ValueError(f"the component of degree {d} has a basis vector "
+                                 f"of mixed parity, {S.fmt(v)}")
+            out.append(p)
+    return out
+
+
 class _GradedMapSearch:
     """DFS for superalgebra isomorphisms mapping components onto components.
 
@@ -112,20 +127,11 @@ class _GradedMapSearch:
         slot parities, slot q0 values, source Gram matrix).
 
         Raises ValueError naming the component when a source basis vector
-        is not parity-homogeneous: no graded map preserves its parity."""
+        is not parity-homogeneous (`_parities`)."""
         A, F = self.A, self.F
-        src_vecs = []
-        src_comp = []
-        src_parity = []
-        for ci, (d, vs) in enumerate(self.ga.comps):
-            for v in vs:
-                p = A.parity_of(v)
-                if p is None:
-                    raise ValueError(f"the component of degree {d} has a basis vector "
-                                     f"of mixed parity, {A.fmt(v)}")
-                src_vecs.append(v)
-                src_comp.append(ci)
-                src_parity.append(p)
+        src_parity = _parities(A, self.ga)
+        src_vecs = [v for _, vs in self.ga.comps for v in vs]
+        src_comp = [ci for ci, (_, vs) in enumerate(self.ga.comps) for _ in vs]
         sizes = self.ga.dims()
         order = sorted(range(len(src_vecs)), key=lambda t: (sizes[src_comp[t]], src_parity[t], t))
         src_vecs = [src_vecs[t] for t in order]
@@ -293,12 +299,11 @@ def find_graded_map(A, ga, B, gb, mode="isomorphism", budget=None, isometry=True
     exhausted (proven none).  Raises BudgetExhausted when the node budget
     runs out, and ValueError, before any other answer, when ga does not
     grade A or gb does not grade B, on an unknown mode, or when A and B
-    lie over different fields.  In isomorphism mode with A is B the
-    identity is tried before any search, so a grading the identity
-    verifies needs no finite field.  Only assignments between components of one census are
-    searched, all of them by one `_GradedMapSearch`.  A search raises
-    ValueError naming the component when a basis vector of ga is not
-    parity-homogeneous.
+    lie over different fields.  In isomorphism mode with equal censuses,
+    `_parities` checks ga and gb, and then with A is B the identity is
+    tried before any search, so a grading the identity verifies needs no
+    finite field.  Only assignments between components of one census are
+    searched, all of them by one `_GradedMapSearch`, which checks ga.
     """
     if ga.algebra is not A or gb.algebra is not B:
         raise ValueError("find_graded_map needs a grading of A and a grading of B")
@@ -313,6 +318,8 @@ def find_graded_map(A, ga, B, gb, mode="isomorphism", budget=None, isometry=True
     if mode == "isomorphism":
         if ca != cb:
             return None
+        _parities(A, ga)
+        _parities(B, gb)
         comp_target = [gb.index[d] for d, _ in ga.comps]  # equal censuses: equal degrees
         if A is B:
             ident = try_verify_graded(identity_morphism(A), ga, gb, isometry=isometry)

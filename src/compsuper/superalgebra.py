@@ -321,7 +321,7 @@ class Morphism:
 
     def power(self, k):
         """This map composed with itself k times, the identity for k = 0;
-        raises ValueError for k < 0 (`inverse` gives the inverse)."""
+        raises ValueError for k < 0."""
         if k < 0:
             raise ValueError(f"power needs k >= 0, got {k}")
         if self.source is not self.target:
@@ -338,15 +338,6 @@ class Morphism:
 
     def rank(self):
         return linalg.rank(self.target.field, list(self.images))
-
-    def inverse(self):
-        """The inverse map; raises ValueError when this map is not bijective.
-
-        Column i of the inverse of the image matrix writes the i-th target
-        basis vector in the images, which is its image under the inverse.
-        """
-        inverse = linalg.basis_inverse(self.target.field, self.images)
-        return Morphism(self.target, self.source, tuple(zip(*inverse)))
 
     def with_attrs(self, *flags):
         return Morphism(self.source, self.target, self.images, self.attrs | set(flags))

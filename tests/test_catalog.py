@@ -99,6 +99,22 @@ def test_k_is_nonsplit_over_gf2_and_split_over_gf4():
     assert r2["checks"]["w^2+w+1=0"] and r4["checks"]["w^2+w+1=0"]
 
 
+@pytest.mark.parametrize("q, base", [(8, 2), (16, 4), (27, 3)])
+def test_verdicts_depend_only_on_the_field_invariants(q, base):
+    """GF(8) has no primitive cube root of 1, like GF(2); GF(16) has one,
+    like GF(4); GF(27) has no square root of -1, like GF(3).  So every
+    entry's report, `K-split` and each field-condition skip included,
+    equals the one over the smaller field once the field's name is
+    taken out."""
+    import json
+
+    F, E = GF(q), GF(base)
+    assert (F.primitive_cube_root_raw() is None) == (E.primitive_cube_root_raw() is None)
+    for id in catalog_ids():
+        r, s = verify_entry(id, F), verify_entry(id, E)
+        assert json.dumps(r).replace(F.name, "F") == json.dumps(s).replace(E.name, "F"), id
+
+
 def test_all_entries_verify_or_flag():
     for id in catalog_ids():
         e = ENTRIES[id]

@@ -35,6 +35,13 @@ def test_catalog_verify_wrong_characteristic_exits_2(capsys):
     assert code == 2
 
 
+def test_catalog_verify_all_over_gf16(capsys):
+    """Every entry over GF(16) passes or is skipped for its field condition."""
+    assert run(["catalog", "verify", "all", "--field", "GF(16)"]) == 0
+    reports = json.loads(capsys.readouterr().out)["reports"]
+    assert sum(r["pass"] for r in reports) == 33
+
+
 def test_catalog_list(capsys):
     code = run(["catalog", "list"])
     assert code == 0
@@ -331,6 +338,14 @@ def test_bad_field_names_exit_2(capsys, tmp_path, name):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("error:") and len(captured.err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("name", ["GF(6)", "GF(512)"])
+def test_field_orders_without_a_field_exit_2(capsys, name):
+    """6 is no prime power, and 512 = 2^9 is above the table limit."""
+    assert run(["check", "--construction", "b12", "--field", name]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
 
 
 def test_deeply_nested_grading_file_exits_2(capsys, tmp_path):

@@ -11,7 +11,7 @@ from compsuper.fields import (
     field_from_string,
 )
 
-FINITE = [GF(2), GF(3), GF(4), GF(9)]
+FINITE = [GF(2), GF(3), GF(4), GF(9), GF(8), GF(16), GF(25), GF(27)]
 
 
 def test_mod3_addition():
@@ -64,8 +64,9 @@ def test_elements_counts():
 def test_primitive_cube_root_raw():
     assert GF(4).primitive_cube_root_raw() == GF(4).parse_elt("x")
     assert GF(7).primitive_cube_root_raw() == 2 and pow(2, 3, 7) == 1
-    for F in (GF(2), GF(3), GF(9), QQ):
+    for F in (GF(2), GF(3), GF(9), GF(8), GF(27), QQ):
         assert F.primitive_cube_root_raw() is None
+    assert GF(16).primitive_cube_root_raw() is not None
 
 
 @pytest.mark.parametrize("q", [4, 7, 13])
@@ -102,9 +103,9 @@ def test_parse_elt_accepts_only_strings_and_ints(F):
 
 def test_parse_elt_spellings():
     """The spellings the generator, signs and fractions allow still parse:
-    an integer, or [+|-][digits]x[(+|-)digits] in GF(p^2), where "x1",
-    "x++1" and "x+-1" are refused; the generator is refused outside
-    GF(p^2)."""
+    an integer, or in GF(p^k) signed terms [digits]x^e in strictly falling
+    degree, with "x" for x^1 and 2 <= e < k, where "x1", "x++1" and
+    "x+-1" are refused; the generator is refused in a prime field."""
     F3, F9 = GF(3), GF(9)
     assert F3.parse_elt("+2") == F3.parse_elt("-1") == F3.parse_elt("02") == 2
     assert QQ.parse_elt("-1/2") == Fraction(-1, 2) and QQ.parse_elt("+3/6") == Fraction(1, 2)
@@ -117,9 +118,16 @@ def test_parse_elt_spellings():
     for F in (GF(2), F3, QQ):
         with pytest.raises(FieldError):
             F.parse_elt("x")
-    for bad in ("2x + 1", "1_0x", "x+\u0661", "x1", "x++1", "x+-1", "--x", "x+", "2+x"):
+    for bad in ("2x + 1", "1_0x", "x+\u0661", "x1", "x++1", "x+-1", "--x", "x+", "2+x", "x^2"):
         with pytest.raises(FieldError):
             F9.parse_elt(bad)
+    F27 = GF(27)
+    x2 = F27.mul(F27.parse_elt("x"), F27.parse_elt("x"))
+    assert F27.parse_elt("x^2+x+1") == F27.add(x2, F27.parse_elt("x+1"))
+    assert F27.parse_elt("-x^2+1") == F27.sub(F27.one, x2)
+    for bad in ("x^3", "x+x^2", "x^2+-1", "x^", "x^1"):
+        with pytest.raises(FieldError):
+            F27.parse_elt(bad)
 
 
 def test_rational_field():
@@ -132,9 +140,13 @@ def test_field_from_string_and_fmt():
     for name in ("Q", "GF(2)", "GF(3)", "GF(4)", "GF(9)", "GF(13)", "GF(1000003)",
                  "GF(2147483647)"):
         assert field_from_string(name).name == name
-    F = GF(9)
-    for a in F.elements():
-        assert F.parse_elt(F.fmt(a)) == a
+    for F in (GF(9), GF(8), GF(27)):
+        for a in F.elements():
+            assert F.parse_elt(F.fmt(a)) == a
+    assert [GF(4).fmt(a) for a in GF(4).elements()] == ["0", "1", "x", "x+1"]
+    assert [GF(9).fmt(a) for a in GF(9).elements()] == [
+        "0", "1", "2", "x", "x+1", "x+2", "2x", "2x+1", "2x+2"]
+    assert GF(8).fmt(7) == "x^2+x+1"
 
 
 @pytest.mark.parametrize("name", [
@@ -148,13 +160,37 @@ def test_field_names_need_ascii_digits_and_an_order_below_2_31(name):
         field_from_string(name)
 
 
+@pytest.mark.parametrize("q", [0, 1, 6, 12, 512])
+def test_orders_that_are_no_prime_power_or_too_large_for_tables_are_refused(q):
+    """GF(q) needs q = p^k, and q <= MAX_TABLE_ORDER when k >= 2."""
+    with pytest.raises(FieldError):
+        GF(q)
+
+
 def test_characteristic_reported():
     assert GF(2).char == 2 and GF(4).char == 2
     assert GF(3).char == 3 and GF(9).char == 9 // 3
 
 
-def test_quadratic_modulus_must_be_irreducible():
-    from compsuper.fields import FieldError, QuadraticField
+@pytest.mark.parametrize("F, modulus", [
+    (GF(4), [1, 1]), (GF(9), [1, 0]), (GF(25), [2, 0]),
+    (GF(8), [1, 1, 0]), (GF(27), [1, 2, 0]), (GF(16), [1, 1, 0, 0]),
+], ids=["GF(4)", "GF(9)", "GF(25)", "GF(8)", "GF(27)", "GF(16)"])
+def test_modulus_is_the_first_without_a_root(F, modulus):
+    """x^k = -(c_0 + c_1 x + ... + c_{k-1} x^(k-1)) in GF(p^k).  The
+    modulus has no root in GF(p), which in degree 2 and 3 makes it
+    irreducible, while every monic polynomial of degree k with a smaller
+    code c_0 + c_1 p + ... has one; the exhaustive axioms above show that
+    each modulus gives a field."""
+    p, k = F.char, len(modulus)
+    x, xk = F.parse_elt("x"), F.one
+    for _ in range(k):
+        xk = F.mul(xk, x)
+    assert [F.neg(xk) // p**i % p for i in range(k)] == modulus
 
-    with pytest.raises(FieldError):
-        QuadraticField(3, (2, 0))  # x^2 + 2 = (x-1)(x+1) over GF(3)
+    def has_root(c):
+        return any((t**k + sum(ci * t**i for i, ci in enumerate(c))) % p == 0 for t in range(p))
+
+    code = sum(c * p**i for i, c in enumerate(modulus))
+    assert not has_root(modulus)
+    assert all(has_root([c // p**i % p for i in range(k)]) for c in range(code))

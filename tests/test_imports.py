@@ -75,15 +75,18 @@ def test_the_check_sees_a_non_stdlib_import():
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
-def _names_read(node):
+def _names_read(node, attributes_only=False):
     """Names loaded, attributes taken and names imported under `node`,
-    each with the number of times it is read."""
+    each with the number of times it is read; with `attributes_only`,
+    the attributes taken alone."""
     out = Counter()
     for sub in ast.walk(node):
-        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
-            out[sub.id] += 1
-        elif isinstance(sub, ast.Attribute):
+        if isinstance(sub, ast.Attribute):
             out[sub.attr] += 1
+        elif attributes_only:
+            continue
+        elif isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            out[sub.id] += 1
         elif isinstance(sub, ast.ImportFrom):
             out.update(alias.name for alias in sub.names)
     return out
@@ -104,26 +107,28 @@ def _unread_definitions(modules, readers=()):
     """(module, name) for each top-level def or class, and each method, of
     `modules` (label -> source) that is read nowhere in `modules` or
     `readers` (more sources) except inside its own definition.  A read
-    is a name loaded, an attribute taken or a name imported, so a method
-    is read wherever an attribute of its name is taken.  Dunder names are
-    exempt; a method is reported as Class.method."""
+    of a top-level name is a name loaded, an attribute taken or a name
+    imported; a method is read only where an attribute of its name is
+    taken, so a local variable of the same name does not keep it alive.
+    Dunder names are exempt; a method is reported as Class.method."""
     defined = []
-    read = Counter()
+    read, attributes = Counter(), Counter()
     for label, source in [*modules.items(), *((None, text) for text in readers)]:
         tree = ast.parse(source)
         read.update(_names_read(tree))
+        attributes.update(_names_read(tree, attributes_only=True))
         if label is None:
             continue
         owners = {id(item): node.name for node in ast.walk(tree)
                   if isinstance(node, ast.ClassDef) for item in node.body}
         for node in _definitions(tree):
             if not (node.name.startswith("__") and node.name.endswith("__")):
-                inside = _names_read(node)[node.name]
                 owner = owners.get(id(node))
+                inside = _names_read(node, attributes_only=owner is not None)[node.name]
                 shown = node.name if owner is None else f"{owner}.{node.name}"
-                defined.append((label, shown, node.name, inside))
-    return sorted((label, shown) for label, shown, name, inside in defined
-                  if read[name] <= inside)
+                defined.append((label, shown, node.name, owner is not None, inside))
+    return sorted((label, shown) for label, shown, name, method, inside in defined
+                  if (attributes if method else read)[name] <= inside)
 
 
 # Methods that a library calls, so that no source of the project need
@@ -155,11 +160,13 @@ def test_the_check_sees_an_unread_method():
         "m.py": "class C:\n    def __init__(self):\n        self.run()\n\n"
                 "    def run(self):\n        return 1\n\n"
                 "    def again(self):\n        return self.again()\n\n"
-                "    def alone(self):\n        pass\n\n\n"
-                "class D:\n    def shown(self):\n        pass\n",
+                "    def alone(self):\n        pass\n\n"
+                "    def local(self):\n        pass\n\n\n"
+                "class D:\n    def shown(self):\n        pass\n\n\n"
+                "def f():\n    local = 1\n    return local\n",
     }
-    assert _unread_definitions(modules, ["import m\nm.C()\nm.D().shown()\n"]) == [
-        ("m.py", "C.again"), ("m.py", "C.alone")]
+    assert _unread_definitions(modules, ["import m\nm.C()\nm.D().shown()\nm.f()\n"]) == [
+        ("m.py", "C.again"), ("m.py", "C.alone"), ("m.py", "C.local")]
 
 
 # Exported names that only the tests read, each with the reason it stays

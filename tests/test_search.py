@@ -75,7 +75,8 @@ def test_found_map_inverts():
     g1 = gamma_grading_b12(B, Z6, Z6.element(1))
     g5 = gamma_grading_b12(B, Z6, Z6.element(5))
     f = find_graded_map(B, g1, B, g5)
-    inv = f.inverse()
+    # column i of the inverse image matrix is the image of basis vector i
+    inv = Morphism(B, B, tuple(zip(*linalg.basis_inverse(F3, f.images))))
     checked = is_morphism(inv, ("algebra-hom", "parity-preserving", "bijective"))
     from compsuper.search import try_verify_graded
 
@@ -652,14 +653,19 @@ def test_the_search_reads_the_source_algebra_only_while_preparing(monkeypatch):
 
 
 def test_mixed_parity_source_vector_is_refused():
-    """A grading whose basis vector 1 + u of B(1,2)/GF(3) has no parity
-    is refused by the search with a ValueError naming its component."""
+    """A grading whose basis vector 1 + u of B(1,2)/GF(3) has no parity,
+    which `validate` rejects, is refused by the search with a ValueError
+    naming its component: between two copies of B, and between B and
+    itself before the identity is tried."""
     B = b12(F3)
     G = AbGroup(0, ())
     one, u, v = B.basis()
     g = grading_from_components(B, G, [(G.zero(), [linalg.vec_add(F3, one, u), u, v])])
+    assert not validate(g)[0]
     with pytest.raises(ValueError, match="degree 0 has a basis vector of mixed parity, 1 \\+ u"):
         enumerate_automorphisms(B, g)
+    with pytest.raises(ValueError, match="degree 0 has a basis vector of mixed parity, 1 \\+ u"):
+        find_graded_map(B, g, B, g)
     C = b12(F3)
     gc = grading_from_components(C, G, [(G.zero(), [linalg.vec_add(F3, one, u), u, v])])
     with pytest.raises(ValueError, match="mixed parity"):

@@ -206,9 +206,7 @@ def test_morphism_compose_power_inverse():
     t = tau_omega(cb)
     assert t.power(3).is_identity()
     assert not t.power(1).is_identity()
-    inv = t.inverse()
-    assert t.compose(inv).is_identity()
-    assert inv.images == t.power(2).images
+    assert t.compose(t.power(2)).is_identity()
 
 
 def test_morphism_misuse_raises():
@@ -220,12 +218,6 @@ def test_morphism_misuse_raises():
         t.compose(across)  # across lands in D, t starts in C
     with pytest.raises(MixedAlgebras):
         across.power(2)
-    singular = Morphism(C, C, (C.zero(),) + t.images[1:])
-    with pytest.raises(ValueError):
-        singular.inverse()
-    B = b12(F3)
-    with pytest.raises(ValueError):
-        Morphism(B, C, (C.zero(),) * B.dim).inverse()
     K, _ = super_split_cayley(F2)
     with pytest.raises(MixedAlgebras):
         is_morphism(Morphism(K, C, identity_morphism(C).images))
@@ -390,7 +382,6 @@ def test_power_refuses_a_negative_exponent():
     automorphism is not the identity."""
     A, g = build_entry("eq1", F3)
     f = next(f for f in enumerate_automorphisms(A, constraints=g) if not f.is_identity())
-    assert not f.inverse().is_identity()
     assert f.power(0).is_identity()
     with pytest.raises(ValueError):
         f.power(-1)
