@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from itertools import combinations, permutations
 
 from . import linalg
-from .axioms import _polar_value, _terms
 from .gradings import _RelationBuilder, _products, _relation_row, _separating_grading, validate
 from .fields import InfiniteField
 from .superalgebra import CheckFailed, MixedAlgebras, Morphism, identity_morphism, is_morphism
@@ -83,16 +82,41 @@ class _GradedMapSearch:
     The source vectors never change during a search, so `consistent`
     reads their values from three more tables, in slot order: the parity
     of each slot vector, q0 of each even one, and the Gram matrix
-    b(src_k, src_t) under [k][t], summed over the two vectors' nonzero
-    entries.  The last two are built only for an isometry search.  Each
-    entry is the value `parity_of`, `eval_q0` or `eval_b` gives on the
-    source vectors, so every check decides as it would on the vectors
-    themselves.  The target side is evaluated per candidate (`parity_of`,
-    `eval_q0`, `eval_b` both ways, `in_span`, the rank and the products).
-    Tables of the target side, one entry per candidate of a component,
-    were faster still, but they hold memory for every candidate for the
-    whole search, so they are left out until that memory is measured
-    apart from throughput.
+    b(src_k, src_t) under [k][t], from the covectors b(src_k, -) of
+    `polar_row`.  The last two are built only for an isometry search.
+    Each entry is the value `parity_of`, `eval_q0` or `eval_b` gives on
+    the source vectors, so every check decides as it would on the vectors
+    themselves.
+
+    The target side keeps O(m n) state per depth k, set when `consistent`
+    accepts images[k] and read by every deeper candidate: the covector
+    b(images[k], -) of `polar_row` (isometry searches only), and an
+    echelon row, the residue of images[k] by the rows of depths 0..k-1
+    scaled to 1 at its pivot, its first nonzero entry.
+
+    Polar check: a candidate v at slot t checks b(images[k], v) =
+    src_gram[k][t], summed over v's nonzero entries, only for the k < t
+    of its slot's parity.  That decides as checking b(images[k], v) and
+    b(v, images[k]) for every k <= t.  `_check_invariants` makes the
+    polar form of both algebras 0 on even x odd, symmetric on the even
+    block, skew and alternating on the odd one, and every image has its
+    slot's parity.  So b(y, x) = +-b(x, y) on vectors of one parity, with
+    one sign on source and target (skew is symmetric in characteristic
+    2), and both sides are 0 across parities.  On the diagonal, b(v, v) =
+    2 q0(v) for even v, which the q0 check fixes, and b(v, v) = 0 for odd
+    v: its diagonal terms vanish (alternating) and its cross terms cancel
+    in pairs (skew).
+
+    Rank check: v is reduced by the echelon rows of depths 0..t-1 in order
+    (`linalg.reduce_mod`), and is dependent on images[0..t-1] iff the
+    residue is 0.  One pass is exact because each stored row is 0 at
+    every earlier pivot, so reducing by row k clears pivot k for good.
+    The residue is then 0 at every pivot, while a nonzero combination of
+    the rows is not (at the pivot of its first row with a nonzero
+    coefficient), so it is 0 iff v lies in their span.
+
+    `parity_of`, `eval_q0`, `in_span` and the products are still
+    evaluated per candidate.
 
     `run`'s `fixed` gives the candidates of the first slots: slot t <
     len(fixed) tries exactly fixed[t], each ticked and checked by
@@ -153,10 +177,10 @@ class _GradedMapSearch:
         src_q0 = src_gram = None
         if self.isometry:
             # q0 of the even slots (None on the odd ones), and b(src_k, src_t)
-            # under [k][t], each summed over the two vectors' nonzero entries
+            # under [k][t]: column t is the covectors b(src_k, -) at src_t
             src_q0 = [A.eval_q0(v) if p == 0 else None for v, p in zip(src_vecs, src_parity)]
-            terms = [_terms(F, v) for v in src_vecs]
-            src_gram = [[_polar_value(F, A.polar, x, y) for y in terms] for x in terms]
+            covs = [A.polar_row(v) for v in src_vecs]
+            src_gram = tuple(zip(*(linalg.mat_vec(F, covs, v) for v in src_vecs)))
         return src_vecs, src_comp, by_depth, std_coords, src_parity, src_q0, src_gram
 
     def run(self, comp_target, collect=None, fixed=()):
@@ -175,7 +199,10 @@ class _GradedMapSearch:
         m = len(src_vecs)
         n = B.dim
         images = [None] * m
-        z = F.zero
+        # per depth k, set when images[k] is accepted: b(images[k], -), and
+        # images[k] reduced by the rows of depths 0..k-1, 1 at its pivot
+        covs, echelon, pivots = [None] * m, [None] * m, [None] * m
+        z, add, mul = F.zero, F.add, F.mul
         span_vectors = self._span_vectors
         last = len(fixed) - 1 if fixed else m - 1  # a collected solution backs up to here
 
@@ -204,20 +231,28 @@ class _GradedMapSearch:
             if not linalg.in_span(F, rr, piv, v):
                 return False
             if self.isometry:
-                if parity == 0:
-                    if B.eval_q0(v) != src_q0[t]:
+                if parity == 0 and B.eval_q0(v) != src_q0[t]:
+                    return False
+                entries = [(j, c) for j, c in enumerate(v) if c != z]
+                for k in range(t):
+                    if src_parity[k] != parity:
+                        continue
+                    row, acc = covs[k], z
+                    for j, c in entries:
+                        acc = add(acc, mul(row[j], c))
+                    if acc != src_gram[k][t]:
                         return False
-                row = src_gram[t]
-                for k in range(t + 1):
-                    if B.eval_b(images[k], v) != src_gram[k][t]:
-                        return False
-                    if B.eval_b(v, images[k]) != row[k]:
-                        return False
-            if linalg.rank(F, [im for im in images[: t + 1]]) != t + 1:
+            residue = linalg.reduce_mod(F, echelon[:t], pivots[:t], v)
+            pivot = next((j for j, c in enumerate(residue) if c != z), None)
+            if pivot is None:
                 return False
             for i, j, coeffs, _ in by_depth[t]:
                 if B.mul(images[i], images[j]) != linalg.lincomb(F, coeffs, images, n):
                     return False
+            if self.isometry:
+                covs[t] = B.polar_row(v)
+            echelon[t] = linalg.vec_scale(F, F.inv(residue[pivot]), residue)
+            pivots[t] = pivot
             return True
 
         def dfs(t):
@@ -299,11 +334,13 @@ def find_graded_map(A, ga, B, gb, mode="isomorphism", budget=None, isometry=True
     exhausted (proven none).  Raises BudgetExhausted when the node budget
     runs out, and ValueError, before any other answer, when ga does not
     grade A or gb does not grade B, on an unknown mode, or when A and B
-    lie over different fields.  In isomorphism mode with equal censuses,
-    `_parities` checks ga and gb, and then with A is B the identity is
-    tried before any search, so a grading the identity verifies needs no
-    finite field.  Only assignments between components of one census are
-    searched, all of them by one `_GradedMapSearch`, which checks ga.
+    lie over different fields.  Once the censuses agree (sorted ones in
+    equivalence mode), `_parities` checks ga and gb: a basis vector of
+    mixed parity is a ValueError in both modes.  Then in isomorphism mode
+    with A is B the identity is tried before any search, so a grading the
+    identity verifies needs no finite field.  Only assignments between
+    components of one census are searched, all of them by one
+    `_GradedMapSearch`.
     """
     if ga.algebra is not A or gb.algebra is not B:
         raise ValueError("find_graded_map needs a grading of A and a grading of B")
@@ -328,6 +365,7 @@ def find_graded_map(A, ga, B, gb, mode="isomorphism", budget=None, isometry=True
         return _GradedMapSearch(A, ga, B, gb, budget, isometry=isometry).run(comp_target)
     if sorted(ca.values()) != sorted(cb.values()):
         return None
+    _parities(B, gb)
     search = _GradedMapSearch(A, ga, B, gb, budget, isometry=isometry)
     for perm in permutations(range(len(gb.comps))):
         if any(ca[d] != cb[gb.comps[k][0]] for (d, _), k in zip(ga.comps, perm)):

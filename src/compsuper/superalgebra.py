@@ -177,6 +177,21 @@ class SuperAlgebra:
                     acc = F.add(acc, F.mul(F.mul(xi, yj), row[j]))
         return acc
 
+    def polar_row(self, x):
+        """The covector b(x, -): the tuple of b(x, e_j) over the basis, so
+        that b(x, y) is the sum of its entries times y's."""
+        F = self.field
+        z = F.zero
+        add, mul = F.add, F.mul
+        acc = [z] * self.dim
+        for i, xi in enumerate(x):
+            if xi == z:
+                continue
+            for j, p in enumerate(self.polar[i]):
+                if p != z:
+                    acc[j] = add(acc[j], mul(xi, p))
+        return tuple(acc)
+
     def eval_q0(self, x):
         F = self.field
         z = F.zero
@@ -367,8 +382,9 @@ def is_morphism(f, checks=KNOWN_CHECKS):
     once per call.  algebra-hom compares f(e_i e_j), the sum of c f(e_k)
     over the terms of `A._sparse[i][j]`, with f(e_i) f(e_j), summed over
     pairs of entries through `B._sparse` as `B.mul` sums them.  isometry
-    reads b(f(e_i), f(e_j)) off the entries of f(e_j) and the row
-    b(f(e_i), -) built from `B.polar`.  parity-preserving asks every
+    reads b(f(e_i), f(e_j)) off the entries of f(e_j) and the covector
+    b(f(e_i), -) of `B.polar_row`, the kernel that the graded-map search
+    reads its target polar values from too.  parity-preserving asks every
     entry of f(e_i) to have the parity of e_i.  Each list is read in
     2 dim products, which is where the time is saved.  `B.mul` keeps
     scanning dense vectors: it already skips zeros as it goes, and in
@@ -413,11 +429,7 @@ def is_morphism(f, checks=KNOWN_CHECKS):
                     raise CheckFailed(flag, (A.basis_names[i],))
         elif flag == "isometry":
             for i in range(A.dim):
-                form = [z] * n  # form[b] = b(f(e_i), e_b)
-                for a, x in supports[i]:
-                    for b, p in enumerate(B.polar[a]):
-                        if p != z:
-                            form[b] = add(form[b], mul(x, p))
+                form = B.polar_row(images[i])  # form[b] = b(f(e_i), e_b)
                 for j in range(A.dim):
                     acc = z
                     for b, y in supports[j]:

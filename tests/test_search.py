@@ -503,9 +503,11 @@ def test_tables_once_per_search_match_per_run_tables(monkeypatch):
 
 
 class _PerCandidateSearch(_SEARCH):
-    """The search with `consistent` as it was before the source tables:
-    the parity, q0 and polar values of the fixed source vectors are
-    evaluated by the source algebra for every candidate."""
+    """The search with `consistent` as it was before any search tables:
+    for every candidate, the parity, q0 and polar values of the fixed
+    source vectors are evaluated by the source algebra, the polar values
+    of the target by `eval_b` both ways against every earlier image, the
+    diagonal included, and the rank of the images from scratch."""
 
     def run(self, comp_target, collect=None, fixed=()):
         A, B, F = self.A, self.B, self.F
@@ -594,17 +596,48 @@ def _okubo_pairs():
     return A, pairs
 
 
-def test_source_tables_match_per_candidate_evaluation(monkeypatch):
-    """Reading the source parity, q0 and Gram tables gives the same maps
-    and node counts as evaluating the source algebra per candidate: on
-    every 4th hard Okubo pair of criterion 6 (the stated condition says
-    isomorphic, the search proves none), on the table cases above, and on
-    searches without the isometry checks."""
+def _target_side_cases():
+    """Isometry searches the Okubo cases do not reach: criterion 6's
+    B(1,2) and B(4,2) pairs over GF(9) whose censuses agree (every test
+    group, deg(u) = g against deg(u) = h), and, over GF(2), the super
+    Cayley catalog pairs in equivalence mode whose sorted censuses agree
+    and the automorphism groups of eq7 and main-cd8."""
+    from compsuper.catalog import ENTRIES, _family_algebra, iso_test_groups
+    from compsuper.gradings import gamma_grading_b42
+
+    cases = []
+    for family, gamma in (("b12", gamma_grading_b12), ("b42", gamma_grading_b42)):
+        A = _family_algebra(family, GF(9))["algebra"]
+        for G in iso_test_groups():
+            gs = [gamma(A, G, g) for g in G.elements()]
+            cases += [lambda A=A, g1=g1, g2=g2: find_graded_map(A, g1, A, g2)
+                      for g1 in gs for g2 in gs if g1 is not g2 and g1.census == g2.census]
+    cayley = [build_entry(id, F2) for id, e in ENTRIES.items() if e.family == "cd8"]
+    cases += [lambda A=A, ga=ga, B=B, gb=gb: find_graded_map(A, ga, B, gb, mode="equivalence")
+              for A, ga in cayley for B, gb in cayley
+              if sorted(ga.census.values()) == sorted(gb.census.values())]
+    for id in ("eq7", "main-cd8"):
+        A, g = build_entry(id, F2)
+        cases.append(lambda A=A, g=g: enumerate_automorphisms(A, constraints=g))
+    return cases
+
+
+def test_search_tables_match_per_candidate_evaluation(monkeypatch):
+    """The search's tables, the source tables built once per search and
+    the target covectors and echelon rows kept per depth, give the same
+    maps, Nones and node counts as evaluating both algebras per
+    candidate: on every 4th hard Okubo pair of criterion 6 (the stated
+    condition says isomorphic, the search proves none), on the table
+    cases above, on isometry searches over GF(9) (odd characteristic) and
+    over GF(2), where the one-way polar check rests on skew being
+    symmetric and the skipped diagonal on the odd block being
+    alternating, and on searches without the isometry checks."""
     A, pairs = _okubo_pairs()
     hard = [(ga, gb) for stated, corrected, ga, gb in pairs if stated and not corrected]
     assert len(hard) == 248
     cases = [lambda ga=ga, gb=gb: find_graded_map(A, ga, A, gb) for ga, gb in hard[::4]]
     cases += _table_cases()
+    cases += _target_side_cases()
     mixed = [(ga, gb) for _, _, ga, gb in pairs if ga is not gb and ga.census == gb.census]
     cases += [lambda ga=ga, gb=gb: find_graded_map(A, ga, A, gb, isometry=False)
               for ga, gb in mixed[::20]]
@@ -612,12 +645,31 @@ def test_source_tables_match_per_candidate_evaluation(monkeypatch):
     cases += [lambda A=A, ga=ga, B=B, gb=gb:
               find_graded_map(A, ga, B, gb, mode="equivalence", isometry=False)
               for A, ga in equiv for B, gb in equiv]
-    found = 0
+    searched = found = 0
     for call in cases:
         got = _searches(monkeypatch, _SEARCH, call)
         assert got == _searches(monkeypatch, _PerCandidateSearch, call)
+        searched += bool(got[1])
         found += any(f is not None for f in got[0])
-    assert (len(cases), found) == (271, 140)
+    assert (len(cases), searched, found) == (325, 313, 192)
+
+
+def test_a_hard_okubo_search_makes_no_dense_polar_value_or_rank(monkeypatch):
+    """Work-count guard: the hard Okubo pair of criterion 6 that costs the
+    most nodes (5,820; the stated condition says isomorphic, the search
+    proves none) makes no SuperAlgebra.eval_b and no linalg.rank call:
+    the target's polar values come from the covectors and its rank from
+    the echelon rows kept per depth."""
+    A, pairs = _okubo_pairs()
+    hard = [(ga, gb) for stated, corrected, ga, gb in pairs if stated and not corrected]
+    ga, gb = hard[157]
+    calls = []
+    for owner, name in ((SuperAlgebra, "eval_b"), (linalg, "rank")):
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
+    got, nodes = _searches(monkeypatch, _SEARCH, lambda: find_graded_map(A, ga, A, gb))
+    assert (got, nodes) == ([None], [5820])
+    assert calls == []
 
 
 def test_the_search_reads_the_source_algebra_only_while_preparing(monkeypatch):
@@ -650,6 +702,21 @@ def test_the_search_reads_the_source_algebra_only_while_preparing(monkeypatch):
         assert {n for a, p, n in calls if a is A and p == "prepare"} >= {"eval_q0", "parity_of"}
         assert [n for a, p, n in calls if a is A and p == "search"] == []
         assert [n for a, p, n in calls if a is B and p == "search"]  # the target side
+
+
+def test_mixed_parity_target_vector_is_refused_in_both_modes():
+    """A target grading gb of B(1,2)/GF(3) whose one component has the
+    basis 1 + u, 1, v, which `validate` rejects, is refused with a
+    ValueError in equivalence mode as in isomorphism mode, though the
+    source grading is the trivial one and has no such vector."""
+    B = b12(F3)
+    G = AbGroup(0, ())
+    one, u, v = B.basis()
+    gb = grading_from_components(B, G, [(G.zero(), [linalg.vec_add(F3, one, u), one, v])])
+    assert not validate(gb)[0]
+    for mode in ("isomorphism", "equivalence"):
+        with pytest.raises(ValueError, match="degree 0 has a basis vector of mixed parity, 1 \\+ u"):
+            find_graded_map(B, trivial_grading(B), B, gb, mode=mode)
 
 
 def test_mixed_parity_source_vector_is_refused():
