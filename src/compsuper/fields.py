@@ -4,6 +4,17 @@ up to MAX_TABLE_ORDER.
 Finite field elements are plain ints (codes 0..q-1), rationals are
 `fractions.Fraction`; a Field object interprets the raw values.  All
 operations are pure and exact; in GF(p^k) they are table lookups.
+
+Besides the scalar operations, every field has three row kernels, which
+`linalg` runs its row arithmetic on: `sub_scaled(v, c, w)` is v - c*w,
+`add_scaled(v, c, w)` is v + c*w and `scaled(c, w)` is c*w, each entry
+by entry as a new list, with v and w sequences of one length.  Each
+gives exactly the list of the scalar loop, such as
+`[sub(a, mul(c, b)) for a, b in zip(v, w)]`, in one pass per row:
+- Q (and any field without its own) runs that scalar loop;
+- GF(p) reduces each entry once, with one `% p`;
+- GF(p^k) reads the product row `_mul[c]` and the sum table; for v - c*w
+  it reads the row of -c, since -(c*b) = (-c)*b.
 """
 
 import re
@@ -57,6 +68,18 @@ class Field:
 
     def inv(self, a):
         raise NotImplementedError
+
+    def sub_scaled(self, v, c, w):
+        sub, mul = self.sub, self.mul
+        return [sub(a, mul(c, b)) for a, b in zip(v, w)]
+
+    def add_scaled(self, v, c, w):
+        add, mul = self.add, self.mul
+        return [add(a, mul(c, b)) for a, b in zip(v, w)]
+
+    def scaled(self, c, w):
+        mul = self.mul
+        return [mul(c, b) for b in w]
 
     def from_int(self, n):
         raise NotImplementedError
@@ -176,6 +199,18 @@ class PrimeField(Field):
             raise DivisionByZero(f"inverse of 0 in {self.name}")
         return pow(a, self.p - 2, self.p)
 
+    def sub_scaled(self, v, c, w):
+        p = self.p
+        return [(a - c * b) % p for a, b in zip(v, w)]
+
+    def add_scaled(self, v, c, w):
+        p = self.p
+        return [(a + c * b) % p for a, b in zip(v, w)]
+
+    def scaled(self, c, w):
+        p = self.p
+        return [c * b % p for b in w]
+
     def from_int(self, n):
         return n % self.p
 
@@ -252,6 +287,18 @@ class ExtensionField(Field):
         if a == 0:
             raise DivisionByZero(f"inverse of 0 in {self.name}")
         return self._inv[a]
+
+    def sub_scaled(self, v, c, w):
+        add, row = self._add, self._mul[self._neg[c]]
+        return [add[a][row[b]] for a, b in zip(v, w)]
+
+    def add_scaled(self, v, c, w):
+        add, row = self._add, self._mul[c]
+        return [add[a][row[b]] for a, b in zip(v, w)]
+
+    def scaled(self, c, w):
+        row = self._mul[c]
+        return [row[b] for b in w]
 
     from_int = PrimeField.from_int
 

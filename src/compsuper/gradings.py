@@ -30,7 +30,7 @@ class NotSetGrading(ValueError):
 class Grading:
     """A decomposition of `algebra` into components, each with a degree.
 
-    Five read-only lookups are computed on first use and kept for the
+    Seven read-only lookups are computed on first use and kept for the
     life of the grading; validation, the graded-map searches, `fine_check`
     and the grading checks in `axioms` read them instead of rebuilding
     them per call:
@@ -39,8 +39,13 @@ class Grading:
       one, should a degree repeat; `validate` rejects repeats);
     - `spans`: per component, in the order of `comps`, its rref rows and
       pivot columns, as tuples;
-    - `census`: degree -> (even dim, odd dim) of its component, where a
-      vector that is not even counts as odd;
+    - `parities`: per component, in the order of `comps`, the parity of
+      each basis vector (`parity_of`: 0, 1, or None for mixed parity), as
+      tuples;
+    - `mixed`: (degree, vector) of the first basis vector of mixed
+      parity, or None when there is none;
+    - `census`: degree -> (even dim, odd dim) of its component, read from
+      `parities`, where a vector that is not even counts as odd;
     - `landing`: `landing[a][b]` is the position of the component of
       degree deg(a) + deg(b), or None when there is none;
     - `products(a, b)`: the nonzero products x*y, x over component a and
@@ -70,12 +75,21 @@ class Grading:
         return tuple(out)
 
     @cached_property
-    def census(self):
+    def parities(self):
         A = self.algebra
+        return tuple(tuple(A.parity_of(v) for v in vs) for _, vs in self.comps)
+
+    @cached_property
+    def mixed(self):
+        return next(((d, vs[ps.index(None)]) for (d, vs), ps in zip(self.comps, self.parities)
+                     if None in ps), None)
+
+    @cached_property
+    def census(self):
         out = {}
-        for d, vs in self.comps:
-            ev = sum(1 for v in vs if A.parity_of(v) == 0)
-            out[d] = (ev, len(vs) - ev)
+        for (d, _), ps in zip(self.comps, self.parities):
+            ev = ps.count(0)
+            out[d] = (ev, len(ps) - ev)
         return MappingProxyType(out)
 
     @cached_property
@@ -127,7 +141,7 @@ def grading_from_components(algebra, group, comps):
     F = algebra.field
     out = []
     for deg, vs in comps:
-        vs = [tuple(v) for v in vs if not linalg.vec_is_zero(F, v)]
+        vs = [v for v in map(tuple, vs) if not linalg.vec_is_zero(F, v)]
         if not vs:
             continue
         out.append((deg, tuple(vs)))

@@ -3,14 +3,21 @@
 Subspaces are identified by their reduced row echelon basis, which is
 canonical, so subspace equality and deduplication reduce to tuple
 comparison.
+
+Row arithmetic runs on the field's row kernels (`Field.sub_scaled`,
+`add_scaled` and `scaled`, see `fields`), one call per row instead of
+two scalar calls per entry: the eliminations of `rref` and `reduce_mod`
+(and so `in_span`), each term of `lincomb`, and `vec_scale`.  The
+kernels return lists, which these functions turn into tuples wherever
+they returned tuples, since vectors are compared and hashed as keys.
 """
 
 from itertools import combinations, product
 
 
 def vec_is_zero(field, v):
-    z = field.zero
-    return all(c == z for c in v)
+    """True when every entry of the sequence v (not an iterator) is zero."""
+    return v.count(field.zero) == len(v)
 
 
 def vec_add(field, u, v):
@@ -24,25 +31,22 @@ def vec_sub(field, u, v):
 
 
 def vec_scale(field, c, v):
-    mul = field.mul
-    return tuple(mul(c, a) for a in v)
+    return tuple(field.scaled(c, v))
 
 
 def lincomb(field, coeffs, vectors, n):
     """The length-n tuple sum(c * v) over zip(coeffs, vectors).
 
-    Zero coefficients and zero entries are skipped, so a vector paired
-    with a zero coefficient is never read.  `n` is the length of the
+    Zero coefficients are skipped, so a vector paired with a zero
+    coefficient is never read; every other vector is added by one
+    `add_scaled` and must have length n.  `n` is the length of the
     result, which the vectors cannot supply when there are none.
     """
-    z = field.zero
-    add, mul = field.add, field.mul
+    z, add_scaled = field.zero, field.add_scaled
     acc = [z] * n
     for c, v in zip(coeffs, vectors):
         if c != z:
-            for i, a in enumerate(v):
-                if a != z:
-                    acc[i] = add(acc[i], mul(c, a))
+            acc = add_scaled(acc, c, v)
     return tuple(acc)
 
 
@@ -67,7 +71,7 @@ def identity_matrix(field, n):
 def rref(field, rows):
     """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
     rows = [list(r) for r in rows]
-    z = field.zero
+    z, sub_scaled = field.zero, field.sub_scaled
     m = len(rows)
     n = len(rows[0]) if m else 0
     pivots = []
@@ -83,11 +87,10 @@ def rref(field, rows):
         rows[r], rows[pr] = rows[pr], rows[r]
         inv = field.inv(rows[r][col])
         if inv != field.one:
-            rows[r] = [field.mul(inv, a) for a in rows[r]]
+            rows[r] = field.scaled(inv, rows[r])
         for i in range(m):
             if i != r and rows[i][col] != z:
-                c = rows[i][col]
-                rows[i] = [field.sub(a, field.mul(c, b)) for a, b in zip(rows[i], rows[r])]
+                rows[i] = sub_scaled(rows[i], rows[i][col], rows[r])
         pivots.append(col)
         r += 1
         if r == m:
@@ -102,13 +105,12 @@ def rank(field, rows):
 
 
 def reduce_mod(field, rr, pivots, v):
-    """Residue of v modulo the row space with RREF basis rr."""
-    v = list(v)
-    z = field.zero
+    """Residue of the sequence v modulo the row space with RREF basis rr."""
+    z, sub_scaled = field.zero, field.sub_scaled
     for row, p in zip(rr, pivots):
         c = v[p]
         if c != z:
-            v = [field.sub(a, field.mul(c, b)) for a, b in zip(v, row)]
+            v = sub_scaled(v, c, row)
     return tuple(v)
 
 
@@ -202,9 +204,8 @@ def all_vectors(field, n):
 
 
 def nonzero_vectors(field, n):
-    z = field.zero
     for v in all_vectors(field, n):
-        if any(c != z for c in v):
+        if not vec_is_zero(field, v):
             yield v
 
 

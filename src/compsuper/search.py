@@ -42,19 +42,16 @@ class EnumResult:
     nodes: int
 
 
-def _parities(S, g):
-    """The parity of each basis vector of the grading g of S, component by
-    component.  Raises ValueError naming the component when one is not
-    parity-homogeneous: no graded map preserves its parity."""
-    out = []
-    for d, vs in g.comps:
-        for v in vs:
-            p = S.parity_of(v)
-            if p is None:
-                raise ValueError(f"the component of degree {d} has a basis vector "
-                                 f"of mixed parity, {S.fmt(v)}")
-            out.append(p)
-    return out
+def _parities(g):
+    """The parity of each basis vector of the grading g, component by
+    component, read from `g.parities`.  Raises ValueError naming the
+    component when one is not parity-homogeneous (`g.mixed`): no graded
+    map preserves its parity."""
+    if g.mixed is not None:
+        d, v = g.mixed
+        raise ValueError(f"the component of degree {d} has a basis vector "
+                         f"of mixed parity, {g.algebra.fmt(v)}")
+    return [p for ps in g.parities for p in ps]
 
 
 class _GradedMapSearch:
@@ -153,7 +150,7 @@ class _GradedMapSearch:
         Raises ValueError naming the component when a source basis vector
         is not parity-homogeneous (`_parities`)."""
         A, F = self.A, self.F
-        src_parity = _parities(A, self.ga)
+        src_parity = _parities(self.ga)
         src_vecs = [v for _, vs in self.ga.comps for v in vs]
         src_comp = [ci for ci, (_, vs) in enumerate(self.ga.comps) for _ in vs]
         sizes = self.ga.dims()
@@ -333,14 +330,14 @@ def find_graded_map(A, ga, B, gb, mode="isomorphism", budget=None, isometry=True
     Returns a verified Morphism, or None when the search space is
     exhausted (proven none).  Raises BudgetExhausted when the node budget
     runs out, and ValueError, before any other answer, when ga does not
-    grade A or gb does not grade B, on an unknown mode, or when A and B
-    lie over different fields.  Once the censuses agree (sorted ones in
-    equivalence mode), `_parities` checks ga and gb: a basis vector of
-    mixed parity is a ValueError in both modes.  Then in isomorphism mode
-    with A is B the identity is tried before any search, so a grading the
-    identity verifies needs no finite field.  Only assignments between
-    components of one census are searched, all of them by one
-    `_GradedMapSearch`.
+    grade A or gb does not grade B, on an unknown mode, when A and B lie
+    over different fields, or, in both modes, when a basis vector of ga or
+    gb has mixed parity (`_parities`).  That check reads each grading's
+    cached `mixed`, so the census test that settles most pairs stays as
+    cheap as without it.  Then in isomorphism mode with A is B the
+    identity is tried before any search, so a grading the identity
+    verifies needs no finite field.  Only assignments between components
+    of one census are searched, all of them by one `_GradedMapSearch`.
     """
     if ga.algebra is not A or gb.algebra is not B:
         raise ValueError("find_graded_map needs a grading of A and a grading of B")
@@ -348,6 +345,9 @@ def find_graded_map(A, ga, B, gb, mode="isomorphism", budget=None, isometry=True
         raise ValueError(f"unknown mode {mode!r}")
     if A.field != B.field:
         raise ValueError(f"graded maps need one field, got {A.field} and {B.field}")
+    if ga.mixed or gb.mixed:
+        _parities(ga)
+        _parities(gb)
     if A.dim != B.dim:
         return None
     budget = budget or SearchBudget()
@@ -355,8 +355,6 @@ def find_graded_map(A, ga, B, gb, mode="isomorphism", budget=None, isometry=True
     if mode == "isomorphism":
         if ca != cb:
             return None
-        _parities(A, ga)
-        _parities(B, gb)
         comp_target = [gb.index[d] for d, _ in ga.comps]  # equal censuses: equal degrees
         if A is B:
             ident = try_verify_graded(identity_morphism(A), ga, gb, isometry=isometry)
@@ -365,7 +363,6 @@ def find_graded_map(A, ga, B, gb, mode="isomorphism", budget=None, isometry=True
         return _GradedMapSearch(A, ga, B, gb, budget, isometry=isometry).run(comp_target)
     if sorted(ca.values()) != sorted(cb.values()):
         return None
-    _parities(B, gb)
     search = _GradedMapSearch(A, ga, B, gb, budget, isometry=isometry)
     for perm in permutations(range(len(gb.comps))):
         if any(ca[d] != cb[gb.comps[k][0]] for (d, _), k in zip(ga.comps, perm)):

@@ -12,11 +12,22 @@ much are exactly the counterexamples, and that each one is certified
 absent by that argument, independently of the search.  The corrected
 condition (identity or simultaneous swap-and-negate) matches the searches
 on all 11313 pairs and is asserted in its own test below.
+
+Every criterion is computed once per module, by one run of
+`acceptance.CRITERIA`; the per-criterion tests and the report digest test
+read that run.
 """
+
+import hashlib
 
 import pytest
 
-from compsuper import acceptance
+from compsuper import acceptance, catalog
+from compsuper.cli import run
+
+# `compsuper report`'s stdout: a speedup must leave it byte-identical
+REPORT_BYTES = 2141
+REPORT_SHA256 = "44d1a2361be87d52a16a5f7bc5d07d6ece6609335779ba24c6c98012d167c8af"
 
 
 def _report(r):
@@ -26,38 +37,65 @@ def _report(r):
 
 
 @pytest.fixture(scope="module")
-def iso_reports():
-    from compsuper.catalog import verify_iso_theorems
-    from compsuper.fields import GF
+def run_once():
+    """One run of `acceptance.CRITERIA`: (the results in order, the reports
+    of `catalog.verify_iso_theorems` that criterion 6 read)."""
+    verify, seen = catalog.verify_iso_theorems, []
 
-    return verify_iso_theorems(GF(9), GF(4))
+    def kept(*args):
+        seen.append(verify(*args))
+        return seen[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(catalog, "verify_iso_theorems", kept)
+        results = [fn() for fn in acceptance.CRITERIA]
+    assert len(seen) == 1
+    return results, seen[0]
 
 
-def test_criterion_1_axiom_suite():
-    r = _report(acceptance.criterion_1())
+@pytest.fixture(scope="module")
+def criteria(run_once):
+    return {r["id"]: r for r in run_once[0]}
+
+
+@pytest.fixture(scope="module")
+def iso_reports(run_once):
+    return run_once[1]
+
+
+def test_report_is_byte_identical(run_once, monkeypatch, capsys):
+    """`compsuper report` over the module's run prints the pinned bytes."""
+    monkeypatch.setattr(acceptance, "run_all", lambda: run_once[0])
+    assert run(["report"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert (len(out), hashlib.sha256(out).hexdigest()) == (REPORT_BYTES, REPORT_SHA256)
+
+
+def test_criterion_1_axiom_suite(criteria):
+    r = _report(criteria[1])
     assert r["passed"], r["failures"]
     assert r["instances"] >= 50
 
 
-def test_criterion_2_canonical_basis_every_seed():
-    r = _report(acceptance.criterion_2())
+def test_criterion_2_canonical_basis_every_seed(criteria):
+    r = _report(criteria[2])
     assert r["passed"], r["failures"]
     assert r["seeds"] == 135  # nonzero isotropic vectors of the split form
 
 
-def test_criterion_3_catalog():
-    r = _report(acceptance.criterion_3())
+def test_criterion_3_catalog(criteria):
+    r = _report(criteria[3])
     assert r["passed"], r["failures"]
     assert r["labelled"] == 29
 
 
-def test_criterion_4_coarsening_lattices():
-    r = _report(acceptance.criterion_4())
+def test_criterion_4_coarsening_lattices(criteria):
+    r = _report(criteria[4])
     assert r["passed"], r["failures"]
 
 
-def test_criterion_5_twisted_b12_rigidity():
-    r = _report(acceptance.criterion_5())
+def test_criterion_5_twisted_b12_rigidity(criteria):
+    r = _report(criteria[5])
     assert r["passed"], r["failures"]
 
 
@@ -112,25 +150,25 @@ def test_criterion_6_okubo_corrected_condition(iso_reports):
     assert all(m["expected"] and not m["actual"] for m in ok["mismatches"])
 
 
-def test_criterion_7_okubo_structure_facts():
-    r = _report(acceptance.criterion_7())
+def test_criterion_7_okubo_structure_facts(criteria):
+    r = _report(criteria[7])
     assert r["passed"], r["failures"]
 
 
-def test_criterion_8_para_units():
-    r = _report(acceptance.criterion_8())
+def test_criterion_8_para_units(criteria):
+    r = _report(criteria[8])
     assert r["passed"], r["failures"]
 
 
-def test_criterion_9_fineness():
-    r = _report(acceptance.criterion_9())
+def test_criterion_9_fineness(criteria):
+    r = _report(criteria[9])
     assert r["passed"], r["failures"]
     # the nst twist's main grading admits no single split (no 3-gradings
     # exist without a cube root of unity)
     assert r["main_okubo_nst"] == "fine"
 
 
-def test_criterion_10_orthogonality():
-    r = _report(acceptance.criterion_10())
+def test_criterion_10_orthogonality(criteria):
+    r = _report(criteria[10])
     assert r["passed"], r["failures"]
     assert r["gradings"] == 73

@@ -194,3 +194,43 @@ def test_modulus_is_the_first_without_a_root(F, modulus):
     code = sum(c * p**i for i, c in enumerate(modulus))
     assert not has_root(modulus)
     assert all(has_root([c // p**i % p for i in range(k)]) for c in range(code))
+
+
+def _kernel_oracle(F, triples):
+    """Each row kernel against the scalar loop on the (c, a, b) triples,
+    one kernel call per c over all of its (a, b); the kernels take
+    tuples and return lists."""
+    by_c = {}
+    for c, a, b in triples:
+        by_c.setdefault(c, []).append((a, b))
+    for c, pairs in by_c.items():
+        v, w = tuple(a for a, _ in pairs), tuple(b for _, b in pairs)
+        assert F.sub_scaled(v, c, w) == [F.sub(a, F.mul(c, b)) for a, b in pairs]
+        assert F.add_scaled(v, c, w) == [F.add(a, F.mul(c, b)) for a, b in pairs]
+        assert F.scaled(c, w) == [F.mul(c, b) for b in w]
+        assert F.sub_scaled((), c, ()) == F.add_scaled((), c, ()) == F.scaled(c, ()) == []
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 8, 9, 16])
+def test_row_kernels_match_the_scalar_loop_on_every_triple(q):
+    F = GF(q)
+    elts = list(F.elements())
+    _kernel_oracle(F, [(c, a, b) for c in elts for a in elts for b in elts])
+
+
+@pytest.mark.parametrize("F", [GF(256), GF(1000003), QQ], ids=lambda f: f.name)
+def test_row_kernels_match_the_scalar_loop_on_sampled_triples(F):
+    import random
+
+    rng = random.Random(26)
+    if F.order is None:
+        def draw():
+            return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+    else:
+        def draw():
+            return rng.randrange(F.order)
+    # every c also meets the zero and one of both sides
+    cs = [F.zero, F.one] + [draw() for _ in range(40)]
+    _kernel_oracle(F, [(c, a, b) for c in cs
+                       for a, b in [(F.zero, F.one), (F.one, F.zero)]
+                       + [(draw(), draw()) for _ in range(50)]])

@@ -371,9 +371,10 @@ def test_grading_enumeration_relations_match_reference(monkeypatch):
 
 
 def test_lookups_match_a_fresh_computation_and_are_computed_once(monkeypatch):
-    """`index`, `spans` and `census` equal a fresh computation on every
-    catalog entry over its primary fields, and the first reads compute
-    them: the rrefs and parities are not taken again on later reads."""
+    """`index`, `spans`, `parities`, `mixed` and `census` equal a fresh
+    computation on every catalog entry over its primary fields, and the
+    first reads compute them: the rrefs and parities are not taken again
+    on later reads."""
     from compsuper import superalgebra
     from compsuper.catalog import ENTRIES, FieldConditionUnmet, build_entry, catalog_ids
 
@@ -399,25 +400,29 @@ def test_lookups_match_a_fresh_computation_and_are_computed_once(monkeypatch):
             degrees = g.degrees()
             even = set(A.even_indices())
             before = dict(calls)
-            index, spans, census = g.index, g.spans, g.census
+            index, spans, census, parities = g.index, g.spans, g.census, g.parities
+            assert g.mixed is None, id
             assert calls["rref"] - before["rref"] == len(g.comps), id
             assert calls["parity_of"] - before["parity_of"] == A.dim, id
             before = dict(calls)
-            assert (g.index, g.spans, g.census) == (index, spans, census), id
+            assert (g.index, g.spans, g.census, g.parities) == (index, spans, census, parities), id
             assert g.index is index and g.spans is spans and g.census is census, id
+            assert g.parities is parities and g.mixed is None, id
             g.component_keys()
             assert calls == before, id
             # degree -> position of its component
             assert dict(index) == {d: max(i for i, e in enumerate(degrees) if e == d)
                                    for d in degrees}, id
-            for (d, vs), (rows, pivots) in zip(g.comps, spans):
+            for k, ((d, vs), (rows, pivots)) in enumerate(zip(g.comps, spans)):
                 # the reduced echelon basis of the component's span
                 assert rows == linalg.span_key(F, vs), (id, str(d))
                 assert pivots == tuple(next(c for c, x in enumerate(r) if x != F.zero)
                                        for r in rows), (id, str(d))
                 assert all(r[p] == F.one for r, p in zip(rows, pivots)), (id, str(d))
-                n_even = sum(all(i in even for i, x in enumerate(v) if x != F.zero) for v in vs)
+                is_even = [all(i in even for i, x in enumerate(v) if x != F.zero) for v in vs]
+                n_even = sum(is_even)
                 assert census[d] == (n_even, len(vs) - n_even), (id, str(d))
+                assert parities[k] == tuple(0 if e else 1 for e in is_even), (id, str(d))
             with pytest.raises(TypeError):
                 index[degrees[0]] = 0
             with pytest.raises(TypeError):
@@ -430,3 +435,4 @@ def test_lookups_match_a_fresh_computation_and_are_computed_once(monkeypatch):
     g = grading_from_components(
         B, Z, [(Z.element(0), [mixed]), (Z.element(1), [B.basis_vector(2)])])
     assert dict(g.census) == {Z.element(0): (0, 1), Z.element(1): (0, 1)}
+    assert g.parities == ((None,), (1,)) and g.mixed == (Z.element(0), mixed)

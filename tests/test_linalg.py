@@ -159,3 +159,83 @@ def test_first_rref_profile_draws_few_elements(monkeypatch):
     drawn.clear()
     first = next(linalg.rref_profiles(F, 2, 4))
     assert first == ((1, 0, 0, 0), (0, 1, 0, 0)) and len(drawn) == 4
+
+
+# Scalar references for the functions that run on the field's row
+# kernels: the same algorithms with one `add`/`sub`/`mul` call per entry.
+
+def _rref_ref(F, rows):
+    rows = [list(r) for r in rows]
+    m, n = len(rows), len(rows[0]) if rows else 0
+    pivots, r = [], 0
+    for col in range(n):
+        pr = next((i for i in range(r, m) if rows[i][col] != F.zero), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = F.inv(rows[r][col])
+        rows[r] = [F.mul(inv, a) for a in rows[r]]
+        for i in range(m):
+            c = rows[i][col]
+            if i != r and c != F.zero:
+                rows[i] = [F.sub(a, F.mul(c, b)) for a, b in zip(rows[i], rows[r])]
+        pivots.append(col)
+        r += 1
+    return [tuple(row) for row in rows[:r]], pivots
+
+
+def _reduce_ref(F, rr, pivots, v):
+    v = list(v)
+    for row, p in zip(rr, pivots):
+        c = v[p]
+        v = [F.sub(a, F.mul(c, b)) for a, b in zip(v, row)]
+    return tuple(v)
+
+
+def _lincomb_ref(F, coeffs, vectors, n):
+    acc = [F.zero] * n
+    for c, v in zip(coeffs, vectors):
+        for i, a in enumerate(v):
+            acc[i] = F.add(acc[i], F.mul(c, a))
+    return tuple(acc)
+
+
+KERNEL_FIELDS = [GF(2), GF(3), GF(4), GF(8), GF(9), GF(16), GF(256), GF(1000003), QQ]
+
+
+def _entry(F):
+    """A scalar of F, zero half the time so that rows are often dependent."""
+    if F.order is None:
+        nonzero = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    else:
+        nonzero = st.integers(0, F.order - 1)
+    return st.one_of(st.just(F.zero), nonzero)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(KERNEL_FIELDS), st.integers(0, 5), st.integers(1, 6), st.data())
+def test_row_kernel_functions_match_the_scalar_references(F, m, n, data):
+    """rref, reduce_mod, in_span, lincomb, vec_scale and vec_is_zero equal
+    their per-entry scalar references on drawn matrices, and return
+    tuples (rref: a list of tuple rows and a list of pivots), so no kernel
+    list reaches a comparison or a hash."""
+    elt = _entry(F)
+    vec = st.tuples(*[elt] * n)
+    rows = data.draw(st.lists(vec, min_size=m, max_size=m))
+    rr, piv = linalg.rref(F, rows)
+    assert (rr, piv) == _rref_ref(F, rows)
+    assert type(rr) is list and type(piv) is list and all(type(r) is tuple for r in rr)
+    spanned = linalg.lincomb(F, data.draw(st.lists(elt, min_size=m, max_size=m)), rows, n)
+    for v in data.draw(st.lists(vec, max_size=3)) + [spanned, (F.zero,) * n]:
+        got = linalg.reduce_mod(F, rr, piv, v)
+        assert type(got) is tuple and got == _reduce_ref(F, rr, piv, v)
+        assert linalg.in_span(F, rr, piv, v) is all(a == F.zero for a in got)
+        assert linalg.in_span(F, rr, piv, list(v)) is linalg.in_span(F, rr, piv, v)
+        c = data.draw(elt)
+        scaled = linalg.vec_scale(F, c, v)
+        assert type(scaled) is tuple and scaled == tuple(F.mul(c, a) for a in v)
+        assert linalg.vec_is_zero(F, v) is linalg.vec_is_zero(F, list(v)) is all(a == F.zero for a in v)
+    assert linalg.in_span(F, rr, piv, spanned)
+    coeffs = data.draw(st.lists(elt, min_size=m, max_size=m))
+    got = linalg.lincomb(F, coeffs, rows, n)
+    assert type(got) is tuple and got == _lincomb_ref(F, coeffs, rows, n)

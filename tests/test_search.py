@@ -8,6 +8,7 @@ from compsuper.catalog import build_entry
 from compsuper.constructions import (
     b12,
     b12_lambda,
+    b42,
     cayley_dickson_super,
     nonsplit_quadratic,
     okubo_super,
@@ -675,7 +676,9 @@ def test_a_hard_okubo_search_makes_no_dense_polar_value_or_rank(monkeypatch):
 def test_the_search_reads_the_source_algebra_only_while_preparing(monkeypatch):
     """Between the main gradings of okubo-nst and okubo-omega over GF(4),
     two algebra objects, the search evaluates the source algebra's
-    eval_b, eval_q0 and parity_of only in `_prepare`: every candidate
+    eval_b, eval_q0 and parity_of only before it starts: eval_q0 in
+    `_prepare`, parity_of once per basis vector for the grading's cached
+    `parities`, which `find_graded_map` reads first.  Every candidate
     reads the source tables instead."""
     nst, omega = okubo_super(F4, "nst")[0], okubo_super(F4, "omega")[0]
     phase = ["before"]
@@ -699,7 +702,8 @@ def test_the_search_reads_the_source_algebra_only_while_preparing(monkeypatch):
         phase[0] = "before"
         f = find_graded_map(A, main_grading(A), B, main_grading(B))
         assert f is not None
-        assert {n for a, p, n in calls if a is A and p == "prepare"} >= {"eval_q0", "parity_of"}
+        assert {n for a, p, n in calls if a is A and p == "prepare"} >= {"eval_q0"}
+        assert [n for a, p, n in calls if a is A and n == "parity_of"] == ["parity_of"] * A.dim
         assert [n for a, p, n in calls if a is A and p == "search"] == []
         assert [n for a, p, n in calls if a is B and p == "search"]  # the target side
 
@@ -737,6 +741,27 @@ def test_mixed_parity_source_vector_is_refused():
     gc = grading_from_components(C, G, [(G.zero(), [linalg.vec_add(F3, one, u), u, v])])
     with pytest.raises(ValueError, match="mixed parity"):
         find_graded_map(B, g, C, gc)
+
+
+def test_mixed_parity_is_refused_before_the_census_test():
+    """A grading gc of B(1,2)/GF(3) with the one component 1 + u, u, v
+    has another census than the trivial grading (it counts 1 + u as odd),
+    yet a graded map from or to it is refused with a ValueError naming the
+    vector in both modes, not answered None; so is a pair of algebras of
+    different dimensions."""
+    B = b12(F3)
+    G = AbGroup(0, ())
+    one, u, v = B.basis()
+    gc = grading_from_components(B, G, [(G.zero(), [linalg.vec_add(F3, one, u), u, v])])
+    assert gc.census != trivial_grading(B).census
+    assert gc.mixed == (G.zero(), linalg.vec_add(F3, one, u))
+    assert trivial_grading(B).mixed is None
+    C = b42(F3)
+    for mode in ("isomorphism", "equivalence"):
+        for args in ((B, trivial_grading(B), B, gc), (B, gc, B, trivial_grading(B)),
+                     (B, gc, C, trivial_grading(C)), (C, trivial_grading(C), B, gc)):
+            with pytest.raises(ValueError, match="degree 0 has a basis vector of mixed parity, 1 \\+ u"):
+                find_graded_map(*args, mode=mode)
 
 
 def test_enumerate_all_gradings_b12_lambda():
