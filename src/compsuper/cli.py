@@ -46,6 +46,8 @@ CONSTRUCTIONS = (
 )
 CD_BASES = ("split2", "split4", "nonsplit2")
 PARA_BASES = ("split2", "split4", "split8", "nonsplit2")
+# the construction options each construction reads; the others refuse them
+READS = {"cd": ("--alpha", "--base"), "para": ("--base",), "b12lambda": ("--lambda",)}
 
 
 class UsageError(ValueError):
@@ -61,8 +63,20 @@ class NotAGrading(Exception):
         self.witness = witness
 
 
-def build_construction(name, field, alpha=None, lam=None, base="split4"):
-    """Returns (algebra, context dict); context may carry phi/cb/hurwitz."""
+def build_construction(name, field, alpha=None, lam=None, base=None):
+    """Returns (algebra, context dict); context may carry phi/cb/hurwitz.
+
+    Raises UsageError for an unknown construction, or for a given
+    `alpha`, `lam` or `base` that the construction does not read (see
+    READS); cd and para take split4 when `base` is None."""
+    if name not in CONSTRUCTIONS:
+        raise UsageError(f"unknown construction {name!r}; choose from {CONSTRUCTIONS}")
+    given = {"--alpha": alpha, "--lambda": lam, "--base": base}
+    unread = [opt for opt, value in given.items()
+              if value is not None and opt not in READS.get(name, ())]
+    if unread:
+        raise UsageError(f"construction {name} does not read {', '.join(unread)}")
+    base = "split4" if base is None else base
     if name in ("split2", "split4", "split8"):
         A, cb = split_hurwitz(int(name[-1]), field)
         return A, {"cb": cb}
@@ -83,10 +97,8 @@ def build_construction(name, field, alpha=None, lam=None, base="split4"):
     if name in ("okubo-nst", "okubo-omega"):
         S, phi, cb, C = okubo_super(field, name.split("-")[1])
         return S, {"phi": phi, "cb": cb, "hurwitz": C}
-    if name == "p8":
-        S, phi, cb, C = pseudo_octonion(field)
-        return S, {"phi": phi, "cb": cb, "hurwitz": C}
-    raise UsageError(f"unknown construction {name!r}; choose from {CONSTRUCTIONS}")
+    S, phi, cb, C = pseudo_octonion(field)  # p8, the last of CONSTRUCTIONS
+    return S, {"phi": phi, "cb": cb, "hurwitz": C}
 
 
 def _hurwitz_base(name, base, allowed, field):
@@ -334,7 +346,7 @@ def make_parser():
             sp.add_argument("--construction", required=True, choices=CONSTRUCTIONS)
             sp.add_argument("--alpha", default=None, help="doubling scalar")
             sp.add_argument("--lambda", dest="lam", default=None, help="twist parameter")
-            sp.add_argument("--base", default="split4",
+            sp.add_argument("--base", default=None,
                             help=f"Hurwitz base for cd: {'|'.join(CD_BASES)}; "
                                  f"for para: {'|'.join(PARA_BASES)} (default split4)")
         if grading:

@@ -1,10 +1,12 @@
+from collections import Counter
+from itertools import combinations, product
+
 import pytest
 
 from compsuper import linalg
 from compsuper.axioms import (
     MODE,
     CheckReport,
-    _even_test_set,
     check_composition_super,
     check_hurwitz,
     check_orthogonality,
@@ -23,6 +25,7 @@ from compsuper.constructions import (
     para_hurwitz,
     split_hurwitz,
     super_split_cayley,
+    super_split_quaternion,
 )
 from compsuper.fields import GF, QQ, InfiniteField
 from compsuper.superalgebra import SuperAlgebra, is_regular_superform
@@ -192,6 +195,13 @@ def test_small_criterion_1_constructions_agree_with_oracle():
 # --- reference checks on dense products and eval_b ----------------------------
 
 
+def _even_test_set(S):
+    """Even basis vectors and their pairwise sums."""
+    F = S.field
+    vecs = [S.basis_vector(i) for i in S.even_indices()]
+    return vecs + [linalg.vec_add(F, a, b) for a, b in combinations(vecs, 2)]
+
+
 def _reference_norm_failure(S, pool):
     F = S.field
     for x in pool:
@@ -285,20 +295,12 @@ def _swap_first_multiterm_product(S):
     return None
 
 
-def test_checks_match_dense_reference():
-    """Every report of the three checks, witness included, equals the dense
-    reference's on the criterion 1 and 7 constructions, on the
-    one-identity corruptions, and on each construction with a
-    many-term product after swapping that product with its opposite."""
-    from compsuper.acceptance import _hurwitz_suite_instances, _symmetric_suite_instances
-
-    cases = _hurwitz_suite_instances() + _symmetric_suite_instances()
-    cases += [(f"swapped {label}", _swap_first_multiterm_product(S)) for label, S in cases]
-    cases += [(f"corrupt {tag}", S) for tag, S in _one_identity_corruptions()]
+def _compare_with_reference(cases):
+    """Asserts that every report of the three checks, witness included,
+    equals the dense reference's on each (label, algebra); returns the set
+    of (check name, first witness entry) of the failing reports."""
     failed = set()
     for label, S in cases:
-        if S is None:
-            continue
         for check, reference in (
             (check_hurwitz, _reference_hurwitz),
             (check_composition_super, _reference_composition),
@@ -308,9 +310,164 @@ def test_checks_match_dense_reference():
             assert got == reference(S).as_dict(), (label, check.__name__)
             if not got["pass"]:
                 failed.add((check.__name__, got["witness"][0]))
+    return failed
+
+
+def _other_field_instances():
+    """split8 over GF(8), GF(16), GF(27) and Q, and super-cayley over
+    GF(8) and GF(16), the characteristic-2 fields it needs."""
+    out = [(f"split8/{F}", split_hurwitz(8, F)[0]) for F in (GF(8), GF(16), GF(27), QQ)]
+    out += [(f"super-cayley/{F}", super_split_cayley(F)[0]) for F in (GF(8), GF(16))]
+    return out
+
+
+def test_checks_match_dense_reference():
+    """Every report of the three checks, witness included, equals the dense
+    reference's on the criterion 1 and 7 constructions, on split8 over
+    GF(8), GF(16), GF(27) and Q and super-cayley over GF(8) and GF(16),
+    on the one-identity
+    corruptions, and on each construction with a many-term product after
+    swapping that product with its opposite."""
+    from compsuper.acceptance import _hurwitz_suite_instances, _symmetric_suite_instances
+
+    cases = _hurwitz_suite_instances() + _symmetric_suite_instances() + _other_field_instances()
+    cases += [(f"swapped {label}", _swap_first_multiterm_product(S)) for label, S in cases]
+    cases += [(f"corrupt {tag}", S) for tag, S in _one_identity_corruptions()]
+    failed = _compare_with_reference([(label, S) for label, S in cases if S is not None])
     # every witness kind is compared at least once
     assert {w for name, w in failed if name == "check_composition_super"} >= {"i", "ii", "iii"}
     assert "check_symmetric" in {name for name, _ in failed}
+
+
+# --- single-entry corruption sweep ---------------------------------------------
+
+
+def _entry_corruptions(S, step=1):
+    """S with one structure constant changed, for every step-th entry
+    (i, j, k) of the table, in index order, whose b_k has the parity of
+    b_i b_j: that coefficient of b_i b_j gains one, so every corrupted
+    table keeps the parity invariant.  Yields ((i, j, k), algebra)."""
+    F = S.field
+    n = S.dim
+    p = S.parity
+    entries = [(i, j, k) for i in range(n) for j in range(n) for k in range(n)
+               if p[k] == (p[i] + p[j]) % 2]
+    for i, j, k in entries[::step]:
+        v = list(S.table[i][j])
+        v[k] = F.add(v[k], F.one)
+        yield (i, j, k), _with_products(S, {(i, j): v})
+
+
+def _sweep_cases():
+    """(label, corrupted entry, algebra) for every entry of B(1,2)/GF(3),
+    super-quaternion/GF(2), CD(K,1)/GF(4) and CD(split2,1)/GF(2), and
+    every eighth entry of super-cayley/GF(2)."""
+    bases = [
+        ("B(1,2)/GF(3)", b12(F3), 1),
+        ("super-quaternion/GF(2)", super_split_quaternion(F2)[0], 1),
+        ("CD(K,1)/GF(4)", cayley_dickson_super(nonsplit_quadratic(F4), F4.one), 1),
+        ("CD(split2,1)/GF(2)", cayley_dickson_super(split_hurwitz(2, F2)[0], F2.one), 1),
+        ("super-cayley/GF(2)", super_split_cayley(F2)[0], 8),
+    ]
+    return [(f"{label} entry {entry}", entry, S)
+            for label, base, step in bases for entry, S in _entry_corruptions(base, step)]
+
+
+def _skipped_class(identity, p, idx):
+    """The class of a case that the checks skip, or None for a case they
+    read: idx is (j, k) for (ii), (i, j, k, l) for (iii) and (i, j, k)
+    for the symmetric identity."""
+    if identity == "ii":
+        j, k = idx
+        if p[j] != p[k]:
+            return "mixed parity"
+        if p[j] == 0:
+            return "both even"
+        return "mirror" if j > k else "odd diagonal" if j == k else None
+    if sum(p[m] for m in idx) % 2:
+        return "odd total"
+    if identity == "symmetric":
+        return None
+    i, _, k, _ = idx
+    if p[i] == p[k] == 0:
+        return "both even"
+    return "mirror" if i > k else "odd diagonal" if i == k else None
+
+
+def _dense_cases(S):
+    """Every case of (ii), (iii) and the symmetric identity under dense
+    evaluation, as (identity, index tuple, products read, holds): x0 runs
+    over the test set in (ii), and `products read` names the basis
+    products (a, b), for b_a b_b, that the case's value depends on."""
+    F = S.field
+    basis = S.basis()
+    ev = S.even_indices()
+    p = S.parity
+    slots = [(a,) for a in ev] + list(combinations(ev, 2))
+    out = []
+    for X in slots:
+        x0 = tuple(F.one if m in X else F.zero for m in range(S.dim))
+        qx = S.eval_q0(x0)
+        for j, y in enumerate(basis):
+            for k, z in enumerate(basis):
+                mid = F.mul(qx, S.eval_b(y, z))
+                holds = (S.eval_b(S.mul(x0, y), S.mul(x0, z)) == mid
+                         and S.eval_b(S.mul(y, x0), S.mul(z, x0)) == mid)
+                read = {(a, m) for a in X for m in (j, k)} | {(m, a) for a in X for m in (j, k)}
+                out.append(("ii", (j, k), read, holds))
+    n = S.dim
+    for i, j, k, l in product(range(n), repeat=4):
+        swap = S.eval_b(S.mul(basis[k], basis[j]), S.mul(basis[i], basis[l]))
+        if (p[i] * p[j] + p[i] * p[k] + p[j] * p[k]) % 2:
+            swap = F.neg(swap)
+        rhs = F.mul(S.eval_b(basis[i], basis[k]), S.eval_b(basis[j], basis[l]))
+        if p[j] * p[k]:
+            rhs = F.neg(rhs)
+        lhs = S.eval_b(S.mul(basis[i], basis[j]), S.mul(basis[k], basis[l]))
+        out.append(("iii", (i, j, k, l), {(i, j), (k, l), (k, j), (i, l)},
+                    F.add(lhs, swap) == rhs))
+    for i, j, k in product(range(n), repeat=3):
+        holds = (S.eval_b(S.mul(basis[i], basis[j]), basis[k])
+                 == S.eval_b(basis[i], S.mul(basis[j], basis[k])))
+        out.append(("symmetric", (i, j, k), {(i, j), (j, k)}, holds))
+    return out
+
+
+def test_single_entry_corruptions_match_dense_reference():
+    """Each check's report, witness included, equals the dense reference's
+    on every single-entry corruption of the sweep, and the sweep reaches
+    each class of skipped cases.
+
+    The classes of `_skipped_class` come in two kinds.  A mirror or a
+    both-even case fails only together with a case the scan meets first,
+    and the sweep makes such cases fail: the checks skip them and still
+    report the reference's witness.  An odd-total or mixed-parity case
+    can never fail: the sweep corrupts products those cases read, on
+    tables whose check fails, and none of those cases fails."""
+    cases = _sweep_cases()
+    assert len(cases) == 13 + 32 + 32 + 32 + 32
+    failed = _compare_with_reference([(label, S) for label, _, S in cases])
+    assert {w for name, w in failed if name == "check_composition_super"} == {"i", "ii", "iii"}
+    assert "check_symmetric" in {name for name, _ in failed}
+    failing = Counter()  # (identity, class) -> failing cases over the sweep
+    reached = set()  # (identity, class) whose cases read a corrupted product of a failing table
+    for _, (i0, j0, _), S in cases:
+        composition_fails = not check_composition_super(S).passed
+        rejected = {"ii": composition_fails, "iii": composition_fails,
+                    "symmetric": not check_symmetric(S).passed}
+        for identity, idx, read, holds in _dense_cases(S):
+            cls = _skipped_class(identity, S.parity, idx)
+            if cls is None:
+                continue
+            failing[identity, cls] += not holds
+            if rejected[identity] and (i0, j0) in read:
+                reached.add((identity, cls))
+    implied = [("ii", "both even"), ("ii", "mirror"), ("iii", "both even"), ("iii", "mirror")]
+    vanishing = [("ii", "mixed parity"), ("ii", "odd diagonal"), ("iii", "odd total"),
+                 ("iii", "odd diagonal"), ("symmetric", "odd total")]
+    assert all(failing[key] > 0 for key in implied), failing
+    assert all(failing[key] == 0 for key in vanishing), failing
+    assert set(implied + vanishing) <= reached
 
 
 def test_check_symmetric():
@@ -396,6 +553,78 @@ def test_remark_identities_and_phi_square_fails():
     S, phi, cb, C = okubo_super(F4, "omega")
     assert check_remark_identities(S, phi, C).passed
     assert not check_remark_identities(S, phi.compose(phi), C).passed
+
+
+def _reference_orthogonality(grading):
+    """check_orthogonality with a dense eval_b for every pair."""
+    A = grading.algebra
+    F = A.field
+    for g, vg in grading.comps:
+        for h, vh in grading.comps:
+            if (g + h).is_zero():
+                continue
+            for x in vg:
+                for y in vh:
+                    if A.eval_b(x, y) != F.zero:
+                        return CheckReport(
+                            "orthogonality", False, witness=(str(g), str(h), A.fmt(x), A.fmt(y)))
+    for g, vg in grading.comps:
+        k = grading.index.get(-g)
+        vh = None if k is None else grading.comps[k][1]
+        if vh is None or len(vh) != len(vg):
+            return CheckReport("orthogonality", False, witness=(str(g), "missing opposite"))
+        gram = [[A.eval_b(x, y) for y in vh] for x in vg]
+        if linalg.rank(F, gram) < len(gram):
+            return CheckReport("orthogonality", False, witness=(str(g), "degenerate pairing"))
+    return CheckReport("orthogonality", True)
+
+
+def test_orthogonality_matches_dense_reference_on_every_catalog_grading():
+    """On every catalog entry over GF(2), GF(3), GF(4), GF(8), GF(9),
+    GF(16) and GF(27) that meets its conditions, the report equals the
+    dense reference's, as it does on three broken copies of it: the
+    degrees shifted by a nonzero degree and the first vector of each
+    component replaced by the sum of the first two, a component of
+    degree g != -g
+    left out, and the second vector of a component replaced by its
+    first."""
+    from compsuper.catalog import FieldConditionUnmet, build_entry, catalog_ids
+    from compsuper.gradings import Grading
+
+    built = 0
+    failed = set()
+    for F in (F2, F3, F4, GF(8), F9, GF(16), GF(27)):
+        for id in catalog_ids():
+            try:
+                _, g = build_entry(id, F)
+            except FieldConditionUnmet:
+                continue
+            built += 1
+            comps = g.comps
+            variants = [comps]
+            shift = next((d for d, _ in comps if not d.is_zero()), None)
+            if shift is not None:
+                # the first vector replaced by the sum of the first two, so
+                # that one x meets several y with b(x, y) != 0
+                variants.append(tuple(
+                    (d + shift, (linalg.vec_add(F, *vs[:2]),) + vs[1:] if len(vs) > 1 else vs)
+                    for d, vs in comps))
+            t = next((t for t, (d, _) in enumerate(comps) if d != -d), None)
+            if t is not None:
+                variants.append(comps[:t] + comps[t + 1:])
+            t = next((t for t, (_, vs) in enumerate(comps) if len(vs) > 1), None)
+            if t is not None:
+                d, vs = comps[t]
+                variants.append(comps[:t] + ((d, (vs[0], vs[0]) + vs[2:]),) + comps[t + 1:])
+            for variant in variants:
+                h = Grading(g.algebra, g.group, tuple(variant))
+                got = check_orthogonality(h).as_dict()
+                assert got == _reference_orthogonality(h).as_dict(), (id, F)
+                if not got["pass"]:
+                    w = got["witness"]
+                    failed.add(w[1] if len(w) == 2 else "pair")
+    assert built == 138
+    assert failed == {"pair", "missing opposite", "degenerate pairing"}
 
 
 def test_orthogonality_on_catalog_grading():

@@ -240,6 +240,38 @@ def test_unknown_construction_exits_2(capsys):
     assert run(["build", "--construction", "cd", "--base", "bogus", "--field", "GF(2)"]) == 2
 
 
+def test_construction_options_are_refused_where_unread(capsys):
+    """--alpha, --lambda and --base exit 2 with a one-line error on a
+    construction that does not read them; cd and para still default to
+    split4."""
+    refused = [
+        (["build", "--construction", "split8", "--alpha", "1", "--lambda", "2",
+          "--base", "nonsplit2"], "--alpha, --lambda, --base"),
+        (["check", "--construction", "b12", "--lambda", "1", "--field", "GF(3)"], "--lambda"),
+        (["check", "--construction", "para", "--alpha", "1"], "--alpha"),
+        (["build", "--construction", "cd", "--lambda", "1"], "--lambda"),
+        (["build", "--construction", "b12lambda", "--base", "split4", "--field", "GF(3)"],
+         "--base"),
+        (["enumerate", "--construction", "split2", "--base", "split2"], "--base"),
+    ]
+    for argv, options in refused:
+        assert run(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert captured.err.strip().splitlines() == [
+            f"error: construction {argv[2]} does not read {options}"], argv
+    for construction in ("cd", "para"):
+        assert run(["build", "--construction", construction]) == 0
+        default = capsys.readouterr().out
+        assert run(["build", "--construction", construction, "--base", "split4"]) == 0
+        assert capsys.readouterr().out == default
+    accepted = [["check", "--construction", "cd", "--alpha", "1", "--base", "split2"],
+                ["check", "--construction", "b12lambda", "--lambda", "1", "--field", "GF(3)"]]
+    for argv in accepted:
+        assert run(argv) == 0, argv
+        capsys.readouterr()
+
+
 def test_base_choices_match_the_help(capsys):
     """cd and para accept exactly the bases the help names for each; para
     over nonsplit2 is para-K."""

@@ -75,6 +75,23 @@ def test_the_check_sees_a_non_stdlib_import():
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
+def _asserts(source):
+    """The line of each `assert` statement in source.  Python drops them
+    under -O, so they cannot validate anything (ROADMAP aim 3)."""
+    return [node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert)]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_src_holds_no_assert(path):
+    assert _asserts(path.read_text()) == []
+
+
+def test_the_check_sees_an_assert():
+    source = "def f(x):\n    if x:\n        assert x > 0, 'positive'\n    return x\n"
+    assert _asserts(source) == [3]
+    assert _asserts("x = 'assert x'\n") == []
+
+
 def _names_read(node, attributes_only=False):
     """Names loaded, attributes taken and names imported under `node`,
     each with the number of times it is read; with `attributes_only`,
