@@ -7,6 +7,7 @@ the JSON), 2 usage or field errors.
 
 import argparse
 import json
+import os
 import sys
 
 from . import acceptance, catalog
@@ -396,13 +397,23 @@ def run(argv=None):
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.fn(args)
-    except NotAGrading as exc:
-        _emit({"valid": False, "witness": [str(w) for w in exc.witness]}, args.out)
-        return 1
-    except BudgetExhausted as exc:
-        _emit({"result": "budget-exhausted", "nodes": exc.nodes}, args.out)
-        return 1
+        try:
+            code = args.fn(args)
+        except NotAGrading as exc:
+            _emit({"valid": False, "witness": [str(w) for w in exc.witness]}, args.out)
+            code = 1
+        except BudgetExhausted as exc:
+            _emit({"result": "budget-exhausted", "nodes": exc.nodes}, args.out)
+            code = 1
+        sys.stdout.flush()  # a closed stdout fails here, not at shutdown
+        return code
+    except BrokenPipeError:
+        # The reader of stdout has gone (`compsuper ... | head`), which is
+        # not malformed input.  Send what is left to devnull, as the Python
+        # `signal` docs advise, so that shutdown prints no traceback, and
+        # exit as a process killed by SIGPIPE would.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -441,6 +441,153 @@ def enumerate_automorphisms(S, constraints, budget=None):
     return sorted(group, key=lambda f: tuple(f.images))
 
 
+class _BlockLines:
+    """The subspaces of a block as line masks, with no rank computation.
+
+    `keys` are the span keys of every subspace of the block, smallest
+    dimension first, so the lines are the subspaces 0..nl-1 and their
+    indices are their ids.  A subspace of dimension k is held as (k, x):
+    x is the line's id when k is 1, the int whose bit l is set iff line l
+    lies in it when 2 <= k < d, and -1, whose every bit is set, for the
+    whole block when d >= 2.  Masks are made by folding one line at a
+    time (`fold`); `_decompositions_of_block` says why the fold, the line
+    products and the tests are right.
+    """
+
+    OUT = -1  # the line of a product outside the block
+
+    def __init__(self, S, keys, index):
+        self.S = S
+        self.keys = keys
+        self.index = index  # span key -> subspace; (row,) is a line
+        self.d = len(keys[-1])
+        self.nl = next((t for t, key in enumerate(keys) if len(key) > 1), len(keys))
+        self.planes = {}  # m * nl + l, m < l -> lines of the plane of lines m and l
+        self.masks = {}  # subspace of dimension 2 or more -> its lines
+        self.line_products = {}  # x * nl + y -> line of x*y, None when zero, or OUT
+        self.products = {}  # a * ns + b, a or b not a line -> (dim, lines) of P_ab, or None
+
+    def line_of(self, v):
+        """The line of the nonzero vector v, OUT when it is not in the block."""
+        F = self.S.field
+        c = next(c for c in v if c != F.zero)
+        if c != F.one:
+            v = F.scaled(F.inv(c), v)
+        return self.index.get((tuple(v),), self.OUT)
+
+    def rows(self, t):
+        """The lines of the rref rows of subspace t."""
+        index = self.index
+        return [index[(row,)] for row in self.keys[t]]
+
+    def plane(self, m, l):
+        """The lines of the plane of the distinct lines m and l."""
+        if m > l:
+            m, l = l, m
+        key = m * self.nl + l
+        got = self.planes.get(key)
+        if got is None:
+            F = self.S.field
+            u, w = self.keys[m][0], self.keys[l][0]
+            got = 1 << m | 1 << l
+            for c in F.elements():
+                if c != F.zero:
+                    got |= 1 << self.line_of(F.add_scaled(u, c, w))
+            self.planes[key] = got
+        return got
+
+    def fold(self, k, x, l):
+        """(k + 1, lines of W + l) for W = (k, x) and a line l outside W."""
+        if k == 0:
+            return 1, l
+        if k + 1 == self.d:
+            return self.d, -1
+        if k == 1:
+            return 2, self.plane(x, l)
+        get, plane, nl = self.planes.get, self.plane, self.nl
+        out = 0
+        while x:
+            low = x & -x
+            m = low.bit_length() - 1
+            x ^= low
+            out |= get(m * nl + l if m < l else l * nl + m) or plane(m, l)
+        return k + 1, out
+
+    def lines(self, t):
+        """The x of subspace t: its id for a line, else its mask."""
+        if t < self.nl:
+            return t
+        got = self.masks.get(t)
+        if got is None:
+            got = self.masks[t] = self.direct_sum(0, 0, t)[1]
+        return got
+
+    def direct_sum(self, k, x, t):
+        """(dim, lines) of W + t for W = (k, x) meeting subspace t in 0."""
+        if k and k + len(self.keys[t]) == self.d:
+            return self.d, -1
+        for l in self.rows(t):
+            k, x = self.fold(k, x, l)
+        return k, x
+
+    @staticmethod
+    def has(k, x, l):
+        """Whether line l lies in the subspace (k, x)."""
+        return x == l if k == 1 else x >> l & 1
+
+    def meets(self, k, x, kc, c):
+        """Whether the nonzero subspaces (k, x) and (kc, c) meet beyond 0."""
+        if k + kc > self.d:
+            return True
+        if k == 1:
+            return self.has(kc, c, x)
+        return self.has(k, x, c) if kc == 1 else x & c
+
+    def inside(self, k, x, c):
+        """Whether the nonzero subspace (k, x) lies in subspace c."""
+        kc = len(self.keys[c])
+        if k > kc:
+            return False
+        if kc == self.d:
+            return True
+        if kc == 1:
+            return x == c
+        m = self.lines(c)
+        return m >> x & 1 if k == 1 else x & m == x
+
+    def line_product(self, x, y):
+        """The line of x*y for lines x and y, None when it is zero, or OUT."""
+        key = x * self.nl + y
+        got = self.line_products.get(key, False)
+        if got is False:
+            keys = self.keys
+            v = self.S.mul(keys[x][0], keys[y][0])
+            got = None if linalg.vec_is_zero(self.S.field, v) else self.line_of(v)
+            self.line_products[key] = got
+        return got
+
+    def product(self, a, b):
+        """(dim, lines) of P_ab, None when it is zero or not in the block."""
+        nl = self.nl
+        if a < nl and b < nl:
+            p = self.line_product(a, b)
+            return None if p is None or p == self.OUT else (1, p)
+        key = a * len(self.keys) + b
+        got = self.products.get(key, False)
+        if got is False:
+            k = x = 0
+            for u in self.rows(a):
+                for w in self.rows(b):
+                    p = self.line_product(u, w)
+                    if p == self.OUT:
+                        self.products[key] = None
+                        return None
+                    if p is not None and not self.has(k, x, p):
+                        k, x = self.fold(k, x, p)
+            got = self.products[key] = (k, x) if k else None
+        return got
+
+
 def _decompositions_of_block(S, block_basis, tick):
     """The closed unordered direct-sum decompositions of span(block_basis),
     the even or the odd part of S.  A decomposition is closed when, for
@@ -466,30 +613,72 @@ def _decompositions_of_block(S, block_basis, tick):
     fires, because odd x odd products are even and meet V only in 0, so
     every odd decomposition is listed.
 
-    The subspace questions are answered with sets of lines.  Every line
-    of the block is a listed 1-dimensional subspace, and its index is
-    the line's id; each subspace gets, when first asked, the frozenset of
-    the lines it contains (one per nonzero combination of its rref rows
-    whose first nonzero coefficient is 1; each such combination has its
-    leading entry 1, so it is the rref row of its line).  Two subspaces
-    meet only in 0 iff their sets are disjoint.  The span of the chosen
-    pieces and, in the even block, each P_ab are subspaces of the block,
-    so they are listed and found by their span keys; in the odd block
-    P_ab is even, is not listed, and meets V only in 0.  So:
-    - a piece is independent of V iff their sets are disjoint, and only
-      an independent sum takes an rref, to find the sum's subspace;
-    - P_ab lies in piece c iff it is c, or is smaller and each of its
-      rref rows is a line of c;
-    - P_ab meets V iff dim P_ab + dim V exceeds the block's dimension or
-      their sets meet.
+    The subspace questions are answered with line masks (`_BlockLines`).
+    Every line of the block is a listed 1-dimensional subspace, and its
+    index is the line's id; a subspace of dimension 2 or more is held as
+    the int whose bit l is set iff line l lies in it.  Two subspaces meet
+    only in 0 iff they share no line.  A lone line is held by its id and
+    never as a mask: a line is tested by its bit in the other operand
+    (`m >> l & 1`), and masks are built only for subspaces of dimension
+    2 or more, when first touched.  A mask has about one bit per line
+    of the block, so a mask kept for each line touched would cost memory
+    growing with the field order per line.  The whole block is held as
+    -1, whose every bit is set.  Masks are made by folding one line at a time: for a
+    line l outside a nonzero subspace W,
+
+        lines(W + l) = lines(W) | {l} | the union over m in W of
+                       lines(plane(m, l)),
+
+    since a vector of W + l is w + c*l with w in W: it lies on l when
+    w = 0 and in the plane of l and the line of w otherwise, and both
+    sides lie in W + l.  A plane is made once, from the lines m, l and
+    m + c*l for c in F*, and memoized under its pair of lines.  A fold
+    that reaches dimension d gives the whole block with no plane.  So:
+    - a piece t is independent of the span V of the chosen pieces iff
+      they share no line, and then V + t is V folded with the lines of
+      the rref rows of t (a rref row has its leading entry 1, so it is
+      its line's rref basis), one at a time: V and t meet only in 0, so
+      each row lies outside what has been folded so far.  When dim V +
+      dim t = d, V + t is the whole block, with no fold;
+    - P_ab is, by bilinearity, the span of the products x*y of the rref
+      rows x of a and y of b.  Each product of two lines is one `mul`,
+      memoized under the pair of lines.  It is zero, a line of the
+      block, or outside the block; then P_ab is not in the block and is
+      skipped, as when it is zero.  The product lines are folded like a
+      sum (a line already in the fold is passed over), and each P_ab
+      with a piece of dimension 2 or more is memoized under the pair;
+    - P_ab lies in piece c iff dim P_ab <= dim c and its lines lie in c;
+    - P_ab meets V iff dim P_ab + dim V exceeds d or they share a line.
+
+    So the listing's span keys are its only rank computations.
+
+    The closure test is incremental.  Each search frame keeps the open
+    products of its chosen pieces C: the P_ab, a and b in C, that are
+    nonzero, in the block and meet their span V only in 0.  Every other
+    nonzero P_ab in the block lies in a piece of C, or the frame would
+    have been pruned.  Push t, and let V' = V + t and C' = C + {t}.  The
+    full scan of C' x C' fails iff some nonzero P_ab in the block lies in
+    no piece of C' and meets V'.  A P_ab that lies in a piece of C never
+    fails.  An open one lies in no piece of C, so it lies in a piece of
+    C' iff it lies in t.  The push drops it if it lies in t, fails if it
+    meets V' otherwise, and keeps it open if it does not meet V' (then it
+    cannot lie in t, which is inside V').  Only the pairs that involve t
+    are new, and each gets the full test: the push fails if it meets V'
+    and lies in no piece of C', and keeps it open if it does not meet V'
+    (then it lies in no piece of C').  So a push reaches the full scan's
+    verdict, and the open products of C' are those it keeps.
+
+    A push that leaves V of dimension d - 1 is followed by the lines that
+    complete it (`last_lines`): the candidates left have dimension at
+    most 1, and are pushed in the search order as the frame would push
+    them (lines come last in it, by id), with one tick each.  Each open product meets the whole block,
+    so it must lie in the line pushed, that is, be that line; so the
+    open products allow one line at most, found once for all candidates,
+    and the new pairs of each allowed line get the full test.
 
     The search tries pieces largest first, which fills V early so that
     the rule fires sooner, and picks each set of pieces once, in
-    increasing search position.  It memoizes under integer keys, with n
-    the number of subspaces: the subspace of each independent sum of a
-    span and a piece, under `span * n + piece`, and the subspace of each
-    P_ab (None when it is zero or not in the block), under the pair key
-    `a * n + b`.
+    increasing search position.
 
     The survivors are sorted back into the order of the unpruned listing:
     subspaces are indexed by dimension, smallest first, a decomposition
@@ -500,87 +689,104 @@ def _decompositions_of_block(S, block_basis, tick):
     d = len(block_basis)
     if d == 0:
         return [()]
-    n = len(block_basis[0])
     subspaces = []
     for k in range(1, d + 1):
         for sub in linalg.subspaces_of_span(F, block_basis, k):
             tick()
             subspaces.append(sub)
     keys = [linalg.span_key(F, s) for s in subspaces]
-    index = {key: t for t, key in enumerate(keys)}  # span key -> subspace; (row,) is a line
     ns = len(subspaces)
     order = sorted(range(ns), key=lambda t: -len(subspaces[t]))  # search position -> subspace
     # first search position of a subspace of dimension <= k, for k = 0..d
     first = [next((p for p, t in enumerate(order) if len(subspaces[t]) <= k), ns)
              for k in range(d + 1)]
-    line_sets = {}  # subspace -> frozenset of the lines in it
-    sums = {}  # span * ns + piece -> subspace of their direct sum
-    products = {}  # a * ns + b -> subspace of P_ab, None when zero or not in the block
+    block = _BlockLines(S, keys, {key: t for t, key in enumerate(keys)})
+    lines, product, direct_sum = block.lines, block.product, block.direct_sum
+    has, meets, inside = block.has, block.meets, block.inside
 
-    def lines(t):
-        got = line_sets.get(t)
-        if got is None:
-            rows = keys[t]
-            got = line_sets[t] = frozenset(
-                index[(linalg.lincomb(F, coeffs, rows, n),)]
-                for (coeffs,) in linalg.rref_profiles(F, 1, len(rows)))
-        return got
-
-    def inside(p, c):
-        if p == c:
-            return True
-        if len(keys[p]) >= len(keys[c]):
-            return False
-        got = lines(c)
-        return all(index[(row,)] in got for row in keys[p])
-
-    def closed(chosen, sid):
+    def new_products(t):
+        """P_at and P_ta for each piece a of `chosen`, t the last one."""
         for a in chosen:
-            for b in chosen:
-                pair = a * ns + b
-                p = products.get(pair, -1)
-                if p == -1:
-                    rr, _ = linalg.rref(F, _products(S, subspaces[a], subspaces[b]))
-                    p = products[pair] = index.get(tuple(rr))
-                if p is None or any(inside(p, c) for c in chosen):
-                    continue
-                if len(keys[p]) + len(keys[sid]) > d or not lines(p).isdisjoint(lines(sid)):
-                    return False
-        return True
+            yield product(a, t)
+            if a != t:
+                yield product(t, a)
+
+    def covered(k, x):
+        return any(inside(k, x, c) for c in chosen)
+
+    def closed(open_products, t, kv, xv):
+        """The open products after t, the last of `chosen`, was pushed and
+        made the span (kv, xv); None when the push breaks closure."""
+        kept = []
+        for P in open_products:
+            if meets(*P, kv, xv):
+                if not inside(*P, t):
+                    return None
+            else:
+                kept.append(P)
+        for P in new_products(t):
+            if P is not None:
+                if meets(*P, kv, xv):
+                    if not covered(*P):
+                        return None
+                else:
+                    kept.append(P)
+        return kept
+
+    def last_lines(open_products, xv, start):
+        """Push, in search order, each line from search position `start`
+        on that completes the span (d - 1, xv) of `chosen`, and keep the
+        closed decompositions: each open product must be the line pushed."""
+        need = None
+        for k, x in open_products:
+            if k > 1 or need not in (None, x):
+                need = -1  # no line
+                break
+            need = x
+        for t in range(start - (ns - block.nl), block.nl):
+            if has(d - 1, xv, t):
+                continue
+            tick()
+            if need is not None and t != need:
+                continue
+            chosen.append(t)
+            if all(P is None or covered(*P) for P in new_products(t)):
+                out.append(sorted(chosen, key=keys.__getitem__))
+            chosen.pop()
 
     out = []
     chosen = []  # subspace indices of the current partial decomposition
-    stack = [[None, 0]]  # per depth: [subspace of the chosen sum (None: 0), next search position]
+    # per depth: [dim and lines of the chosen sum, next search position, open products]
+    stack = [[0, 0, 0, []]]
     while stack:
         frame = stack[-1]
-        sid, p = frame
+        k, x, p, open_products = frame
         if p == ns:
             stack.pop()
             if chosen:
                 chosen.pop()
             continue
-        frame[1] = p + 1
+        frame[2] = p + 1
         t = order[p]
-        if sid is None:
-            nid = t
+        if not k:
+            kv, xv = len(keys[t]), lines(t)
+        elif k + len(keys[t]) > d or meets(len(keys[t]), lines(t), k, x):
+            continue
         else:
-            if len(keys[sid]) + len(keys[t]) > d:
-                continue
-            nid = sums.get(sid * ns + t)
-            if nid is None:
-                if not lines(sid).isdisjoint(lines(t)):
-                    continue
-                rr, _ = linalg.rref(F, keys[sid] + keys[t])
-                nid = sums[sid * ns + t] = index[tuple(rr)]
+            kv, xv = direct_sum(k, x, t)
         tick()
         chosen.append(t)
-        if not closed(chosen, nid):
+        got = closed(open_products, t, kv, xv)
+        if got is None:
             chosen.pop()
-        elif len(keys[nid]) == d:
+        elif kv == d:
             out.append(sorted(chosen, key=keys.__getitem__))
             chosen.pop()
+        elif kv == d - 1:
+            last_lines(got, xv, max(p + 1, first[1]))
+            chosen.pop()
         else:
-            stack.append([nid, max(p + 1, first[d - len(keys[nid])])])
+            stack.append([kv, xv, max(p + 1, first[d - kv]), got])
     out.sort()
     return [tuple(subspaces[t] for t in dec) for dec in out]
 

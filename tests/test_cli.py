@@ -594,3 +594,27 @@ def test_python_m_compsuper_runs():
                           capture_output=True, text=True, env=_src_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["entries"]
+
+
+@pytest.mark.parametrize("stderr_too", [False, True], ids=["stdout", "stdout-and-stderr"])
+def test_a_closed_stdout_exits_141_without_an_error_line(stderr_too):
+    """A reader that has gone, as in `compsuper enumerate ... | head -c 400`,
+    is not malformed input: no `error:` line, no traceback, exit 141 (128 +
+    SIGPIPE), also when stderr goes into the same pipe.  The child writes
+    into a pipe whose read end is closed before it starts."""
+    import os
+    import subprocess
+    import sys
+
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "compsuper", "enumerate", "--construction",
+                               "split4", "--field", "GF(2)"], stdout=w,
+                              stderr=w if stderr_too else subprocess.PIPE, env=_src_env(),
+                              timeout=120)
+    finally:
+        os.close(w)
+    assert proc.returncode == 141
+    assert stderr_too or proc.stderr == b""
+

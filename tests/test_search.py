@@ -1177,6 +1177,97 @@ def test_closed_decompositions_match_the_filtered_rank_check(label, reference_bl
         assert got == [dec for dec in ref if _closed_under_products(S, block, dec, memo)], label
 
 
+def test_the_block_listing_computes_no_rank_after_its_span_keys(monkeypatch):
+    """The listing's span keys are its only rref calls: 66 on the even
+    block of split4/GF(2), one per subspace, where a rank test per direct
+    sum and per product span made 1,358."""
+    calls = []
+    rref = linalg.rref
+
+    def counting(field, rows):
+        calls.append(rows)
+        return rref(field, rows)
+
+    S = CROSS_CHECK_ALGEBRAS["split4/GF(2)"]()
+    block = [S.basis_vector(i) for i in S.even_indices()]
+    monkeypatch.setattr(linalg, "rref", counting)
+    got = _decompositions_of_block(S, block, _no_budget)
+    assert (len(got), len(calls)) == (23, 66)
+
+
+def _block_lines(S, idx):
+    """`_BlockLines` over the listed subspaces of the block of S spanned
+    by the basis vectors `idx`, with the subspaces' rref bases."""
+    F = S.field
+    block = [S.basis_vector(i) for i in idx]
+    keys = [linalg.span_key(F, sub) for k in range(1, len(block) + 1)
+            for sub in linalg.subspaces_of_span(F, block, k)]
+    return search._BlockLines(S, keys, {key: t for t, key in enumerate(keys)})
+
+
+def _reference_lines(lat, rows):
+    """(dim, lines) of span(rows) in `_BlockLines`' form, from its rref
+    key and the rref key of each of its nonzero vectors; None when the
+    span is zero or not in the block."""
+    F = lat.S.field
+    key = linalg.span_key(F, rows)
+    if not key or key not in lat.index:
+        return None
+    k = len(key)
+    if k == lat.d > 1:
+        return k, -1
+    ids = {lat.index[linalg.span_key(F, [v])]
+           for v in linalg.span_vectors(F, key, len(key[0]))}
+    return (k, ids.pop()) if k == 1 else (k, sum(1 << i for i in ids))
+
+
+@pytest.mark.parametrize("label", ["split4/GF(2)", "para-split4/GF(2)", "CD(split2,1)/GF(4)",
+                                   "B(1,2)/GF(9)"])
+def test_folded_sums_and_products_match_rref_spans(label):
+    """In both blocks, the lines of each listed subspace, each folded
+    direct sum of two listed subspaces that meet only in 0, and each
+    folded P_ab are those of the rref span of the stacked rows and of
+    `gradings._products`."""
+    S = CROSS_CHECK_ALGEBRAS[label]()
+    F = S.field
+    sums = products = 0
+    for idx in (S.even_indices(), S.odd_indices()):
+        if not idx:
+            continue
+        lat = _block_lines(S, idx)
+        ref = [_reference_lines(lat, key) for key in lat.keys]
+        assert [(len(key), lat.lines(t)) for t, key in enumerate(lat.keys)] == ref
+        for a, ka in enumerate(lat.keys):
+            for b, kb in enumerate(lat.keys):
+                stacked = list(ka) + list(kb)
+                if linalg.rank(F, stacked) == len(stacked):
+                    assert lat.direct_sum(*ref[a], b) == _reference_lines(lat, stacked), (a, b)
+                    sums += 1
+                want = _reference_lines(lat, _products(S, ka, kb))
+                assert lat.product(a, b) == want, (a, b)
+                products += 1 if want else 0
+    assert sums and products, label
+
+
+def test_a_product_span_partly_outside_the_block_is_not_in_it():
+    """P_ab is None as soon as one product of rref rows leaves the block,
+    even when the others span the block: on span(e0, e1) of a 3-dim
+    algebra with e0*e0 = e0, e0*e1 = e2 and e1*e1 = e1."""
+    F = F3
+    o, z = F.one, F.zero
+    e = [tuple(o if j == i else z for j in range(3)) for i in range(3)]
+    table = [[(z,) * 3] * 3 for _ in range(3)]
+    table[0][0], table[0][1], table[1][1] = e[0], e[2], e[1]
+    zeros = [[z] * 3 for _ in range(3)]
+    S = SuperAlgebra(F, (0, 0, 0), table, [z] * 3, zeros)
+    lat = _block_lines(S, [0, 1])
+    whole = len(lat.keys) - 1
+    assert _reference_lines(lat, _products(S, lat.keys[whole], lat.keys[whole])) is None
+    assert lat.product(whole, whole) is None
+    assert lat.product(lat.index[(e[0],)], lat.index[(e[1],)]) is None
+    assert lat.product(lat.index[(e[1],)], lat.index[(e[1],)]) == (1, lat.index[(e[1],)])
+
+
 def _cartesian_gradings(S, blocks):
     """Test-local copy of the grading enumeration over every pair of
     block decompositions `blocks` (even, odd), closed or not, with no
@@ -1223,7 +1314,8 @@ def test_enumerate_all_gradings_matches_the_cartesian_listing(label, reference_b
 
 # (nodes, groups, sha256 of the gradings' `to_json` list dumped with sorted
 # keys) of `enumerate_all_gradings`, computed before the listing answered
-# its subspace questions with line sets
+# its subspace questions with line sets (split4 over GF(3) and GF(4): before
+# it answered them with line masks)
 PINNED_LISTINGS = {
     "split4/GF(2)": (1341, ["Z", "Z", "Z", "Z2", "Z2", "Z2", "Z2", "0"],
                      "1c53f2684c86674d621f4b7294ca71cbb8df90743aec9ffcfffca66a01881f01"),
@@ -1231,6 +1323,13 @@ PINNED_LISTINGS = {
                           "1c53f2684c86674d621f4b7294ca71cbb8df90743aec9ffcfffca66a01881f01"),
     "split2/GF(101)": (5362, ["Z2", "0"],
                        "5b6f9aeb22b162e7b666bd4c9fe3f1719daf28648ae3e6eb742d1e323e69775f"),
+    "split4/GF(3)": (26515, ["Z2^2", "Z2^2", "Z", "Z", "Z2^2", "Z2^2", "Z", "Z", "Z", "Z2", "Z2",
+                             "Z2", "Z2", "Z2", "Z2", "Z2", "Z", "Z2", "Z2", "0"],
+                     "445a5eebcab82239658e2aec5bbb98090087d8fab53b3975f11013e07176a97f"),
+    "split4/GF(4)": (527308, ["Z", "Z", "Z", "Z", "Z", "Z", "Z", "Z2", "Z2", "Z2", "Z2", "Z",
+                              "Z2", "Z2", "Z2", "Z2", "Z2", "Z2", "Z", "Z2", "Z2", "Z2", "Z",
+                              "Z2", "Z2", "Z2", "0"],
+                     "32f80a359e46da637ddb9d55cf8d368188d6e309f7972254970ece2755c941d5"),
 }
 
 
@@ -1239,7 +1338,8 @@ def test_grading_listing_keeps_its_nodes_and_gradings(label):
     import hashlib
     import json
 
-    S = {**CROSS_CHECK_ALGEBRAS, "split2/GF(101)": lambda: split_hurwitz(2, GF(101))[0]}[label]()
+    S = {**CROSS_CHECK_ALGEBRAS, "split2/GF(101)": lambda: split_hurwitz(2, GF(101))[0],
+         "split4/GF(4)": lambda: split_hurwitz(4, F4)[0]}[label]()
     res = enumerate_all_gradings(S)
     data = [g.to_json() for g in res.gradings]
     digest = hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()
