@@ -41,7 +41,7 @@ from .gradings import (
     gamma_equiv,
     zero_sum_triples,
 )
-from .search import SearchBudget, find_graded_map, try_verify_graded
+from .search import find_graded_map, try_verify_graded
 
 
 class FieldConditionUnmet(ValueError):
@@ -73,7 +73,9 @@ _ALGEBRA_CACHE = {}
 
 def _family_algebra(family, field):
     """Algebra (and context) for a family over a field, cached so that
-    entries of the same family share one instance."""
+    entries of the same family share one instance.  `verify_entry` adds
+    the para-Hurwitz algebra of a Hurwitz family under "para" on first
+    use."""
     key = (family, field.name)
     if key in _ALGEBRA_CACHE:
         return _ALGEBRA_CACHE[key]
@@ -315,8 +317,9 @@ def verify_entry(id, field):
     else:
         cinv = check_conjugation_invariance(grading)
         checks["conjugation-invariance"] = cinv.passed
-        para = para_hurwitz(A)
-        pgrading = grading_from_components(para, grading.group, list(grading.comps))
+        if "para" not in ctx:
+            ctx["para"] = para_hurwitz(A)
+        pgrading = grading_from_components(ctx["para"], grading.group, list(grading.comps))
         pok, pwit = validate(pgrading)
         checks["para-transfer"] = pok
     if entry.id in ("eq6", "okuboeq1", "cor1eq3", "okuboeq2"):
@@ -547,7 +550,7 @@ def _show(t):
     return str(t[0]) if len(t) == 1 else [str(x) for x in t]
 
 
-def iso_condition(kind, field, budget=None):
+def iso_condition(kind, field):
     """Score a kind's stated isomorphism condition against graded
     isomorphism, on every ordered pair of labels of every test group.
 
@@ -571,7 +574,6 @@ def iso_condition(kind, field, budget=None):
     refutes the certificate, and then no mismatch is marked certified."""
     if kind not in _ISO_KINDS:
         raise ValueError(f"unknown kind {kind!r}")
-    budget = budget or SearchBudget()
     spec = _ISO_KINDS[kind]
     ctx = _family_algebra(spec.family, field)
     A = ctx["algebra"]
@@ -602,9 +604,7 @@ def iso_condition(kind, field, budget=None):
                         how = "explicit"
                         break
                 if not actual:
-                    actual = (
-                        find_graded_map(A, gradings[t1], A, gradings[t2], budget=budget) is not None
-                    )
+                    actual = find_graded_map(A, gradings[t1], A, gradings[t2]) is not None
                 if okubo:
                     differ = censuses[t1] != censuses[t2]
                     contradictions += actual and differ
@@ -634,11 +634,11 @@ def iso_condition(kind, field, budget=None):
     return report
 
 
-def verify_iso_theorems(field_char3, field_char2, budget=None):
+def verify_iso_theorems(field_char3, field_char2):
     """Run the four isomorphism-condition checks; returns per-kind reports."""
     return {
-        "b12": iso_condition("b12", field_char3, budget),
-        "b42": iso_condition("b42", field_char3, budget),
-        "cayley": iso_condition("cayley", field_char2, budget),
-        "okubo": iso_condition("okubo", field_char2, budget),
+        "b12": iso_condition("b12", field_char3),
+        "b42": iso_condition("b42", field_char3),
+        "cayley": iso_condition("cayley", field_char2),
+        "okubo": iso_condition("okubo", field_char2),
     }

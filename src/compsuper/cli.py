@@ -225,7 +225,7 @@ def _grading_file(path, field_name):
     for n, comp in enumerate(json_member(grading, "components", list, "grading")):
         where = f"grading.components[{n}]"
         coords = json_member(comp, "coords", list, where)
-        if len(coords) != G.ngens or not all(isinstance(c, int) for c in coords):
+        if len(coords) != G.ngens or not all(type(c) is int for c in coords):
             raise ValueError(f"{where}.coords must hold {G.ngens} integers for {G}")
         deg = G.element(tuple(coords))
         vs = []

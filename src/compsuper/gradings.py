@@ -31,9 +31,9 @@ class Grading:
     """A decomposition of `algebra` into components, each with a degree.
 
     Seven read-only lookups are computed on first use and kept for the
-    life of the grading; validation, the graded-map searches, `fine_check`
-    and the grading checks in `axioms` read them instead of rebuilding
-    them per call:
+    life of the grading; validation, universal groups, coarsenings, the
+    graded-map searches, `fine_check` and the grading checks in `axioms`
+    read them instead of rebuilding them per call:
 
     - `index`: degree -> position of its component in `comps` (the last
       one, should a degree repeat; `validate` rejects repeats);
@@ -48,9 +48,12 @@ class Grading:
       `parities`, where a vector that is not even counts as odd;
     - `landing`: `landing[a][b]` is the position of the component of
       degree deg(a) + deg(b), or None when there is none;
-    - `products(a, b)`: the nonzero products x*y, x over component a and
-      y over component b, x-then-y order, as a tuple; each ordered pair
-      is computed on its first call.
+    - `builder`: the `_RelationBuilder` whose pieces are the components,
+      in the order of `comps`, and the one memo of their products:
+      `builder.products(a, b)` gives the nonzero products x*y, x over
+      component a and y over component b, x-then-y order, as a tuple,
+      each ordered pair computed on its first call.  `universal_group`
+      and `coarsenings_enum` read their relations off it.
     """
 
     algebra: object
@@ -98,15 +101,8 @@ class Grading:
         return tuple(tuple(index.get(da + db) for db, _ in self.comps) for da, _ in self.comps)
 
     @cached_property
-    def _pair_products(self):
-        return {}  # (a, b) -> products(a, b)
-
-    def products(self, a, b):
-        got = self._pair_products.get((a, b))
-        if got is None:
-            got = tuple(_products(self.algebra, self.comps[a][1], self.comps[b][1]))
-            self._pair_products[a, b] = got
-        return got
+    def builder(self):
+        return _RelationBuilder(self.algebra, [vs for _, vs in self.comps])
 
     def degrees(self):
         return [d for d, _ in self.comps]
@@ -173,8 +169,9 @@ def validate(grading):
     """Exact check of all grading invariants; returns (ok, witness).
 
     The component products come from the grading's `landing` and
-    `products`, which are kept, so a later `fine_check` of the same
-    grading does not compute them again."""
+    `builder`, which are kept, so a later `universal_group`,
+    `coarsenings_enum` or `fine_check` of the same grading does not
+    compute them again."""
     A = grading.algebra
     F = A.field
     allvecs = []
@@ -191,10 +188,11 @@ def validate(grading):
         return False, ("components do not decompose the algebra",)
     if len(grading.index) != len(grading.comps):
         return False, ("duplicate degrees",)
+    products = grading.builder.products
     for a, (gi, _) in enumerate(grading.comps):
         for b, (gj, _) in enumerate(grading.comps):
             k = grading.landing[a][b]
-            for p in grading.products(a, b):
+            for p in products(a, b):
                 if k is None or not linalg.in_span(F, *grading.spans[k], p):
                     return False, (str(gi), str(gj), A.fmt(p))
     return True, None
@@ -223,16 +221,16 @@ def _relation_row(n, i, j, k):
 
 class _RelationBuilder:
     """Relations of component lists whose components are sums of fixed
-    pieces, for the life of one enumeration.
+    pieces, for the life of one enumeration or of one grading.
 
     `pieces` is a list of vector lists; a component is a tuple of piece
     indices and spans the sum of those pieces.  `relations(comps)` returns
-    the rows of `_set_grading_relations` on the components' concatenated
-    vectors, in the same order, or None.  Components are numbered as they
-    are first met, and three things are memoized under integer keys:
+    the relations i+j=k of the components, or None.  Components are
+    numbered as they are first met, and three things are memoized under
+    integer keys:
 
     - the nonzero products of each ordered pair of pieces (a, b), under
-      the pair index `a * len(pieces) + b`;
+      the pair index `a * len(pieces) + b` (`products(a, b)`);
     - the rref of each component, under its number;
     - whether the products of a piece pair lie in a component, under
       `component number * len(pieces)**2 + pair index`.
@@ -260,20 +258,21 @@ class _RelationBuilder:
             self._spans.append(None)
         return cid
 
+    def products(self, a, b):
+        """The nonzero products x*y, x over piece a and y over piece b,
+        x-then-y order, as a tuple; computed on the first call for the
+        pair."""
+        pair = a * len(self.pieces) + b
+        got = self._products.get(pair)
+        if got is None:
+            got = tuple(_products(self.algebra, self.pieces[a], self.pieces[b]))
+            self._products[pair] = got
+        return got
+
     def _pair_products(self, ci, cj):
         """Indices of the piece pairs of ci x cj with a nonzero product."""
         np = len(self.pieces)
-        out = []
-        for a in ci:
-            for b in cj:
-                pair = a * np + b
-                prods = self._products.get(pair)
-                if prods is None:
-                    prods = _products(self.algebra, self.pieces[a], self.pieces[b])
-                    self._products[pair] = prods
-                if prods:
-                    out.append(pair)
-        return out
+        return [a * np + b for a in ci for b in cj if self.products(a, b)]
 
     def _holds(self, pair, comp, cid):
         """Whether the products of piece pair `pair` lie in component
@@ -312,7 +311,8 @@ class _RelationBuilder:
     def relations(self, comps):
         """Relations i+j=k of the components `comps` (tuples of piece
         indices), or None if some product does not land inside a single
-        component."""
+        component.  The rows are ordered by (i, j), and k is the first
+        component holding every product of components i and j."""
         n = len(comps)
         cids = [self._comp_id(c) for c in comps]
         inside = self._inside
@@ -359,26 +359,14 @@ class _RelationBuilder:
                 yield cand
 
 
-def _set_grading_relations(algebra, comps):
-    """Relations i+j=k for nonzero products of a component list, or None if
-    some product does not land inside a single component.
-
-    The rows are ordered by (i, j), and k is the first component holding
-    every product of components i and j.  This is a fresh
-    `_RelationBuilder` with one piece per component; enumerations that
-    try many component lists over the same pieces keep one builder.
-    """
-    return _RelationBuilder(algebra, comps).relations([(i,) for i in range(len(comps))])
-
-
 def universal_group(grading):
     """(group, reassignment, injective): the abelian group presented by the
     support with one relation per nonzero component product."""
-    comps = [vs for _, vs in grading.comps]
-    rels = _set_grading_relations(grading.algebra, comps)
+    n = len(grading.comps)
+    rels = grading.builder.relations([(i,) for i in range(n)])
     if rels is None:
         raise NotSetGrading("component products straddle several components")
-    G, proj = presentation_to_group(len(comps), rels)
+    G, proj = presentation_to_group(n, rels)
     injective = len(set(proj)) == len(proj)
     return G, proj, injective
 
@@ -471,11 +459,11 @@ def coarsenings_enum(grading):
     separate the merged components, are discarded.  Raises ValueError
     when the components are not independent.
 
-    One `_RelationBuilder` over the grading's components serves every
-    partition: a merged component is the tuple of its block's indices, so
-    the products of each pair of original components, the rref of each
-    block and each "products of a pair lie in a block" test are computed
-    once per call rather than once per partition.
+    The grading's own `builder` serves every partition: a merged
+    component is the tuple of its block's indices, so the products of
+    each pair of original components, the rref of each block and each
+    "products of a pair lie in a block" test are computed once per
+    grading rather than once per partition.
 
     Partitions are pruned before `relations` sees them.  The landing of
     an ordered pair (a, b) of components is the single component c that
@@ -493,15 +481,13 @@ def coarsenings_enum(grading):
     left reach `relations` in their old order: the coarsenings and their
     order are those of trying every partition.
     """
-    comps = [list(vs) for _, vs in grading.comps]
-    n = len(comps)
+    n = len(grading.comps)
     if n > 8:
         raise SupportTooLarge(f"support of size {n} exceeds 8")
-    A = grading.algebra
-    vecs = [v for vs in comps for v in vs]
-    if linalg.rank(A.field, vecs) != len(vecs):
+    vecs = [v for _, vs in grading.comps for v in vs]
+    if linalg.rank(grading.algebra.field, vecs) != len(vecs):
         raise ValueError("coarsenings_enum needs independent components")
-    builder = _RelationBuilder(A, comps)
+    builder = grading.builder
     triples = []
     for a in range(n):
         for b in range(n):

@@ -928,9 +928,9 @@ def _parity_splits(S, comp_vectors):
 
 
 def _split_relations(grading, ci, w1, w2):
-    """`_set_grading_relations` on the components of a grading with
+    """`_RelationBuilder.relations` of the components of a grading with
     component ci replaced by the parts w1 and w2, listed last after the
-    untouched components, or None.
+    untouched components, each its own piece, or None.
 
     The nonzero products of components a and b lie in the component of
     degree deg(a) + deg(b) and, as the components are independent, in no
@@ -938,12 +938,12 @@ def _split_relations(grading, ci, w1, w2):
     pair whose products land outside ci gets its row from the grading's
     table (`Grading.landing`) alone, and only products landing in ci are
     tested, against the two parts: k is the first part holding all of
-    them, as in `_set_grading_relations`, and None is returned when
-    neither does.  Untouched pairs read their products from the table
-    too (`Grading.products`); the products that involve a part are
-    computed per split.  The rows come in the order of
-    `_set_grading_relations`, so `presentation_to_group` returns the same
-    reassignment.
+    them, as in `_RelationBuilder.relations`, and None is returned when
+    neither does.  Untouched pairs read their products from the
+    grading's builder (`Grading.builder.products`); the products that
+    involve a part are computed per split.  The rows come in the order
+    of `_RelationBuilder.relations`, so `presentation_to_group` returns
+    the same reassignment.
     """
     S = grading.algebra
     F = S.field
@@ -952,6 +952,7 @@ def _split_relations(grading, ci, w1, w2):
     src = [k for k in range(m + 1) if k != ci] + [ci, ci]  # candidate -> component
     cand = [grading.comps[k][1] for k in src[:m]] + [w1, w2]
     landing = grading.landing
+    products = grading.builder.products
     parts = None
     rels = []
     for i in range(n):
@@ -960,7 +961,7 @@ def _split_relations(grading, ci, w1, w2):
             if k is None:
                 continue  # in a grading these products are all zero
             if i < m and j < m:
-                prods = grading.products(src[i], src[j])
+                prods = products(src[i], src[j])
             else:
                 prods = _products(S, cand[i], cand[j])
             if not prods:
@@ -994,8 +995,8 @@ def fine_check(grading, budget=None):
     The splits of a component are streamed by `_parity_splits`, so a
     component whose first splits succeed never pays for the rest.  Where
     each pair of components lands and its products are read from the
-    grading's table (`Grading.landing` and `Grading.products`), which
-    outlives the call; every split reads it (`_split_relations`) and pays
+    grading's table (`Grading.landing` and `Grading.builder.products`),
+    which outlives the call; every split reads it (`_split_relations`) and pays
     only for the products that involve its parts and for checking that
     the products landing in the split component fit inside one part.
 
@@ -1016,6 +1017,7 @@ def fine_check(grading, budget=None):
     nodes = 0
     comps = [vs for _, vs in grading.comps]
     landing = grading.landing
+    products = grading.builder.products
     for ci, comp in enumerate(comps):
         if len(comp) < 2:
             continue
@@ -1024,7 +1026,7 @@ def fine_check(grading, budget=None):
         # whole component, no split can succeed (see above)
         untouched = [k for k in range(len(comps)) if k != ci]
         incoming = [p for j in untouched for k in untouched
-                    if landing[j][k] == ci for p in grading.products(j, k)]
+                    if landing[j][k] == ci for p in products(j, k)]
         if incoming and linalg.rank(F, incoming) == len(comp):
             continue
         others = [comps[k] for k in untouched]

@@ -44,7 +44,7 @@ def json_member(obj, key, kind, where):
     if key not in obj:
         raise ValueError(f"{where} is missing {key!r}")
     value = obj[key]
-    if not isinstance(value, kind):
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
         raise ValueError(f"{where}.{key} must be {_JSON_KINDS[kind]}, got {type(value).__name__}")
     return value
 
@@ -72,7 +72,7 @@ class SuperAlgebra:
         self.polar = tuple(tuple(row) for row in polar)
         self.basis_names = tuple(basis_names) if basis_names else tuple(f"b{i}" for i in range(n))
         self.name = name
-        if any(p not in (0, 1) for p in self.parity):
+        if any(isinstance(p, bool) or p not in (0, 1) for p in self.parity):
             raise ValueError("parity flags must be 0 or 1")
         if len(self.table) != n or any(
             len(t) != n or any(len(c) != n for c in t) for t in self.table
@@ -296,7 +296,7 @@ class SuperAlgebra:
             if not isinstance(entry, list) or len(entry) != 4:
                 raise ValueError(f"structure entry {entry} must be [i, j, k, coefficient]")
             i, j, k, c = entry
-            if not all(isinstance(t, int) and 0 <= t < n for t in (i, j, k)):
+            if not all(type(t) is int and 0 <= t < n for t in (i, j, k)):
                 raise ValueError(f"structure entry {entry} has an index outside 0..{n - 1}")
             table[i][j][k] = json_scalar(F, c, "algebra.structure")
         return SuperAlgebra(

@@ -430,6 +430,39 @@ def test_malformed_grading_file_exits_2(capsys, tmp_path, edit, field):
     assert field in err
 
 
+# GF(3) as a 1-dimensional even algebra, graded by Z2 with the unit in
+# degree 0; `universal-group` accepts it and prints 0
+ONE_DIM_GRADING_FILE = {
+    "algebra": {"field": "GF(3)", "dim": 1, "parity": [0], "structure": [[0, 0, 0, "1"]],
+                "q0_values": ["1"], "polar": [["2"]]},
+    "grading": {"group": "Z2", "components": [{"coords": [0], "basis": [["1"]]}]},
+}
+
+
+@pytest.mark.parametrize("edit, field", [
+    (lambda d: d["algebra"].update(dim=True), "dim"),
+    (lambda d: d["algebra"].update(parity=[False]), "parity"),
+    (lambda d: d["algebra"].update(structure=[[False, False, False, "1"]]), "structure"),
+    (lambda d: _first_component(d).update(coords=[False]), "coords"),
+], ids=["dim", "parity", "structure", "coords"])
+def test_json_booleans_are_not_integers(capsys, tmp_path, edit, field):
+    """JSON false reads as the Python bool False, which is an int equal to
+    0; each of these edits still names an integer by a boolean, so the
+    file is malformed."""
+    path = tmp_path / "grading.json"
+    path.write_text(json.dumps(ONE_DIM_GRADING_FILE))
+    assert run(["universal-group", "--grading-file", str(path)]) == 0
+    assert capsys.readouterr().out == "0\n"
+    data = json.loads(json.dumps(ONE_DIM_GRADING_FILE))
+    edit(data)
+    path.write_text(json.dumps(data))
+    code = run(["universal-group", "--grading-file", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error:") and len(captured.err.strip().splitlines()) == 1
+    assert field in captured.err
+
+
 def _mutations(data, draw):
     """Edit `data`, an eq3/GF(3) grading file, so that the CLI must reject
     it; returns a description of the edit."""

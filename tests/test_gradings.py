@@ -15,7 +15,6 @@ from compsuper.gradings import (
     Grading,
     TripleNotZeroSum,
     _RelationBuilder,
-    _set_grading_relations,
     coarsenings_enum,
     gamma_equiv,
     gamma_grading_b12,
@@ -271,6 +270,12 @@ def _assert_matches_reference(calls):
         assert got == _reference_relations(builder.algebra, vectors), comps
 
 
+def _singleton_relations(algebra, comps):
+    """The relations of the component list `comps`, each component its
+    own piece of a fresh builder."""
+    return _RelationBuilder(algebra, comps).relations([(i,) for i in range(len(comps))])
+
+
 def test_set_grading_relations_match_reference():
     from compsuper.catalog import build_entry
 
@@ -278,10 +283,10 @@ def test_set_grading_relations_match_reference():
                   ("main-cd8", 2), ("trivial-b42", 3)):
         _, g = build_entry(id, GF(q))
         comps = [list(vs) for _, vs in g.comps]
-        assert _set_grading_relations(g.algebra, comps) == _reference_relations(g.algebra, comps)
+        assert _singleton_relations(g.algebra, comps) == _reference_relations(g.algebra, comps)
         # and a refinement candidate, whose products may straddle components
         split = comps[:-1] + [comps[-1][:1], comps[-1][1:]] if len(comps[-1]) > 1 else comps
-        assert _set_grading_relations(g.algebra, split) == _reference_relations(g.algebra, split)
+        assert _singleton_relations(g.algebra, split) == _reference_relations(g.algebra, split)
 
 
 def _all_partitions(n):

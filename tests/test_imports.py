@@ -238,3 +238,82 @@ def test_the_check_sees_an_export_read_only_by_itself():
     init = "from .m import used, alone, TABLE\nfrom .n import shown\n"
     assert _unread_exports(_exports(init), modules, ["import pkg\npkg.shown()\n"]) == [
         "TABLE", "alone"]
+
+
+# Options that no call outside the tests passes, each with the reason it
+# stays; every other option must be passed by some call in the package,
+# the benchmark or the demos.
+TEST_ONLY_OPTIONS = {
+    "find_graded_map.isometry": "test_proven_none_is_not_an_artifact_of_isometry_pruning "
+                                "cross-checks proven-none verdicts without isometry pruning",
+}
+
+
+def _options(tree):
+    """(callee, shown, option, position) for each parameter with a
+    default of each top-level function and class method in `tree`.  The
+    callee is the name a call uses: the class name for a constructor.
+    `position` is the option's index among the positional arguments of
+    such a call (not counting self or cls), or None when it is keyword
+    only.  Shown is function.option or Class.method.option."""
+    defs = [(None, node) for node in tree.body if isinstance(node, ast.FunctionDef)]
+    defs += [(node.name, item) for node in tree.body if isinstance(node, ast.ClassDef)
+             for item in node.body if isinstance(item, ast.FunctionDef)]
+    for owner, node in defs:
+        args = node.args
+        positional = args.posonlyargs + args.args
+        if owner is not None and not any(
+                isinstance(d, ast.Name) and d.id == "staticmethod" for d in node.decorator_list):
+            positional = positional[1:]
+        callee = owner if node.name == "__init__" else node.name
+        shown = node.name if owner is None else f"{owner}.{node.name}"
+        first = len(positional) - len(args.defaults)
+        for i, arg in enumerate(positional[first:], first):
+            yield callee, f"{shown}.{arg.arg}", arg.arg, i
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield callee, f"{shown}.{arg.arg}", arg.arg, None
+
+
+def _unpassed_options(modules, readers=()):
+    """The options of `modules` (sources) that no call in `modules` or
+    `readers` passes, by position or by keyword.  A call is matched to a
+    definition by the name it calls (a bare name or an attribute); a
+    starred argument passes every positional option, and a `**` argument
+    every option."""
+    passed = set()  # (callee, option name | position | "*" | "**")
+    for source in [*modules, *readers]:
+        for call in ast.walk(ast.parse(source)):
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            passed.update((name, i) for i in range(len(call.args)))
+            passed.update((name, kw.arg or "**") for kw in call.keywords)
+            if any(isinstance(a, ast.Starred) for a in call.args):
+                passed.add((name, "*"))
+    options = [opt for source in modules for opt in _options(ast.parse(source))]
+    return sorted(shown for callee, shown, option, position in options
+                  if not passed & {(callee, option), (callee, "**")}
+                  and (position is None or not passed & {(callee, position), (callee, "*")}))
+
+
+def test_every_option_is_passed_outside_the_tests():
+    """An option that only the tests set is a code path that no user of
+    the package, the benchmark or the demos can reach."""
+    modules = [p.read_text() for p in sorted(SRC.glob("*.py"))]
+    readers = [p.read_text() for d in ("bench", "demos") for p in sorted((ROOT / d).glob("*.py"))]
+    assert _unpassed_options(modules, readers) == sorted(TEST_ONLY_OPTIONS)
+
+
+def test_the_check_sees_an_option_nobody_passes():
+    module = ("def f(x, y=1, *, z=2):\n    pass\n\n\n"
+              "def g(a=0, b=0):\n    pass\n\n\n"
+              "class C:\n    def __init__(self, n=3):\n        pass\n\n"
+              "    def run(self, m=4):\n        pass\n\n"
+              "    @staticmethod\n    def make(k=5, j=6):\n        pass\n\n\n"
+              "def h(p=0):\n    pass\n")
+    callers = "f(1, 2)\ng(**{})\nC(5)\nC().run()\nC.make(1)\nh(*[])\nf(0, z=1)\n"
+    assert _unpassed_options([module], [callers]) == ["C.make.j", "C.run.m"]
+    assert _unpassed_options([module], ["f(1)\n"]) == [
+        "C.__init__.n", "C.make.j", "C.make.k", "C.run.m", "f.y", "f.z", "g.a", "g.b", "h.p"]

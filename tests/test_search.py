@@ -23,13 +23,13 @@ from compsuper.gradings import (
     _separating_grading,
     coarsenings_enum,
     _products,
-    _set_grading_relations,
     gamma_grading_b12,
     grading_from_components,
     grading_from_degrees,
     main_grading,
     trivial_grading,
     is_refinement,
+    universal_group,
     validate,
 )
 from compsuper import gradings, search
@@ -878,7 +878,7 @@ def _span_dedup_parity_splits(S, comp_vectors):
 
 def _reference_fine_check(grading, prune=True):
     """Reference for `fine_check`: the relations of every candidate are
-    recomputed by `_set_grading_relations`; `prune=False` drops the
+    recomputed by a fresh `_RelationBuilder`; `prune=False` drops the
     "incoming products span the component" rule."""
     S = grading.algebra
     F = S.field
@@ -902,7 +902,7 @@ def _reference_fine_check(grading, prune=True):
             continue
         for w1, w2 in _span_dedup_parity_splits(S, comp):
             cand = comps[:ci] + comps[ci + 1:] + [w1, w2]
-            rels = _set_grading_relations(S, cand)
+            rels = _RelationBuilder(S, cand).relations([(i,) for i in range(len(cand))])
             if rels is None:
                 continue
             G, proj = presentation_to_group(len(cand), rels)
@@ -946,18 +946,20 @@ def test_split_relations_match_set_grading_relations():
         for ci, comp in enumerate(comps):
             others = comps[:ci] + comps[ci + 1:]
             for w1, w2 in _parity_splits(S, comp):
-                want = _set_grading_relations(S, others + [w1, w2])
+                cand = others + [w1, w2]
+                want = _RelationBuilder(S, cand).relations([(i,) for i in range(len(cand))])
                 assert _split_relations(g, ci, w1, w2) == want, (id, q, ci)
 
 
 def test_fine_check_builds_each_component_pair_products_once(monkeypatch):
-    """`validate` and then two `fine_check` calls on one grading compute
-    the products of each ordered pair of whole components at most once
-    between them, whichever components are split: all three read them
-    from the grading's table.  The first three gradings have two
-    components whose splits are tried, and eq7 skips all of its
-    components on their incoming products."""
-    for id, q in (("cor1eq5", 2), ("cor1eq6", 4), ("okuboeq4", 4), ("eq7", 4)):
+    """`validate`, `fine_check`, `universal_group`, `coarsenings_enum`
+    and `fine_check` again on one grading compute the products of each
+    ordered pair of whole components at most once between them,
+    whichever components are split: all of them read the grading's
+    builder.  The first three gradings have two components whose splits
+    are tried, eq7 skips all of its components on their incoming
+    products, and eq2 is over a field of characteristic 3."""
+    for id, q in (("cor1eq5", 2), ("cor1eq6", 4), ("okuboeq4", 4), ("eq7", 4), ("eq2", 3)):
         _, g = build_entry(id, GF(q))
         whole = {tuple(vs): k for k, (_, vs) in enumerate(g.comps)}
         built = []
@@ -972,6 +974,8 @@ def test_fine_check_builds_each_component_pair_products_once(monkeypatch):
         monkeypatch.setattr(search, "_products", counting)
         assert validate(g) == (True, None), (id, q)
         fine_check(g)
+        universal_group(g)
+        coarsenings_enum(g)
         fine_check(g)
         monkeypatch.undo()
         assert built, (id, q)
@@ -1415,7 +1419,7 @@ def test_induced_coarsenings_of_the_cartan_grading_always_validate():
     from hypothesis import strategies as st
 
     from compsuper.abelian import AbGroup, AbHom
-    from compsuper.gradings import gamma_grading_dim8, induce, universal_group
+    from compsuper.gradings import gamma_grading_dim8, induce
 
     C, cb = super_split_cayley(F2)
     ZZ = AbGroup(2)
