@@ -3,7 +3,7 @@
 Groups are Z^rank x Z/d1 x ... x Z/dk with d1 | d2 | ... and each di >= 2.
 Element coordinates list the free part first, then each torsion part
 reduced mod di.  Presented groups are canonicalized with an integer
-Smith normal form that tracks unimodular transforms.
+Smith normal form that tracks its unimodular transforms.
 """
 
 from dataclasses import dataclass
@@ -45,15 +45,24 @@ def _det_int(M):
 
 def smith_normal_form(M):
     """(D, U, V) with D = U*M*V diagonal, d1 | d2 | ..., U and V unimodular."""
+    return _smith_form(M, True)
+
+
+def _smith_form(M, track_rows):
+    """(D, U, V) of `smith_normal_form`, with U None when `track_rows` is
+    false: the row transform is then neither built nor updated.  Every
+    step chooses its pivot and quotients from A alone, so D and V are the
+    same either way."""
     m = len(M)
     n = len(M[0]) if m else 0
     A = [list(map(int, row)) for row in M]
-    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)] if track_rows else None
     V = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
     def row_op(i, j, c):  # row_i += c * row_j
         A[i] = [a + c * b for a, b in zip(A[i], A[j])]
-        U[i] = [a + c * b for a, b in zip(U[i], U[j])]
+        if U is not None:
+            U[i] = [a + c * b for a, b in zip(U[i], U[j])]
 
     def col_op(i, j, c):  # col_i += c * col_j
         for row in A:
@@ -63,7 +72,8 @@ def smith_normal_form(M):
 
     def row_swap(i, j):
         A[i], A[j] = A[j], A[i]
-        U[i], U[j] = U[j], U[i]
+        if U is not None:
+            U[i], U[j] = U[j], U[i]
 
     def col_swap(i, j):
         for row in A:
@@ -73,7 +83,8 @@ def smith_normal_form(M):
 
     def row_negate(i):
         A[i] = [-a for a in A[i]]
-        U[i] = [-a for a in U[i]]
+        if U is not None:
+            U[i] = [-a for a in U[i]]
 
     t = 0
     while True:
@@ -124,7 +135,9 @@ def smith_normal_form(M):
         if t == min(m, n):
             break
     D = tuple(tuple(row) for row in A)
-    return D, tuple(tuple(r) for r in U), tuple(tuple(r) for r in V)
+    if U is not None:
+        U = tuple(tuple(r) for r in U)
+    return D, U, tuple(tuple(r) for r in V)
 
 
 def invariant_factors_by_minors(M):
@@ -344,7 +357,12 @@ def presentation_to_group(n_generators, relations):
     """Z^n modulo the given relation rows, canonicalized.
 
     Returns (group, projection) where projection[i] is the image of the
-    i-th generator.
+    i-th generator.  With D = U*M*V the Smith form of the relation
+    matrix M, x -> x*V sends the row space of M onto that of D, so
+    generator i maps to row i of V, read in the coordinates of D's
+    nonunit diagonal entries.  U is never read, so the Smith form here
+    neither builds nor updates it (`_smith_form`); D and V come from the
+    same steps as in `smith_normal_form`.
     """
     relations = [tuple(r) for r in relations]
     for r in relations:
@@ -354,7 +372,7 @@ def presentation_to_group(n_generators, relations):
     if not relations:
         G = AbGroup(n_generators, ())
         return G, G.generators()
-    D, U, V = smith_normal_form(relations)
+    D, _, V = _smith_form(relations, False)
     m = len(relations)
     factors = []
     for j in range(n_generators):

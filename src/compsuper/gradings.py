@@ -48,12 +48,19 @@ class Grading:
       `parities`, where a vector that is not even counts as odd;
     - `landing`: `landing[a][b]` is the position of the component of
       degree deg(a) + deg(b), or None when there is none;
+    - `independent`: whether the basis vectors of all components are
+      linearly independent;
     - `builder`: the `_RelationBuilder` whose pieces are the components,
-      in the order of `comps`, and the one memo of their products:
-      `builder.products(a, b)` gives the nonzero products x*y, x over
-      component a and y over component b, x-then-y order, as a tuple,
-      each ordered pair computed on its first call.  `universal_group`
-      and `coarsenings_enum` read their relations off it.
+      in the order of `comps`, with `spans` as their rref and `landing`
+      as the piece each pair is expected to land in, and the one memo of
+      their products: `builder.products(a, b)` gives the nonzero products
+      x*y, x over component a and y over component b, x-then-y order, as
+      a tuple, each ordered pair computed on its first call;
+    - `table`: the builder's landing table over all components
+      (`_RelationBuilder.table`), read with the expected landing first
+      when the components are independent.  `validate`,
+      `universal_group` and `coarsenings_enum` read it, so each pair's
+      landing is proved once per grading.
     """
 
     algebra: object
@@ -101,8 +108,20 @@ class Grading:
         return tuple(tuple(index.get(da + db) for db, _ in self.comps) for da, _ in self.comps)
 
     @cached_property
+    def independent(self):
+        vecs = [v for _, vs in self.comps for v in vs]
+        return linalg.rank(self.algebra.field, vecs) == len(vecs)
+
+    @cached_property
     def builder(self):
-        return _RelationBuilder(self.algebra, [vs for _, vs in self.comps])
+        n = len(self.comps)
+        hints = {a * n + b: k for a, row in enumerate(self.landing)
+                 for b, k in enumerate(row) if k is not None}
+        return _RelationBuilder(self.algebra, [vs for _, vs in self.comps], self.spans, hints)
+
+    @cached_property
+    def table(self):
+        return self.builder.table(range(len(self.comps)), self.independent)
 
     def degrees(self):
         return [d for d, _ in self.comps]
@@ -168,10 +187,15 @@ def main_grading(algebra):
 def validate(grading):
     """Exact check of all grading invariants; returns (ok, witness).
 
-    The component products come from the grading's `landing` and
-    `builder`, which are kept, so a later `universal_group`,
-    `coarsenings_enum` or `fine_check` of the same grading does not
-    compute them again."""
+    Once the components are known to be independent, each pair's
+    landing is read off the grading's `table`, which is kept, so a later
+    `universal_group`, `coarsenings_enum` or `fine_check` of the same
+    grading proves no landing again.  A pair of components a, b with
+    nonzero products is graded iff those products lie in the component
+    k = `landing[a][b]` of degree deg(a) + deg(b).  As the components are
+    independent, at most one component holds all of them, and the table
+    tries k first, so its entry is k iff the pair is graded; otherwise
+    the witness is the first product outside span(C_k)."""
     A = grading.algebra
     F = A.field
     allvecs = []
@@ -184,15 +208,18 @@ def validate(grading):
             if linalg.vec_is_zero(F, v):
                 return False, ("zero basis vector", str(d))
         allvecs.extend(vs)
-    if len(allvecs) != A.dim or linalg.rank(F, allvecs) != A.dim:
+    if len(allvecs) != A.dim or not grading.independent:
         return False, ("components do not decompose the algebra",)
     if len(grading.index) != len(grading.comps):
         return False, ("duplicate degrees",)
-    products = grading.builder.products
+    n = len(grading.comps)
+    table = grading.table
     for a, (gi, _) in enumerate(grading.comps):
         for b, (gj, _) in enumerate(grading.comps):
             k = grading.landing[a][b]
-            for p in products(a, b):
+            if table.get(a * n + b, k) == k:
+                continue
+            for p in grading.builder.products(a, b):
                 if k is None or not linalg.in_span(F, *grading.spans[k], p):
                     return False, (str(gi), str(gj), A.fmt(p))
     return True, None
@@ -219,151 +246,206 @@ def _relation_row(n, i, j, k):
     return tuple(row)
 
 
+STRADDLES = -1  # the landing of a piece pair whose products no single piece holds
+
+
 class _RelationBuilder:
     """Relations of component lists whose components are sums of fixed
     pieces, for the life of one enumeration or of one grading.
 
-    `pieces` is a list of vector lists; a component is a tuple of piece
-    indices and spans the sum of those pieces.  `relations(comps)` returns
-    the relations i+j=k of the components, or None.  Components are
-    numbered as they are first met, and three things are memoized under
-    integer keys:
+    `pieces` is a list of vector lists, and a component is a tuple of
+    piece indices spanning the sum of those pieces.  Piece pairs (a, b)
+    are keyed by the pair index `a * len(pieces) + b`.  Three things are
+    memoized for the builder's life:
 
-    - the nonzero products of each ordered pair of pieces (a, b), under
-      the pair index `a * len(pieces) + b` (`products(a, b)`);
-    - the rref of each component, under its number;
-    - whether the products of a piece pair lie in a component, under
-      `component number * len(pieces)**2 + pair index`.
+    - the nonzero products of each ordered pair of pieces
+      (`products(a, b)`);
+    - the rref of each piece (`spans`, when given, holds them already);
+    - whether the products of a pair lie in a piece, under
+      `pair index * len(pieces) + piece`.
 
-    The products of two components are the products of their piece pairs,
-    so "every product lies in span(C_k)" holds iff it holds for each piece
-    pair.  Whether it holds for one pair depends only on that pair's
-    products and on span(C_k), and both are fixed for the builder's life,
-    so the memoized answer stands for every later component list.
+    Both sides of the last question are fixed, so its answer stands for
+    every later table.
+
+    The landing table (`table(ids, independent)`) maps each ordered pair
+    of pieces of `ids` with nonzero products to the piece of `ids` that
+    holds all of them, or to STRADDLES when none does.  It tries first
+    the piece the pair is expected to land in: the one given in `hints`
+    (for a grading, the component of degree deg(a) + deg(b)), later the
+    one the pair last landed in.  This is sound only when the pieces of
+    `ids` are independent: a nonzero product then lies in at most one of
+    them, so the first piece found is the only one.  Otherwise the pieces
+    are tried in the order of `ids`, and the landing is the first piece
+    that holds the products.
+
+    `relations(comps, table)` reads the relations i+j=k of a component
+    list off the table.  It needs the components to be single pieces, or
+    their pieces to be independent, and the table to be over their
+    pieces.  Why the rows are exact.  The products of components i and j
+    are those of their piece pairs, and k must be the first component
+    whose span holds all of them.  For single pieces, a component is its
+    piece and the table's landing is that first one (in the order of
+    `ids`); a straddling pair lies in no component.  For independent
+    pieces, a nonzero product inside piece c lies in span(C_k) iff c is a
+    piece of C_k, since span(C_k) meets c only in 0 otherwise.  So a pair
+    that lands in c is held by the component of c and by no other: two
+    landing pairs in different components give None, and one component
+    holds them all otherwise.  A pair that straddles lies in no single
+    piece, yet may lie in the span of a component of several pieces; it
+    gets the span test against that component (the only candidate when
+    some pair landed), or against each component of several pieces in
+    order (`_straddling`).  No component of several pieces is rref'd on
+    the other paths.
     """
 
-    def __init__(self, algebra, pieces):
+    def __init__(self, algebra, pieces, spans=None, hints=None):
         self.algebra = algebra
         self.pieces = pieces
-        self._npairs = len(pieces) ** 2
+        self._np = len(pieces)
         self._products = {}  # pair index -> nonzero products of the piece pair
-        self._comp_ids = {}  # component -> its number
-        self._spans = []  # component number -> (rref rows, pivots), or None
-        self._inside = {}  # component number * npairs + pair index -> bool
-
-    def _comp_id(self, comp):
-        cid = self._comp_ids.get(comp)
-        if cid is None:
-            cid = self._comp_ids[comp] = len(self._spans)
-            self._spans.append(None)
-        return cid
+        self._spans = list(spans) if spans is not None else [None] * len(pieces)
+        self._inside = {}  # pair index * len(pieces) + piece -> bool
+        self._hints = dict(hints or ())  # pair index -> piece to try first
 
     def products(self, a, b):
         """The nonzero products x*y, x over piece a and y over piece b,
         x-then-y order, as a tuple; computed on the first call for the
         pair."""
-        pair = a * len(self.pieces) + b
+        pair = a * self._np + b
         got = self._products.get(pair)
         if got is None:
             got = tuple(_products(self.algebra, self.pieces[a], self.pieces[b]))
             self._products[pair] = got
         return got
 
-    def _pair_products(self, ci, cj):
-        """Indices of the piece pairs of ci x cj with a nonzero product."""
-        np = len(self.pieces)
-        return [a * np + b for a in ci for b in cj if self.products(a, b)]
-
-    def _holds(self, pair, comp, cid):
-        """Whether the products of piece pair `pair` lie in component
-        `comp`, whose number is `cid`; computed on a miss of the memo that
-        `relations` reads."""
-        F = self.algebra.field
-        span = self._spans[cid]
-        if span is None:
-            span = self._spans[cid] = linalg.rref(F, self.vectors(comp))
-        rr, piv = span
-        got = all(linalg.in_span(F, rr, piv, p) for p in self._products[pair])
-        self._inside[cid * self._npairs + pair] = got
+    def _holds(self, pair, c):
+        """Whether the products of piece pair `pair` lie in piece c."""
+        key = pair * self._np + c
+        got = self._inside.get(key)
+        if got is None:
+            F = self.algebra.field
+            span = self._spans[c]
+            if span is None:
+                span = self._spans[c] = linalg.rref(F, self.pieces[c])
+            got = True
+            for p in self._products[pair]:
+                if not linalg.in_span(F, *span, p):
+                    got = False
+                    break
+            self._inside[key] = got
         return got
 
-    def landing(self, a, b):
-        """The first piece c whose span holds every product of pieces a
-        and b, or None when those products are zero or no single piece
-        holds them; read from and kept in the memo that `relations`
-        reads, with c as the component (c,)."""
-        pair = a * len(self.pieces) + b
-        if not self._pair_products((a,), (b,)):
-            return None
-        for c in range(len(self.pieces)):
-            cid = self._comp_id((c,))
-            got = self._inside.get(cid * self._npairs + pair)
-            if got is None:
-                got = self._holds(pair, (c,), cid)
-            if got:
-                return c
-        return None
+    def table(self, ids, independent, straddles=True):
+        """The landing table over the pieces `ids`: pair index -> the
+        piece of `ids` holding every product of the pair, or STRADDLES,
+        for each ordered pair of pieces of `ids` with nonzero products.
+        `independent` says that the pieces of `ids` are independent, so
+        that the expected piece may be tried first (see the class).  With
+        `straddles` false, None is returned at the first pair that
+        straddles."""
+        np, hints = self._np, self._hints
+        members = set(ids) if independent else ()
+        out = {}
+        for a in ids:
+            for b in ids:
+                if not self.products(a, b):
+                    continue
+                pair = a * np + b
+                c = hints.get(pair)
+                if c not in members or not self._holds(pair, c):
+                    c = next((c for c in ids if self._holds(pair, c)), STRADDLES)
+                    if c == STRADDLES:
+                        if not straddles:
+                            return None
+                    elif independent:
+                        hints[pair] = c
+                out[pair] = c
+        return out
 
     def vectors(self, comp):
         """The concatenated vectors of a component's pieces."""
         return [v for a in comp for v in self.pieces[a]]
 
-    def relations(self, comps):
+    def relations(self, comps, table):
         """Relations i+j=k of the components `comps` (tuples of piece
-        indices), or None if some product does not land inside a single
-        component.  The rows are ordered by (i, j), and k is the first
-        component holding every product of components i and j."""
+        indices, partitioning the pieces of `table`), or None if some
+        product does not land inside a single component.  The rows are
+        ordered by (i, j), and k is the first component holding every
+        product of components i and j (see the class)."""
         n = len(comps)
-        cids = [self._comp_id(c) for c in comps]
-        inside = self._inside
-        npairs = self._npairs
+        np = self._np
+        where = {a: k for k, comp in enumerate(comps) for a in comp}
         rels = []
-        for i in range(n):
-            for j in range(n):
-                pairs = self._pair_products(comps[i], comps[j])
-                if not pairs:
-                    continue
-                for k in range(n):
-                    base = cids[k] * npairs
-                    for pair in pairs:
-                        got = inside.get(base + pair)
-                        if got is None:
-                            got = self._holds(pair, comps[k], cids[k])
-                        if not got:
-                            break
-                    else:
-                        rels.append(_relation_row(n, i, j, k))
-                        break
-                else:
-                    return None
+        for i, ci in enumerate(comps):
+            for j, cj in enumerate(comps):
+                k = None
+                straddling = []
+                for a in ci:
+                    for b in cj:
+                        c = table.get(a * np + b)
+                        if c is None:
+                            continue
+                        if c == STRADDLES:
+                            straddling.append(a * np + b)
+                        elif k is None:
+                            k = where[c]
+                        elif where[c] != k:
+                            return None
+                if straddling:
+                    k = self._straddling(comps, straddling, k)
+                    if k is None:
+                        return None
+                if k is not None:
+                    rels.append(_relation_row(n, i, j, k))
         return rels
 
-    def distinct_gradings(self, comp_lists):
-        """The gradings that the component lists of `comp_lists` separate,
-        in order, each once.  A list is skipped when some product lies in
-        no single component (`relations` gives None), when its group gives
-        two components one degree, or when an earlier list gave a grading
-        with the same components.  Lazy, so a caller's budget stops it
-        after the gradings already given."""
-        seen = set()
-        for comps in comp_lists:
-            rels = self.relations(comps)
+    def _straddling(self, comps, pairs, k):
+        """The first component of several pieces whose span holds every
+        product of the straddling piece pairs `pairs`, among component k
+        alone when k is not None; None when there is none."""
+        F = self.algebra.field
+        prods = [p for pair in pairs for p in self._products[pair]]
+        for c in range(len(comps)) if k is None else (k,):
+            if len(comps[c]) > 1:
+                rr, piv = linalg.rref(F, self.vectors(comps[c]))
+                if all(linalg.in_span(F, rr, piv, p) for p in prods):
+                    return c
+        return None
+
+    def distinct_gradings(self, candidates):
+        """The gradings that the candidates (component list, relations)
+        of `candidates` separate, in order: a candidate is skipped when
+        its relations are None (some product lies in no single
+        component), or when its group gives two components one degree.
+        The callers list no two candidates with the same components (see
+        `enumerate_all_gradings` and `coarsenings_enum`), so the gradings
+        are distinct.  Each distinct presentation is turned into a group
+        once per call.  Lazy, so a caller's budget stops it after the
+        gradings already given."""
+        groups = {}  # (generators, rows) -> presentation_to_group, for this call
+        for comps, rels in candidates:
             if rels is None:
                 continue
-            cand = _separating_grading(self.algebra, rels, [self.vectors(c) for c in comps])
-            if cand is None:
-                continue
-            key = cand.component_keys()
-            if key not in seen:
-                seen.add(key)
+            key = (len(comps), tuple(rels))
+            if key not in groups:
+                groups[key] = presentation_to_group(*key)
+            cand = _separating_grading(self.algebra, *groups[key],
+                                       [self.vectors(c) for c in comps])
+            if cand is not None:
                 yield cand
 
 
 def universal_group(grading):
     """(group, reassignment, injective): the abelian group presented by the
-    support with one relation per nonzero component product."""
+    support with one relation per nonzero component product.
+
+    Each component is its own piece of the grading's builder, so the
+    relations are read off the grading's `table`: i+j=k, with k the
+    first component that holds every product of components i and j.  On
+    a grading that `validate` accepted, the table is already built and
+    no product is tested again."""
     n = len(grading.comps)
-    rels = grading.builder.relations([(i,) for i in range(n)])
+    rels = grading.builder.relations([(i,) for i in range(n)], grading.table)
     if rels is None:
         raise NotSetGrading("component products straddle several components")
     G, proj = presentation_to_group(n, rels)
@@ -371,11 +453,9 @@ def universal_group(grading):
     return G, proj, injective
 
 
-def _separating_grading(algebra, rels, comps):
-    """The components `comps` (vector lists) graded by the group that the
-    relation rows `rels` present, or None when that group gives two
-    components one degree."""
-    G, proj = presentation_to_group(len(comps), rels)
+def _separating_grading(algebra, G, proj, comps):
+    """The components `comps` (vector lists) graded by G, component i in
+    degree proj[i], or None when two components get one degree."""
     if len(set(proj)) != len(proj):
         return None
     return grading_from_components(algebra, G, list(zip(proj, comps)))
@@ -452,50 +532,50 @@ def _partitions(n, triples):
 
 def coarsenings_enum(grading):
     """All coarsenings obtained by merging components, each over its
-    universal grading group, deduplicated by component subspaces.
+    universal grading group, each once.
 
     Includes the grading itself (over its universal group).  Merges whose
     decomposition is not a set grading, or whose universal group does not
     separate the merged components, are discarded.  Raises ValueError
     when the components are not independent.
 
-    The grading's own `builder` serves every partition: a merged
-    component is the tuple of its block's indices, so the products of
-    each pair of original components, the rref of each block and each
-    "products of a pair lie in a block" test are computed once per
-    grading rather than once per partition.
+    The grading's own `builder` and landing `table` serve every
+    partition: a merged component is the tuple of its block's indices,
+    and its relations are read off the table (`_RelationBuilder.relations`),
+    so each pair of original components is multiplied and landed once
+    per grading rather than once per partition.  Each distinct
+    presentation is turned into a group once per call.
+
+    No two partitions give the same coarsening, so none is checked for
+    one.  The components are independent, so a nonzero component C_a lies
+    in span(block L) iff a is in L: the merged subspaces determine their
+    partition, and `_partitions` lists each partition once.
 
     Partitions are pruned before `relations` sees them.  The landing of
     an ordered pair (a, b) of components is the single component c that
-    holds every product of C_a and C_b (`_RelationBuilder.landing`; for
-    a grading, `Grading.landing[a][b]`); pairs whose products are zero or
-    lie in no single component have none.  Why the prune is sound: the
-    components form a direct sum, so a nonzero P_ab inside C_c lies in
-    span(block L) iff c is in L (if c is not in L, span(L) meets C_c only
-    in 0).  `relations` needs one block that holds the products of every
-    pair of original components across two merged blocks I and J.  If
-    pairs (a, b) and (a2, b2) of I x J land in components that sit in
-    different blocks, no block holds both products, and `relations`
-    gives None.  So `_partitions` drops such a partition, and every
-    partial one that already splits two such pairs, and the partitions
-    left reach `relations` in their old order: the coarsenings and their
-    order are those of trying every partition.
+    holds every product of C_a and C_b (the table's entry; for a grading,
+    `Grading.landing[a][b]`); pairs whose products are zero or lie in no
+    single component have none.  Why the prune is sound: the components
+    form a direct sum, so a nonzero P_ab inside C_c lies in span(block L)
+    iff c is in L (if c is not in L, span(L) meets C_c only in 0).
+    `relations` needs one block that holds the products of every pair of
+    original components across two merged blocks I and J.  If pairs
+    (a, b) and (a2, b2) of I x J land in components that sit in different
+    blocks, no block holds both products, and `relations` gives None.  So
+    `_partitions` drops such a partition, and every partial one that
+    already splits two such pairs, and the partitions left reach
+    `relations` in their old order: the coarsenings and their order are
+    those of trying every partition.
     """
     n = len(grading.comps)
     if n > 8:
         raise SupportTooLarge(f"support of size {n} exceeds 8")
-    vecs = [v for _, vs in grading.comps for v in vs]
-    if linalg.rank(grading.algebra.field, vecs) != len(vecs):
+    if not grading.independent:
         raise ValueError("coarsenings_enum needs independent components")
-    builder = grading.builder
-    triples = []
-    for a in range(n):
-        for b in range(n):
-            c = builder.landing(a, b)
-            if c is not None:
-                triples.append((a, b, c))
-    partitions = _partitions(n, triples)
-    return list(builder.distinct_gradings([tuple(b) for b in p] for p in partitions))
+    builder, table = grading.builder, grading.table
+    triples = [(*divmod(pair, n), c) for pair, c in table.items() if c != STRADDLES]
+    merged = ([tuple(b) for b in p] for p in _partitions(n, triples))
+    return list(builder.distinct_gradings((c, builder.relations(c, table)) for c in merged))
 
 
 def gamma_grading_b12(algebra, G, g):

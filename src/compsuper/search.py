@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from itertools import combinations, permutations
 
 from . import linalg
+from .abelian import presentation_to_group
 from .gradings import _RelationBuilder, _products, _relation_row, _separating_grading, validate
 from .fields import InfiniteField
 from .superalgebra import CheckFailed, MixedAlgebras, Morphism, identity_morphism, is_morphism
@@ -611,7 +612,10 @@ def _decompositions_of_block(S, block_basis, tick):
     piece; if it lies in none, no completion is closed, and the branch is
     pruned.  The rule holds in either block.  In the odd block it never
     fires, because odd x odd products are even and meet V only in 0, so
-    every odd decomposition is listed.
+    every odd decomposition is listed.  There every P_ab would be zero or
+    outside the block, which the test skips as zero, so no product is
+    formed and the test passes at once: the same pushes, ticks and
+    listing, with no `mul`.
 
     The subspace questions are answered with line masks (`_BlockLines`).
     Every line of the block is a listed 1-dimensional subspace, and its
@@ -701,11 +705,15 @@ def _decompositions_of_block(S, block_basis, tick):
     first = [next((p for p, t in enumerate(order) if len(subspaces[t]) <= k), ns)
              for k in range(d + 1)]
     block = _BlockLines(S, keys, {key: t for t, key in enumerate(keys)})
+    odd = S.parity_of(block_basis[0]) == 1
     lines, product, direct_sum = block.lines, block.product, block.direct_sum
     has, meets, inside = block.has, block.meets, block.inside
 
     def new_products(t):
-        """P_at and P_ta for each piece a of `chosen`, t the last one."""
+        """P_at and P_ta for each piece a of `chosen`, t the last one;
+        none in the odd block, where they all lie outside it."""
+        if odd:
+            return
         for a in chosen:
             yield product(a, t)
             if a != t:
@@ -806,13 +814,13 @@ def enumerate_all_gradings(S, budget=None):
 
     Lists the closed decompositions of the even and of the odd block
     (`_decompositions_of_block`, which also gives the closure rule and
-    its proof), joins them into parity-split candidates, keeps the valid
-    set gradings whose universal group separates components, and
-    deduplicates by component subspaces.  Every candidate built from an
-    even decomposition that is not closed gets None from `relations`, so
-    listing only closed ones returns the same gradings in the same order
-    as the Cartesian product of all decompositions.  The result is
-    complete unless the budget is exhausted.
+    its proof), joins them into parity-split candidates, and keeps the
+    valid set gradings whose universal group separates components.
+    Every candidate built from an even decomposition that is not closed
+    gets None from `relations`, so listing only closed ones returns the
+    same gradings in the same order as the Cartesian product of all
+    decompositions.  The result is complete unless the budget is
+    exhausted.
 
     `nodes` counts the subspaces listed and the pieces pushed by both
     block listings plus the candidates tried, and each one is charged to
@@ -822,9 +830,29 @@ def enumerate_all_gradings(S, budget=None):
     The subspaces of the even and odd decompositions are the pieces of one
     `_RelationBuilder` per call, and a candidate component is (even
     piece,), (even piece, matched odd piece) or (odd piece,).  So the
-    products of each pair of pieces, the rref of each component and each
-    "products of a pair lie in a component" test are computed once per
-    call rather than once per candidate.
+    products of each pair of pieces and each "products of a pair lie in a
+    piece" test are computed once per call rather than once per
+    candidate, and each distinct presentation is turned into a group once
+    per call.
+
+    One landing table per block.  The pieces of an even decomposition de
+    and an odd one do are independent, so the builder's table over them
+    gives, for each pair of pieces with nonzero products, the one piece
+    holding the products, or says that none does, and every matching of
+    the block reads its relations off that table.  If some pair (a, b)
+    straddles, every matching of the block gets None.  Why: a and b are
+    parity-pure, so P_ab is homogeneous, say of parity p.  A candidate
+    component is e + o with e even and o odd, and a vector of parity p in
+    e + o lies in its part of parity p, which is a piece of the block.  So
+    P_ab lies in no component of any matching, while a and b lie in some
+    components of each, and `relations` gives None.  The block's
+    candidates are still listed and ticked, with None as their relations,
+    so `nodes` and the budget are those of trying each one.
+
+    No two candidates give the same grading, so none is checked for one.
+    A component e + o determines e and o as its even and odd parts, so a
+    candidate's components determine its even decomposition, its odd
+    decomposition and its matching, and each of those is listed once.
     """
     if S.dim > 4:
         raise DimensionTooLarge("exhaustive grading enumeration is limited to dim <= 4")
@@ -848,10 +876,12 @@ def enumerate_all_gradings(S, budget=None):
             [tuple(piece_ids[sub] for sub in dec) for dec in block] for block in blocks
         )
         del blocks  # the index tuples replace the subspace tuples
+        builder = _RelationBuilder(S, pieces)
 
-        def comp_lists():
+        def candidates():
             for de in even_decomps:
                 for do in odd_decomps:
+                    table = builder.table(de + do, True, straddles=False)
                     for matching in _partial_matchings(len(de), len(do)):
                         tick()
                         comps = []
@@ -861,9 +891,9 @@ def enumerate_all_gradings(S, budget=None):
                         for j, o in enumerate(do):
                             if j not in used_odd:
                                 comps.append((o,))
-                        yield comps
+                        yield comps, None if table is None else builder.relations(comps, table)
 
-        for cand in _RelationBuilder(S, pieces).distinct_gradings(comp_lists()):
+        for cand in builder.distinct_gradings(candidates()):
             out.append(cand)
     except BudgetExhausted:
         return EnumResult(out, complete=False, nodes=nodes)
@@ -1037,7 +1067,8 @@ def fine_check(grading, budget=None):
             rels = _split_relations(grading, ci, w1, w2)
             if rels is None:
                 continue
-            witness = _separating_grading(S, rels, others + [w1, w2])
+            witness = _separating_grading(S, *presentation_to_group(len(comps) + 1, rels),
+                                          others + [w1, w2])
             if witness is None:
                 continue
             ok, _ = validate(witness)

@@ -72,6 +72,53 @@ def test_snf_matches_minor_gcd_oracle(m, n, data):
     assert nonzero == oracle
 
 
+def _presentation_with_row_transform(n, relations):
+    """Test-local copy of `presentation_to_group` on the U-tracking
+    `smith_normal_form`, checking D = U*M*V first."""
+    relations = [tuple(r) for r in relations]
+    if not relations:
+        G = AbGroup(n, ())
+        return G, G.generators()
+    check_snf(relations)
+    D, _, V = smith_normal_form(relations)
+    factors = [D[j][j] if j < len(relations) else 0 for j in range(n)]
+    cols = [j for j in range(n) if factors[j] == 0] + [j for j in range(n) if factors[j] >= 2]
+    G = AbGroup(factors.count(0), tuple(f for f in factors if f >= 2))
+    return G, [G.element(tuple(V[i][j] for j in cols)) for i in range(n)]
+
+
+def _catalog_relation_sets():
+    """The universal-group relations of every catalog entry over GF(2),
+    GF(3), GF(4) and GF(9), as (generators, rows)."""
+    from compsuper.catalog import FieldConditionUnmet, build_entry, catalog_ids
+    from compsuper.fields import GF
+
+    for q in (2, 3, 4, 9):
+        for id in catalog_ids():
+            try:
+                _, g = build_entry(id, GF(q))
+            except FieldConditionUnmet:
+                continue
+            n = len(g.comps)
+            yield n, g.builder.relations([(i,) for i in range(n)], g.table)
+
+
+def test_presentation_without_row_transform_matches_the_tracking_form():
+    """The Smith form behind `presentation_to_group` builds no row
+    transform, and gives the group and projection of the U-tracking form,
+    whose D = U*M*V holds, on seeded random relation matrices and on
+    every catalog relation set."""
+    import random
+
+    rng = random.Random(30)
+    cases = [(n, [[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)])
+             for m in range(1, 8) for n in range(1, 7) for _ in range(6)]
+    cases += list(_catalog_relation_sets())
+    assert len(cases) > 300
+    for n, rels in cases:
+        assert presentation_to_group(n, rels) == _presentation_with_row_transform(n, rels), rels
+
+
 def test_presentation_elementary():
     G, proj = presentation_to_group(2, [(2, 0), (0, 2)])
     assert str(G) == "Z2^2"

@@ -1,7 +1,7 @@
 import pytest
 
 from compsuper import linalg
-from compsuper.abelian import AbGroup, AbHom, WrongGroup
+from compsuper.abelian import AbGroup, AbHom, WrongGroup, presentation_to_group
 from compsuper.constructions import (
     b12,
     b42,
@@ -247,18 +247,21 @@ def _reference_relations(algebra, comps):
     return rels
 
 
-def _recorded_relations(monkeypatch, run):
-    """Run `run()` and return (builder, comps, relations) for every call of
-    `_RelationBuilder.relations` it makes."""
+def _recorded_candidates(monkeypatch, run):
+    """Run `run()` and return (builder, comps, relations) for every
+    candidate that reaches `_RelationBuilder.distinct_gradings`, with the
+    relations that decided it."""
     calls = []
-    original = _RelationBuilder.relations
+    original = _RelationBuilder.distinct_gradings
 
-    def recording(self, comps):
-        got = original(self, comps)
-        calls.append((self, list(comps), got))
-        return got
+    def recording(self, candidates):
+        def seen():
+            for comps, rels in candidates:
+                calls.append((self, list(comps), rels))
+                yield comps, rels
+        return original(self, seen())
 
-    monkeypatch.setattr(_RelationBuilder, "relations", recording)
+    monkeypatch.setattr(_RelationBuilder, "distinct_gradings", recording)
     run()
     monkeypatch.undo()
     return calls
@@ -272,8 +275,11 @@ def _assert_matches_reference(calls):
 
 def _singleton_relations(algebra, comps):
     """The relations of the component list `comps`, each component its
-    own piece of a fresh builder."""
-    return _RelationBuilder(algebra, comps).relations([(i,) for i in range(len(comps))])
+    own piece of a fresh builder, read off a table that tries the pieces
+    in order."""
+    builder = _RelationBuilder(algebra, comps)
+    return builder.relations([(i,) for i in range(len(comps))],
+                             builder.table(range(len(comps)), False))
 
 
 def test_set_grading_relations_match_reference():
@@ -287,6 +293,40 @@ def test_set_grading_relations_match_reference():
         # and a refinement candidate, whose products may straddle components
         split = comps[:-1] + [comps[-1][:1], comps[-1][1:]] if len(comps[-1]) > 1 else comps
         assert _singleton_relations(g.algebra, split) == _reference_relations(g.algebra, split)
+
+
+def test_each_pair_lands_once_per_grading(monkeypatch):
+    """`validate` proves where each component pair lands with one in-span
+    test per nonzero product, against the component of the expected
+    degree, and `universal_group` and `coarsenings_enum` read the
+    grading's landing table after it: no `in_span` and no `rref` call
+    (`universal_group` alone re-tested them with 116 `in_span` and 7
+    `rref` calls on eq7/GF(4), and 57 and 5 on eq2/GF(3))."""
+    from compsuper.catalog import build_entry
+
+    calls = {"rref": 0, "in_span": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for id, q, group in (("eq7", 4, "Z^2"), ("eq2", 3, "Z")):
+        _, built = build_entry(id, GF(q))
+        g = Grading(built.algebra, built.group, built.comps)  # a copy no one has read yet
+        monkeypatch.setattr(linalg, "rref", counted("rref", linalg.rref))
+        monkeypatch.setattr(linalg, "in_span", counted("in_span", linalg.in_span))
+        calls.update(rref=0, in_span=0)
+        assert validate(g) == (True, None), id
+        n = len(g.comps)
+        nonzero = sum(len(g.builder.products(a, b)) for a in range(n) for b in range(n))
+        assert calls == {"rref": n + 1, "in_span": nonzero}, id  # spans, independence
+        calls.update(rref=0, in_span=0)
+        assert str(universal_group(g)[0]) == group, id
+        coarsenings_enum(g)
+        assert calls == {"rref": 0, "in_span": 0}, id
+        monkeypatch.undo()
 
 
 def _all_partitions(n):
@@ -305,28 +345,103 @@ def _growth(partition):
     return tuple(k for _, k in sorted((i, k) for k, block in enumerate(partition) for i in block))
 
 
+BELL = {1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203, 7: 877}  # set partitions of n items
+
+
+def _read_partitions(monkeypatch, g):
+    """The partitions whose relations `coarsenings_enum(g)` read, after
+    checking that those relations are the from-scratch ones, that they
+    came once each in restricted-growth order, and that every other
+    partition's from-scratch relations are None."""
+    calls = _recorded_candidates(monkeypatch, lambda: coarsenings_enum(g))
+    _assert_matches_reference(calls)
+    tried = [tuple(comps) for _, comps, _ in calls]
+    comps = [list(vs) for _, vs in g.comps]
+    everything = sorted(_all_partitions(len(comps)), key=_growth)
+    assert len(everything) == BELL[len(comps)]
+    assert tried == [p for p in everything if p in set(tried)]
+    for partition in set(everything) - set(tried):
+        merged = [[v for a in block for v in comps[a]] for block in partition]
+        assert _reference_relations(g.algebra, merged) is None, partition
+    return calls
+
+
 def test_coarsening_relations_match_reference_or_are_pruned(monkeypatch):
-    """On every partition of the components, `relations` either ran in
-    `coarsenings_enum` and gave the from-scratch relations, or the
-    partition was pruned and the from-scratch relations are None.  The
-    partitions that ran did so once each, in restricted-growth order."""
+    """On every partition of the components, `coarsenings_enum` either
+    read relations equal to the from-scratch ones off the grading's
+    table, or pruned the partition, whose from-scratch relations are then
+    None.  The partitions that were read came once each, in
+    restricted-growth order."""
     from compsuper.catalog import build_entry
 
-    bell = {5: 52, 7: 877}
     for id, q in (("eq7", 2), ("eq2", 3), ("okuboeq3", 4)):
         _, g = build_entry(id, GF(q))
-        calls = _recorded_relations(monkeypatch, lambda: coarsenings_enum(g))
-        _assert_matches_reference(calls)
-        tried = [tuple(comps) for _, comps, _ in calls]
-        comps = [list(vs) for _, vs in g.comps]
-        everything = sorted(_all_partitions(len(comps)), key=_growth)
-        assert len(everything) == bell[len(comps)]
-        assert tried == [p for p in everything if p in set(tried)], (id, q)
-        for partition in set(everything) - set(tried):
-            merged = [[v for a in block for v in comps[a]] for block in partition]
-            assert _reference_relations(g.algebra, merged) is None, (id, q, partition)
+        tried = _read_partitions(monkeypatch, g)
         if (id, q) == ("eq7", 2):
             assert len(tried) == 19  # of 877: every partition left gives a coarsening
+
+
+def test_straddling_pairs_get_the_span_test_of_merged_components(monkeypatch):
+    """On independent decompositions that are not gradings, a piece
+    pair's products may lie in no single piece and yet in a merged
+    component.  On seeded random decompositions of split4 over GF(2) and
+    GF(3), every partition's relations still match the from-scratch ones,
+    and some partition with a straddling pair gets relations: on
+    {e1}, {e2}, {u1, v1} the products e1, e2 of u1 and v1 straddle, and
+    merging e1 and e2 gives the Cartan Z2-grading."""
+    import random
+
+    from compsuper.gradings import STRADDLES
+
+    rng = random.Random(30)
+    straddled = 0
+    for q in (2, 3):
+        A, cb = split_hurwitz(4, GF(q))
+        F = A.field
+        v = cb.vectors
+        cases = [[[v["e1"]], [v["e2"]], [v["u1"], v["v1"]]]]
+        while len(cases) < 25:
+            rows = [tuple(rng.choice(F.elements()) for _ in range(4)) for _ in range(4)]
+            if linalg.rank(F, rows) < 4:
+                continue
+            cut = sorted(rng.sample(range(1, 4), rng.randint(1, 3)))
+            cases.append([rows[a:b] for a, b in zip([0] + cut, cut + [4])])
+        for pieces in cases:
+            g = grading_from_components(A, Z, [(Z.element(k), vs) for k, vs in enumerate(pieces)])
+            calls = _read_partitions(monkeypatch, g)
+            if STRADDLES in g.table.values():
+                straddled += any(rels is not None and len(comps) < len(pieces)
+                                 for _, comps, rels in calls)
+        cartan = coarsenings_enum(grading_from_components(
+            A, Z, [(Z.element(k), vs) for k, vs in enumerate(cases[0])]))
+        assert [(str(c.group), c.dims()) for c in cartan] == [("0", [4]), ("Z2", [2, 2])]
+    assert straddled > 2
+    # on split8/GF(2), the piece pairs (0, 1) and (0, 2) land in piece 0
+    # and (0, 3) straddles into the span of pieces 1 to 3: of the
+    # components (0,) and (1, 2, 3), only (0,) may hold all three products,
+    # and it does not
+    A, cb = split_hurwitz(8, F2)
+    v = cb.vectors
+    pieces = [[v["v3"], v["u2"]], [v["v1"], v["u1"], v["e2"]], [v["e1"]], [v["v2"], v["u3"]]]
+    g = grading_from_components(A, Z, [(Z.element(k), vs) for k, vs in enumerate(pieces)])
+    _read_partitions(monkeypatch, g)
+    merged = [pieces[0], pieces[1] + pieces[2] + pieces[3]]
+    assert g.builder.relations([(0,), (1, 2, 3)], g.table) is None
+    assert _reference_relations(A, merged) is None
+
+
+def test_universal_group_of_dependent_components_reads_the_first_component():
+    """On components that are not independent, a product may lie in
+    several of them, and its row names the first: here e1 = e1*e1 lies in
+    both components, so the pair (0, 1) gives 0+1=0, although its degree
+    table expects component 1."""
+    A = split_hurwitz(2, F2)[0]
+    e1, e2 = A.basis_vector(0), A.basis_vector(1)
+    g = Grading(A, Z2, ((Z2.element(0), (e1,)), (Z2.element(1), (e1, e2))))
+    assert not g.independent
+    rels = g.builder.relations([(0,), (1,)], g.table)
+    assert rels == _reference_relations(A, [[e1], [e1, e2]]) == [(1, 0), (0, 1), (0, 1), (0, 1)]
+    assert universal_group(g) == (*presentation_to_group(2, rels), False)
 
 
 def test_coarsenings_need_independent_components():
@@ -355,23 +470,43 @@ def test_coarsenings_of_a_decomposition_that_is_not_a_grading():
     }]
 
 
+# (candidates, candidates whose relations are read off their block's
+# table) of `enumerate_all_gradings`; the others lie in blocks with a
+# straddling piece pair
+ENUMERATION_CANDIDATES = {"split4/GF(2)": (23, 23), "B(1,2)/GF(3)": (20, 20),
+                          "CD(split2,1)/GF(4)": (251, 12), "super-quaternion/GF(2)": (83, 12)}
+
+
 def test_grading_enumeration_relations_match_reference(monkeypatch):
-    """The shared builder gives the from-scratch relations, or None, on
-    every candidate that `enumerate_all_gradings` builds.  An all-even
+    """Every candidate that `enumerate_all_gradings` builds reaches the
+    gradings with the from-scratch relations, or None.  The candidates
+    are all those of the closed even and odd decompositions and their
+    matchings, including those of blocks that a straddling piece pair
+    rules out: those get None without a `relations` call.  An all-even
     algebra's candidates are its closed decompositions, so none of them
     gets None; with odd parts, some candidates get None and some
     component joins an even and an odd piece."""
-    from compsuper.search import enumerate_all_gradings
+    from compsuper.search import _decompositions_of_block, _partial_matchings, enumerate_all_gradings
 
-    for S in (split_hurwitz(4, F2)[0], b12(F3),
-              cayley_dickson_super(split_hurwitz(2, F4)[0], F4.one), super_split_quaternion(F2)[0]):
-        calls = _recorded_relations(monkeypatch, lambda: enumerate_all_gradings(S))
-        assert calls, S
+    for label, S in (("split4/GF(2)", split_hurwitz(4, F2)[0]), ("B(1,2)/GF(3)", b12(F3)),
+                     ("CD(split2,1)/GF(4)",
+                      cayley_dickson_super(split_hurwitz(2, F4)[0], F4.one)),
+                     ("super-quaternion/GF(2)", super_split_quaternion(F2)[0])):
+        read = []
+        original = _RelationBuilder.relations
+        monkeypatch.setattr(_RelationBuilder, "relations",
+                            lambda self, comps, table: read.append(comps) or original(self, comps, table))
+        calls = _recorded_candidates(monkeypatch, lambda: enumerate_all_gradings(S))
+        blocks = [_decompositions_of_block(S, [S.basis_vector(i) for i in idx], lambda: None)
+                  for idx in (S.even_indices(), S.odd_indices())]
+        assert len(calls) == sum(len(_partial_matchings(len(de), len(do)))
+                                 for de in blocks[0] for do in blocks[1]), label
+        assert (len(calls), len(read)) == ENUMERATION_CANDIDATES[label], label
         if S.odd_indices():
-            assert any(got is None for _, _, got in calls), S
-            assert any(len(c) == 2 for _, comps, _ in calls for c in comps), S
+            assert any(got is None for _, _, got in calls), label
+            assert any(len(c) == 2 for _, comps, _ in calls for c in comps), label
         else:
-            assert all(got is not None for _, _, got in calls), S
+            assert all(got is not None for _, _, got in calls), label
         _assert_matches_reference(calls)
 
 

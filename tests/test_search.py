@@ -876,6 +876,15 @@ def _span_dedup_parity_splits(S, comp_vectors):
                 yield w1, w2
 
 
+def _singleton_relations(S, comps):
+    """`_RelationBuilder.relations` of `comps`, each component its own
+    piece of a fresh builder, read off a table that tries the pieces in
+    order."""
+    builder = _RelationBuilder(S, comps)
+    return builder.relations([(i,) for i in range(len(comps))],
+                             builder.table(range(len(comps)), False))
+
+
 def _reference_fine_check(grading, prune=True):
     """Reference for `fine_check`: the relations of every candidate are
     recomputed by a fresh `_RelationBuilder`; `prune=False` drops the
@@ -902,7 +911,7 @@ def _reference_fine_check(grading, prune=True):
             continue
         for w1, w2 in _span_dedup_parity_splits(S, comp):
             cand = comps[:ci] + comps[ci + 1:] + [w1, w2]
-            rels = _RelationBuilder(S, cand).relations([(i,) for i in range(len(cand))])
+            rels = _singleton_relations(S, cand)
             if rels is None:
                 continue
             G, proj = presentation_to_group(len(cand), rels)
@@ -947,7 +956,7 @@ def test_split_relations_match_set_grading_relations():
             others = comps[:ci] + comps[ci + 1:]
             for w1, w2 in _parity_splits(S, comp):
                 cand = others + [w1, w2]
-                want = _RelationBuilder(S, cand).relations([(i,) for i in range(len(cand))])
+                want = _singleton_relations(S, cand)
                 assert _split_relations(g, ci, w1, w2) == want, (id, q, ci)
 
 
@@ -1199,6 +1208,65 @@ def test_the_block_listing_computes_no_rank_after_its_span_keys(monkeypatch):
     assert (len(got), len(calls)) == (23, 66)
 
 
+def test_the_odd_block_listing_forms_no_product(monkeypatch):
+    """Odd x odd products are even, so the odd block's closure test can
+    never fail and forms none of them: 0 `mul` calls, where testing every
+    pair of lines met made 100 on B(1,2)/GF(9) and 25 on
+    CD(split2,1)/GF(4).  The decompositions and ticks (67 and 22) are
+    those of the full test."""
+    calls = []
+    mul = SuperAlgebra.mul
+
+    def counting(self, x, y):
+        calls.append((x, y))
+        return mul(self, x, y)
+
+    monkeypatch.setattr(SuperAlgebra, "mul", counting)
+    for label, want in (("B(1,2)/GF(9)", (46, 67)), ("CD(split2,1)/GF(4)", (11, 22))):
+        S = CROSS_CHECK_ALGEBRAS[label]()
+        calls.clear()
+        ticks = []
+        got = _decompositions_of_block(S, [S.basis_vector(i) for i in S.odd_indices()],
+                                       lambda: ticks.append(1))
+        assert (len(got), len(ticks), len(calls)) == (*want, 0), label
+
+
+def test_listed_gradings_and_coarsenings_are_pairwise_distinct():
+    """Neither listing checks for repeats, and none occurs: the component
+    subspaces of the listed gradings of each cross-check algebra, and of
+    the coarsenings of catalog gradings, are pairwise distinct."""
+    for label, build in CROSS_CHECK_ALGEBRAS.items():
+        keys = [g.component_keys() for g in enumerate_all_gradings(build()).gradings]
+        assert len(set(keys)) == len(keys), label
+    for id, q in (("eq7", 2), ("okuboeq3", 4), ("eq2", 3), ("cor1eq5", 2)):
+        keys = [g.component_keys() for g in coarsenings_enum(build_entry(id, GF(q))[1])]
+        assert len(set(keys)) == len(keys) > 1, (id, q)
+
+
+def test_each_presentation_is_turned_into_a_group_once_per_call(monkeypatch):
+    """One Smith form per distinct presentation within a listing, kept
+    for that call only: B(1,2)/GF(9)'s 47 gradings come from 3
+    presentations, and a second listing computes them again."""
+    from compsuper import abelian
+
+    calls = []
+    smith = abelian._smith_form
+
+    def counting(M, track_rows):
+        calls.append(tuple(map(tuple, M)))
+        return smith(M, track_rows)
+
+    monkeypatch.setattr(abelian, "_smith_form", counting)
+    S = CROSS_CHECK_ALGEBRAS["B(1,2)/GF(9)"]()
+    for _ in range(2):
+        calls.clear()
+        assert len(enumerate_all_gradings(S).gradings) == 47
+        assert len(calls) == len(set(calls)) == 3
+    calls.clear()
+    assert len(coarsenings_enum(build_entry("eq7", F2)[1])) == 19
+    assert len(calls) == len(set(calls))
+
+
 def _block_lines(S, idx):
     """`_BlockLines` over the listed subspaces of the block of S spanned
     by the basis vectors `idx`, with the subspaces' rref bases."""
@@ -1275,7 +1343,9 @@ def test_a_product_span_partly_outside_the_block_is_not_in_it():
 def _cartesian_gradings(S, blocks):
     """Test-local copy of the grading enumeration over every pair of
     block decompositions `blocks` (even, odd), closed or not, with no
-    budget."""
+    budget.  It reads each block's relations off a table that tries the
+    pieces in order, rules out no block, deduplicates by component
+    subspaces and presents each group afresh."""
     pieces = list(dict.fromkeys(sub for block in blocks for dec in block for sub in dec))
     piece_ids = {sub: i for i, sub in enumerate(pieces)}
     even_decomps, odd_decomps = (
@@ -1286,15 +1356,17 @@ def _cartesian_gradings(S, blocks):
     seen = set()
     for de in even_decomps:
         for do in odd_decomps:
+            table = builder.table(de + do, False)
             for matching in search._partial_matchings(len(de), len(do)):
                 used_odd = set(matching.values())
                 comps = [(e, do[matching[i]]) if i in matching else (e,)
                          for i, e in enumerate(de)]
                 comps += [(o,) for j, o in enumerate(do) if j not in used_odd]
-                rels = builder.relations(comps)
+                rels = builder.relations(comps, table)
                 if rels is None:
                     continue
-                cand = _separating_grading(S, rels, [builder.vectors(c) for c in comps])
+                cand = _separating_grading(S, *presentation_to_group(len(comps), rels),
+                                           [builder.vectors(c) for c in comps])
                 if cand is None or cand.component_keys() in seen:
                     continue
                 seen.add(cand.component_keys())
