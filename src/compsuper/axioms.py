@@ -433,14 +433,17 @@ def check_orthogonality(grading):
     basis vector x of a component: `linalg.mat_vec` of the vectors of C^h
     against it gives b(x, y) for every y in C^h, in order, so the first
     nonzero value is the pair a dense scan over x, then y, finds first.
+    g + h = 0 is tested as h == -g, with -g formed once per component
+    rather than a sum per ordered pair of components.
     """
     A = grading.algebra
     F = A.field
     z = F.zero
     covs = [[A.polar_row(x) for x in vg] for _, vg in grading.comps]
     for (g, vg), cg in zip(grading.comps, covs):
+        opposite = -g
         for h, vh in grading.comps:
-            if (g + h).is_zero():
+            if h == opposite:
                 continue
             for x, cov in zip(vg, cg):
                 for y, value in zip(vh, linalg.mat_vec(F, vh, cov)):

@@ -278,6 +278,18 @@ class _RelationBuilder:
     are tried in the order of `ids`, and the landing is the first piece
     that holds the products.
 
+    When the expected piece misses, a piece whose vectors all have the
+    parity opposite to the pair's products is skipped without a test.
+    Why the landing is unchanged: if every vector of piece a has parity
+    p_a and every vector of piece b parity p_b, each product x*y, x in a
+    and y in b, has parity p_a + p_b mod 2 (the structure constants
+    respect parity, `SuperAlgebra._check_invariants`), and the table only
+    asks about nonzero products.  A piece whose vectors all have the
+    other parity spans only vectors that are 0 on every basis index of
+    parity p_a + p_b, so it holds no nonzero product of the pair, and
+    `_holds` would answer False.  A piece or factor without one parity for all its
+    vectors is never skipped.
+
     `relations(comps, table)` reads the relations i+j=k of a component
     list off the table.  It needs the components to be single pieces, or
     their pieces to be independent, and the table to be over their
@@ -306,6 +318,16 @@ class _RelationBuilder:
         self._spans = list(spans) if spans is not None else [None] * len(pieces)
         self._inside = {}  # pair index * len(pieces) + piece -> bool
         self._hints = dict(hints or ())  # pair index -> piece to try first
+        self._piece_parities = {}  # piece -> the parity of all its vectors, or None
+
+    def _piece_parity(self, c):
+        """The parity that every vector of piece c has, or None when its
+        vectors do not share one; computed on the first call."""
+        got = self._piece_parities.get(c, -1)
+        if got == -1:
+            ps = {self.algebra.parity_of(v) for v in self.pieces[c]}
+            got = self._piece_parities[c] = ps.pop() if len(ps) == 1 else None
+        return got
 
     def products(self, a, b):
         """The nonzero products x*y, x over piece a and y over piece b,
@@ -353,7 +375,12 @@ class _RelationBuilder:
                 pair = a * np + b
                 c = hints.get(pair)
                 if c not in members or not self._holds(pair, c):
-                    c = next((c for c in ids if self._holds(pair, c)), STRADDLES)
+                    pa, pb = self._piece_parity(a), self._piece_parity(b)
+                    # the parity of no product of the pair (see the class)
+                    other = -1 if pa is None or pb is None else 1 - (pa + pb) % 2
+                    c = next((c for c in ids
+                              if self._piece_parity(c) != other and self._holds(pair, c)),
+                             STRADDLES)
                     if c == STRADDLES:
                         if not straddles:
                             return None

@@ -67,30 +67,36 @@ class _GradedMapSearch:
     `_prepare` builds the source tables once per search, for every `run`:
     the source basis is inverted with one rref, and the inverse's columns
     write each standard basis vector in the source basis.  Each source
-    product is written in the source basis as the `lincomb` of those
-    columns over the product's nonzero entries and listed under the slot
-    that checks it, and the same columns turn a solution's images into the
-    images of the standard basis.  Slots are ordered by the size of their
-    source component, then by parity.  Every caller assigns each component
-    a target component of the same census, so this puts the smallest
-    candidate sets first for every assignment.  The target rrefs are
-    `gb.spans`; each target component's nonzero vectors are built on first
-    use, once per search.
+    product is formed by `mul_entries` from the nonzero entries of the
+    two slot vectors, each vector's entries listed once, then written in
+    the source basis as the `lincomb` of those columns over the product's
+    nonzero entries and listed under the slot that checks it, and the
+    same columns turn a solution's images into the images of the standard
+    basis.  Slots are ordered by the size of their source component, then
+    by parity.  Every caller assigns each component a target component of
+    the same census, so this puts the smallest candidate sets first for
+    every assignment.  The target rrefs are `gb.spans`.  The nonzero
+    vectors of each target component are drawn on demand (`_targets`),
+    from one `linalg.span_vectors` generator per component and search, so
+    a search that ends early builds only the vectors it has tried.
 
     The source vectors never change during a search, so `consistent`
     reads their values from three more tables, in slot order: the parity
     of each slot vector, q0 of each even one, and the Gram matrix
-    b(src_k, src_t) under [k][t], from the covectors b(src_k, -) of
-    `polar_row`.  The last two are built only for an isometry search.
-    Each entry is the value `parity_of`, `eval_q0` or `eval_b` gives on
-    the source vectors, so every check decides as it would on the vectors
-    themselves.
+    b(src_k, src_t) under [k][t], the covector b(src_k, -) of `polar_row`
+    summed over the nonzero entries of src_t.  The last two are built
+    only for an isometry search.  Each entry is the value `parity_of`,
+    `eval_q0` or `eval_b` gives on the source vectors, so every check
+    decides as it would on the vectors themselves.
 
     The target side keeps O(m n) state per depth k, set when `consistent`
-    accepts images[k] and read by every deeper candidate: the covector
-    b(images[k], -) of `polar_row` (isometry searches only), and an
-    echelon row, the residue of images[k] by the rows of depths 0..k-1
-    scaled to 1 at its pivot, its first nonzero entry.
+    accepts images[k] and read by every deeper candidate: the nonzero
+    entries (j, c) of images[k], the covector b(images[k], -) of
+    `polar_row` (isometry searches only), and an echelon row, the residue
+    of images[k] by the rows of depths 0..k-1 scaled to 1 at its pivot,
+    its first nonzero entry.  Each product images[i] images[j] that checks
+    a candidate or forces one is formed by `mul_entries` from the entries
+    of depths i and j, so a basis pair with product 0 costs nothing.
 
     Polar check: a candidate v at slot t checks b(images[k], v) =
     src_gram[k][t], summed over v's nonzero entries, only for the k < t
@@ -113,8 +119,8 @@ class _GradedMapSearch:
     the rows is not (at the pivot of its first row with a nonzero
     coefficient), so it is 0 iff v lies in their span.
 
-    `parity_of`, `eval_q0`, `in_span` and the products are still
-    evaluated per candidate.
+    `parity_of`, `eval_q0` and `in_span` are still evaluated per
+    candidate, and the products per candidate from its entries.
 
     `run`'s `fixed` gives the candidates of the first slots: slot t <
     len(fixed) tries exactly fixed[t], each ticked and checked by
@@ -136,12 +142,35 @@ class _GradedMapSearch:
         if F.order is None:
             raise InfiniteField(f"graded map search needs a finite field, got {F}")
         self.tables = self._prepare()
-        self._span_vectors = {}  # target component -> its nonzero vectors
+        self._span_vectors = {}  # target component -> (vectors drawn so far, their generator)
 
     def _tick(self):
         self.nodes += 1
         if self.nodes > self.budget.max_nodes:
             raise BudgetExhausted(self.nodes)
+
+    def _targets(self, ci):
+        """The nonzero vectors of target component ci in the order of
+        `linalg.span_vectors`, drawn from one generator per component and
+        search as the caller asks for them.  Each vector drawn is kept, and
+        each call walks the kept list by index before drawing more, so
+        every call sees the whole sequence even while another call on the
+        same component is part-way through it (two depths of one run
+        share a component)."""
+        memo = self._span_vectors.get(ci)
+        if memo is None:
+            source = linalg.span_vectors(self.F, self.gb.comps[ci][1], self.B.dim)
+            memo = self._span_vectors[ci] = ([], source)
+        drawn, source = memo
+        k = 0
+        while True:
+            if k == len(drawn):
+                v = next(source, None)
+                if v is None:
+                    return
+                drawn.append(v)
+            yield drawn[k]
+            k += 1
 
     def _prepare(self):
         """(source vectors in slot order, their component indices, source
@@ -166,19 +195,27 @@ class _GradedMapSearch:
         # the inverse's columns: each standard basis vector in the source basis
         std_coords = tuple(zip(*linalg.basis_inverse(F, src_vecs)))
         by_depth = [[] for _ in range(m)]
-        z = F.zero
+        z, add, mul = F.zero, F.add, F.mul
+        entries = [[(k, c) for k, c in enumerate(v) if c != z] for v in src_vecs]
         for i in range(m):
             for j in range(m):
-                coeffs = linalg.lincomb(F, A.mul(src_vecs[i], src_vecs[j]), std_coords, m)
+                coeffs = linalg.lincomb(F, A.mul_entries(entries[i], entries[j]), std_coords, m)
                 support = [k for k, c in enumerate(coeffs) if c != z]
                 by_depth[max([i, j] + support)].append((i, j, coeffs, support))
         src_q0 = src_gram = None
         if self.isometry:
             # q0 of the even slots (None on the odd ones), and b(src_k, src_t)
-            # under [k][t]: column t is the covectors b(src_k, -) at src_t
+            # under [k][t]: the covector b(src_k, -) summed over src_t's entries
             src_q0 = [A.eval_q0(v) if p == 0 else None for v, p in zip(src_vecs, src_parity)]
-            covs = [A.polar_row(v) for v in src_vecs]
-            src_gram = tuple(zip(*(linalg.mat_vec(F, covs, v) for v in src_vecs)))
+            src_gram = []
+            for v in src_vecs:
+                cov, row = A.polar_row(v), []
+                for es in entries:
+                    acc = z
+                    for j, c in es:
+                        acc = add(acc, mul(cov[j], c))
+                    row.append(acc)
+                src_gram.append(tuple(row))
         return src_vecs, src_comp, by_depth, std_coords, src_parity, src_q0, src_gram
 
     def run(self, comp_target, collect=None, fixed=()):
@@ -186,22 +223,22 @@ class _GradedMapSearch:
 
         comp_target: index of the target component for each source
         component, whose census must match.  fixed: the candidates of the
-        first len(fixed) slots, one sequence per slot.  With collect (a
-        list), solutions are appended and None returned: the first under
-        each candidate of the last fixed slot, or every solution when
-        nothing is fixed.
+        first len(fixed) slots, one iterable per slot, walked once.  With
+        collect (a list), solutions are appended and None returned: the
+        first under each candidate of the last fixed slot, or every
+        solution when nothing is fixed.
         """
         A, B, F = self.A, self.B, self.F
         src_vecs, src_comp, by_depth, std_coords, src_parity, src_q0, src_gram = self.tables
-        tgt_comps, tgt_spans = self.gb.comps, self.gb.spans
+        tgt_spans = self.gb.spans
         m = len(src_vecs)
         n = B.dim
         images = [None] * m
-        # per depth k, set when images[k] is accepted: b(images[k], -), and
-        # images[k] reduced by the rows of depths 0..k-1, 1 at its pivot
-        covs, echelon, pivots = [None] * m, [None] * m, [None] * m
+        # per depth k, set when images[k] is accepted: its nonzero entries
+        # (j, c), b(images[k], -), and images[k] reduced by the rows of
+        # depths 0..k-1, 1 at its pivot
+        ents, covs, echelon, pivots = [None] * m, [None] * m, [None] * m, [None] * m
         z, add, mul = F.zero, F.add, F.mul
-        span_vectors = self._span_vectors
         last = len(fixed) - 1 if fixed else m - 1  # a collected solution backs up to here
 
         def candidates(t):
@@ -211,19 +248,17 @@ class _GradedMapSearch:
             for i, j, coeffs, support in by_depth[t]:
                 if i == t or j == t or coeffs[t] == z:
                     continue
-                lhs = B.mul(images[i], images[j])
+                lhs = B.mul_entries(ents[i], ents[j])
                 rest = [k for k in support if k != t]
                 known = linalg.lincomb(F, [coeffs[k] for k in rest], [images[k] for k in rest], n)
                 return [linalg.vec_scale(F, F.inv(coeffs[t]), linalg.vec_sub(F, lhs, known))]
-            ci = comp_target[src_comp[t]]
-            if ci not in span_vectors:
-                span_vectors[ci] = list(linalg.span_vectors(F, tgt_comps[ci][1], n))
-            return span_vectors[ci]
+            return self._targets(comp_target[src_comp[t]])
 
         def consistent(t):
             v = images[t]
             parity = src_parity[t]
-            if parity != B.parity_of(v) or linalg.vec_is_zero(F, v):
+            entries = [(j, c) for j, c in enumerate(v) if c != z]
+            if parity != B.parity_of(v) or not entries:
                 return False
             rr, piv = tgt_spans[comp_target[src_comp[t]]]
             if not linalg.in_span(F, rr, piv, v):
@@ -231,7 +266,6 @@ class _GradedMapSearch:
             if self.isometry:
                 if parity == 0 and B.eval_q0(v) != src_q0[t]:
                     return False
-                entries = [(j, c) for j, c in enumerate(v) if c != z]
                 for k in range(t):
                     if src_parity[k] != parity:
                         continue
@@ -244,8 +278,9 @@ class _GradedMapSearch:
             pivot = next((j for j, c in enumerate(residue) if c != z), None)
             if pivot is None:
                 return False
+            ents[t] = entries
             for i, j, coeffs, _ in by_depth[t]:
-                if B.mul(images[i], images[j]) != linalg.lincomb(F, coeffs, images, n):
+                if B.mul_entries(ents[i], ents[j]) != linalg.lincomb(F, coeffs, images, n):
                     return False
             if self.isometry:
                 covs[t] = B.polar_row(v)
@@ -431,8 +466,7 @@ def enumerate_automorphisms(S, constraints, budget=None):
     for t in reversed(range(len(slots))):
         if any(i != t and j != t and coeffs[t] != z for i, j, coeffs, _ in by_depth[t]):
             continue  # forced slot
-        cands = [c for c in linalg.span_vectors(F, g.comps[comp_target[slot_comp[t]]][1], S.dim)
-                 if c != slots[t]]
+        cands = (c for c in search._targets(comp_target[slot_comp[t]]) if c != slots[t])
         reps = []
         search.run(comp_target, collect=reps, fixed=tuple((v,) for v in slots[:t]) + (cands,))
         if not all(_degree_preserving(r, g, g) for r in reps):

@@ -627,6 +627,95 @@ def test_orthogonality_matches_dense_reference_on_every_catalog_grading():
     assert failed == {"pair", "missing opposite", "degenerate pairing"}
 
 
+def _pair_sum_orthogonality(grading):
+    """check_orthogonality as it was with g + h formed and tested for 0
+    on every ordered pair of components."""
+    A = grading.algebra
+    F = A.field
+    z = F.zero
+    covs = [[A.polar_row(x) for x in vg] for _, vg in grading.comps]
+    for (g, vg), cg in zip(grading.comps, covs):
+        for h, vh in grading.comps:
+            if (g + h).is_zero():
+                continue
+            for x, cov in zip(vg, cg):
+                for y, value in zip(vh, linalg.mat_vec(F, vh, cov)):
+                    if value != z:
+                        return CheckReport(
+                            "orthogonality", False, witness=(str(g), str(h), A.fmt(x), A.fmt(y)))
+    for (g, vg), cg in zip(grading.comps, covs):
+        k = grading.index.get(-g)
+        vh = None if k is None else grading.comps[k][1]
+        if vh is None or len(vh) != len(vg):
+            return CheckReport("orthogonality", False, witness=(str(g), "missing opposite"))
+        gram = [linalg.mat_vec(F, vh, cov) for cov in cg]
+        if linalg.rank(F, gram) < len(gram):
+            return CheckReport("orthogonality", False, witness=(str(g), "degenerate pairing"))
+    return CheckReport("orthogonality", True)
+
+
+def _with_polar(A, polar):
+    return SuperAlgebra(A.field, A.parity, A.table, A.q0, polar, A.basis_names, A.name)
+
+
+def test_orthogonality_by_negated_degrees_matches_the_pair_sums(monkeypatch):
+    """Testing h == -g, with -g formed once per component, gives the
+    report of forming g + h for every ordered pair: on every catalog
+    grading over GF(2), GF(3), GF(4) and GF(9), and on the same
+    components in copies of the algebra with a corrupted polar form: a
+    seeded nonzero entry added between two basis vectors of one parity
+    (symmetric on the even block, skew on the odd one), and every
+    off-diagonal entry set to 0.  The corruptions make the check fail
+    both on a pair of components and on a degenerate pairing.  No degree
+    sum is formed."""
+    import random
+
+    from compsuper.abelian import AbElement
+    from compsuper.catalog import FieldConditionUnmet, build_entry, catalog_ids
+    from compsuper.gradings import Grading
+
+    rng = random.Random(31)
+    sums = []
+    real_add = AbElement.__add__
+    built = 0
+    failed = set()
+    for F in (F2, F3, F4, F9):
+        nonzero = [c for c in F.elements() if c != F.zero]
+        for id in catalog_ids():
+            try:
+                A, g = build_entry(id, F)
+            except FieldConditionUnmet:
+                continue
+            built += 1
+            n = A.dim
+            algebras = [A]
+            for _ in range(2):
+                i, j = rng.sample(range(n), 2)
+                while A.parity[i] != A.parity[j]:
+                    i, j = rng.sample(range(n), 2)
+                polar = [list(row) for row in A.polar]
+                c = rng.choice(nonzero)
+                polar[i][j] = F.add(polar[i][j], c)
+                polar[j][i] = F.add(polar[j][i], c if A.parity[i] == 0 else F.neg(c))
+                algebras.append(_with_polar(A, polar))
+            algebras.append(_with_polar(A, [[A.polar[i][j] if i == j else F.zero for j in range(n)]
+                                            for i in range(n)]))
+            for B in algebras:
+                h = Grading(B, g.group, g.comps)
+                want = _pair_sum_orthogonality(h).as_dict()
+                monkeypatch.setattr(AbElement, "__add__",
+                                    lambda x, y: sums.append(1) or real_add(x, y))
+                got = check_orthogonality(h).as_dict()
+                monkeypatch.undo()
+                assert got == want, (id, F)
+                if not got["pass"]:
+                    w = got["witness"]
+                    failed.add(w[1] if len(w) == 2 else "pair")
+    assert built == 73
+    assert failed == {"pair", "degenerate pairing"}
+    assert sums == []
+
+
 def test_orthogonality_on_catalog_grading():
     from compsuper.catalog import build_entry
 

@@ -510,6 +510,63 @@ def test_grading_enumeration_relations_match_reference(monkeypatch):
         _assert_matches_reference(calls)
 
 
+def test_parity_skip_keeps_every_landing_table(monkeypatch):
+    """Skipping the pieces whose vectors all have the parity opposite to
+    a pair's products leaves every landing table as trying each piece in
+    order makes it: the tables of every catalog grading over its primary
+    fields, of two decompositions with a mixed-parity piece, and of every
+    block of `enumerate_all_gradings` on four algebras.  With the skip, no
+    `_holds` test asks about a piece of the opposite parity, and without
+    it some do."""
+    from compsuper.catalog import ENTRIES, FieldConditionUnmet, build_entry, catalog_ids
+    from compsuper.gradings import STRADDLES
+    from compsuper.search import enumerate_all_gradings
+
+    def fresh():
+        for id in catalog_ids():
+            for F in ((GF(3), GF(9)) if ENTRIES[id].char == 3 else (GF(2), GF(4))):
+                try:
+                    A, g = build_entry(id, F)
+                except FieldConditionUnmet:
+                    continue
+                yield lambda A=A, g=g: Grading(A, g.group, g.comps).table
+        B = b12(F3)
+        one, u, v = B.basis()
+        mixed = [[linalg.vec_add(F3, one, u), one], [v]]
+        for vs in (mixed, mixed[::-1]):
+            yield lambda vs=vs: grading_from_components(
+                B, Z2, [(Z2.element(k), c) for k, c in enumerate(vs)]).table
+        for S in (split_hurwitz(4, F2)[0], b12(F3), super_split_quaternion(F2)[0],
+                  cayley_dickson_super(split_hurwitz(2, F4)[0], F4.one)):
+            yield lambda S=S: enumerate_all_gradings(S).nodes
+
+    def run():
+        tables, holds = [], []
+        table, holds_test = _RelationBuilder.table, _RelationBuilder._holds
+        monkeypatch.setattr(_RelationBuilder, "table",
+                            lambda self, *a, **k: tables.append(table(self, *a, **k)) or tables[-1])
+        monkeypatch.setattr(_RelationBuilder, "_holds",
+                            lambda self, pair, c: holds.append((self, pair, c)) or holds_test(self, pair, c))
+        results = [call() for call in fresh()]
+        monkeypatch.undo()
+        opposite = 0
+        for builder, pair, c in holds:
+            A = builder.algebra
+            pa, pb, pc = ({A.parity_of(v) for v in builder.pieces[x]}
+                          for x in divmod(pair, len(builder.pieces)) + (c,))
+            opposite += len(pa) == len(pb) == len(pc) == 1 and None not in pa | pb | pc and (
+                pc != {(min(pa) + min(pb)) % 2})
+        return results, tables, opposite
+
+    got, got_tables, got_opposite = run()
+    monkeypatch.setattr(_RelationBuilder, "_piece_parity", lambda self, c: None)
+    want, want_tables, want_opposite = run()
+    assert got == want and got_tables == want_tables
+    assert len(got_tables) > 100 and None in got_tables
+    assert any(t is not None and STRADDLES in t.values() for t in got_tables)
+    assert got_opposite == 0 < want_opposite
+
+
 def test_lookups_match_a_fresh_computation_and_are_computed_once(monkeypatch):
     """`index`, `spans`, `parities`, `mixed` and `census` equal a fresh
     computation on every catalog entry over its primary fields, and the

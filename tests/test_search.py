@@ -508,17 +508,18 @@ class _PerCandidateSearch(_SEARCH):
     for every candidate, the parity, q0 and polar values of the fixed
     source vectors are evaluated by the source algebra, the polar values
     of the target by `eval_b` both ways against every earlier image, the
-    diagonal included, and the rank of the images from scratch."""
+    diagonal included, the rank of the images from scratch, and every
+    product by the dense `B.mul`.  Its target vectors come from the
+    search's own `_targets`, as the coset loop's do."""
 
     def run(self, comp_target, collect=None, fixed=()):
         A, B, F = self.A, self.B, self.F
         src_vecs, src_comp, by_depth, std_coords = self.tables[:4]
-        tgt_comps, tgt_spans = self.gb.comps, self.gb.spans
+        tgt_spans = self.gb.spans
         m = len(src_vecs)
         n = B.dim
         images = [None] * m
         z = F.zero
-        span_vectors = self._span_vectors
         last = len(fixed) - 1 if fixed else m - 1
 
         def candidates(t):
@@ -531,10 +532,7 @@ class _PerCandidateSearch(_SEARCH):
                 rest = [k for k in support if k != t]
                 known = linalg.lincomb(F, [coeffs[k] for k in rest], [images[k] for k in rest], n)
                 return [linalg.vec_scale(F, F.inv(coeffs[t]), linalg.vec_sub(F, lhs, known))]
-            ci = comp_target[src_comp[t]]
-            if ci not in span_vectors:
-                span_vectors[ci] = list(linalg.span_vectors(F, tgt_comps[ci][1], n))
-            return span_vectors[ci]
+            return self._targets(comp_target[src_comp[t]])
 
         def consistent(t):
             v = images[t]
@@ -653,6 +651,113 @@ def test_search_tables_match_per_candidate_evaluation(monkeypatch):
         searched += bool(got[1])
         found += any(f is not None for f in got[0])
     assert (len(cases), searched, found) == (325, 313, 192)
+
+
+class _EagerTargetSearch(_SEARCH):
+    """The search with each target component's nonzero vectors listed in
+    full on first use, once per search, as before they were drawn on
+    demand."""
+
+    def _targets(self, ci):
+        got = self._span_vectors.get(ci)
+        if got is None:
+            basis = self.gb.comps[ci][1]
+            got = self._span_vectors[ci] = list(linalg.span_vectors(self.F, basis, self.B.dim))
+        return got
+
+
+def test_two_draws_from_one_component_each_see_the_whole_sequence():
+    """Two walks over one target component's drawn vectors, interleaved
+    as two depths of one run interleave them, each give the whole
+    `span_vectors` sequence, whichever of them draws a vector first.  One
+    generator shared without the kept list and the per-walk index would
+    hand each vector to one walk only."""
+    S = split_hurwitz(4, F3)[0]
+    g = trivial_grading(S)
+    want = list(linalg.span_vectors(F3, g.comps[0][1], S.dim))
+    s = _SEARCH(S, g, S, g, SearchBudget())
+    first, second = s._targets(0), s._targets(0)
+    got1 = [next(first) for _ in range(5)]
+    got2 = [next(second) for _ in range(12)]  # 5 kept, 7 drawn
+    got1 += [next(first) for _ in range(10)]  # 7 kept, 3 drawn
+    assert len(s._span_vectors[0][0]) == 15
+    got2 += list(second)
+    got1 += list(first)
+    assert got1 == got2 == want and len(want) == 80
+    assert list(s._targets(0)) == want  # a later walk reads the kept list
+
+
+def _criterion_6_pairs(step):
+    """Every step-th same-census ordered pair of distinct gradings of
+    criterion 6's four kinds: B(1,2) and B(4,2) over GF(9), Cayley and
+    Okubo (okubo-omega) over GF(4), over every test group."""
+    from compsuper.catalog import _family_algebra, iso_test_groups
+    from compsuper.gradings import gamma_grading_b42, gamma_grading_dim8, zero_sum_triples
+
+    out = []
+    for family, F in (("b12", GF(9)), ("b42", GF(9)), ("cd8", F4), ("okubo-omega", F4)):
+        ctx = _family_algebra(family, F)
+        A = ctx["algebra"]
+        pairs = []
+        for G in iso_test_groups():
+            if family == "b12":
+                gs = [gamma_grading_b12(A, G, x) for x in G.elements()]
+            elif family == "b42":
+                gs = [gamma_grading_b42(A, G, x) for x in G.elements()]
+            else:
+                gs = [gamma_grading_dim8(A, ctx["cb"], G, t) for t in zero_sum_triples(G, max_order=4)]
+            pairs += [(A, ga, gb) for ga in gs for gb in gs if ga is not gb and ga.census == gb.census]
+        out += pairs[::step]
+    return out
+
+
+def test_drawn_targets_match_listing_every_target_first(monkeypatch):
+    """Drawing target vectors on demand gives the same maps, Nones and
+    node counts as listing every nonzero vector of a component on first
+    use: on the automorphism group of every labelled grading and on every
+    3rd same-census pair of criterion 6's four kinds."""
+    cases = []
+    for id in catalog.LABELLED_IDS:
+        A, g = build_entry(id, _smallest_field(catalog.ENTRIES[id]))
+        cases.append(lambda A=A, g=g: enumerate_automorphisms(A, constraints=g))
+    cases += [lambda A=A, ga=ga, gb=gb: find_graded_map(A, ga, A, gb)
+              for A, ga, gb in _criterion_6_pairs(3)]
+    searched = found = 0
+    for call in cases:
+        got = _searches(monkeypatch, _SEARCH, call)
+        assert got == _searches(monkeypatch, _EagerTargetSearch, call)
+        searched += bool(got[1])
+        found += any(f is not None for f in got[0])
+    assert (len(cases), searched, found) == (313, 313, 231)
+
+
+def test_a_found_map_draws_only_the_target_vectors_it_tries(monkeypatch):
+    """Work-count guard: between eq7/GF(4) and the same components with
+    every degree negated, the search finds a map in 8 nodes and draws 4
+    target vectors, one per 1-dimensional component it reaches; listing
+    every target first builds 12."""
+    from compsuper.gradings import Grading
+
+    A, g = build_entry("eq7", F4)
+    negated = Grading(A, g.group, tuple((-d, vs) for d, vs in g.comps))
+    built = []
+    real = linalg.span_vectors
+
+    def counted(*args):
+        for v in real(*args):
+            built.append(v)
+            yield v
+
+    monkeypatch.setattr(linalg, "span_vectors", counted)
+    results = []
+    for cls in (_SEARCH, _EagerTargetSearch):
+        built.clear()
+        got, nodes = _searches(monkeypatch, cls, lambda: find_graded_map(A, g, A, negated))
+        results.append((got, nodes, len(built)))
+    (got, nodes, drawn), (eager_got, eager_nodes, listed) = results
+    assert got == eager_got and got[0] is not None
+    assert nodes == eager_nodes == [8]
+    assert (drawn, listed) == (4, 12)
 
 
 def test_a_hard_okubo_search_makes_no_dense_polar_value_or_rank(monkeypatch):
@@ -1174,6 +1279,51 @@ CROSS_CHECK_ALGEBRAS = {
     "K/GF(4)": lambda: nonsplit_quadratic(F4),
     "B(1,2)/GF(9)": lambda: b12(GF(9)),
 }
+
+
+# the cross-check algebras, one algebra of each catalog family, and two over Q
+MUL_ENTRIES_ALGEBRAS = {
+    **CROSS_CHECK_ALGEBRAS,
+    "b12/GF(3)": lambda: catalog._family_algebra("b12", F3)["algebra"],
+    "b42/GF(9)": lambda: catalog._family_algebra("b42", GF(9))["algebra"],
+    "cd4/GF(2)": lambda: catalog._family_algebra("cd4", F2)["algebra"],
+    "cd8/GF(4)": lambda: catalog._family_algebra("cd8", F4)["algebra"],
+    "okubo-nst/GF(2)": lambda: catalog._family_algebra("okubo-nst", F2)["algebra"],
+    "okubo-omega/GF(4)": lambda: catalog._family_algebra("okubo-omega", F4)["algebra"],
+    "split8/Q": lambda: split_hurwitz(8, QQ)[0],
+    "para-split4/Q": lambda: para_hurwitz(split_hurwitz(4, QQ)[0]),
+}
+
+
+@pytest.mark.parametrize("label", sorted(MUL_ENTRIES_ALGEBRAS))
+def test_mul_entries_matches_mul(label):
+    """`mul_entries` on the nonzero entries of two vectors gives `mul` of
+    the vectors: on every basis pair, and on 200 seeded random pairs
+    whose entries are 0 half the time, zero vectors included."""
+    import random
+
+    S = MUL_ENTRIES_ALGEBRAS[label]()
+    F = S.field
+    z = F.zero
+
+    def entries(v):
+        return [(k, c) for k, c in enumerate(v) if c != z]
+
+    basis = S.basis()
+    for x in basis:
+        for y in basis:
+            assert S.mul_entries(entries(x), entries(y)) == S.mul(x, y), label
+    if F.order is None:
+        scalars = [F.mul(F.from_int(a), F.inv(F.from_int(b))) for a in (-2, -1, 1, 3) for b in (1, 2)]
+    else:
+        scalars = [c for c in F.elements() if c != z]
+    rng = random.Random(31)
+    vectors = [S.zero()] + [tuple(rng.choice(scalars) if rng.random() < 0.5 else z
+                                  for _ in range(S.dim)) for _ in range(40)]
+    for _ in range(200):
+        x, y = rng.choice(vectors), rng.choice(vectors)
+        assert S.mul_entries(entries(x), entries(y)) == S.mul(x, y), label
+    assert S.mul_entries([], entries(vectors[1])) == S.zero()
 
 
 @pytest.mark.parametrize("label", sorted(CROSS_CHECK_ALGEBRAS))
