@@ -387,24 +387,33 @@ def presentation_to_group(n_generators, relations):
     return G, proj
 
 
-def group_from_string(s):
-    """Inverse of str(AbGroup) for names like "Z^2 x Z2 x Z4"."""
-    s = s.strip()
-    if s == "0":
-        return AbGroup(0, ())
-    rank = 0
-    torsion = []
-    for part in s.split(" x "):
+def _group_parts(s):
+    """(rank, [(d, k), ...]) of a group name such as "Z^2 x Z2 x Z4^3":
+    its torsion parts Zd^k, read without expanding them."""
+    rank, parts = 0, []
+    for part in s.split(" x ") if s.strip() != "0" else ():
         part = part.strip()
         if part == "Z":
             rank += 1
         elif part.startswith("Z^"):
             rank += int(part[2:])
         else:
-            body = part[1:]
-            if "^" in body:
-                d, _, k = body.partition("^")
-                torsion += [int(d)] * int(k)
-            else:
-                torsion.append(int(body))
-    return AbGroup(rank, tuple(sorted(torsion)))
+            d, hat, k = part[1:].partition("^")
+            parts.append((int(d), int(k) if hat else 1))
+            if parts[-1][1] < 0:
+                raise ValueError(f"{part!r} has a negative exponent")
+    return rank, parts
+
+
+def group_ngens(s):
+    """The generator count of `group_from_string(s)`, read without building
+    the group, whose list of invariant factors a name such as
+    "Z2^100000000" makes long."""
+    rank, parts = _group_parts(s)
+    return rank + sum(k for _, k in parts)
+
+
+def group_from_string(s):
+    """Inverse of str(AbGroup) for names like "Z^2 x Z2 x Z4"."""
+    rank, parts = _group_parts(s)
+    return AbGroup(rank, tuple(sorted(d for d, k in parts for _ in range(k))))

@@ -33,6 +33,7 @@ from .constructions import (
 from .fields import GF
 from .gradings import coarsenings_enum, main_grading, trivial_grading, validate
 from .search import enumerate_all_gradings, fine_check
+from .superalgebra import identity_morphism
 
 
 def _hurwitz_suite_instances():
@@ -311,15 +312,8 @@ def criterion_8():
         e = units[0]
         if e != C.unit():
             failures.append((label, "para-unit is not the original unit"))
-        ok = True
-        for i in range(S.dim):
-            for j in range(S.dim):
-                x, y = S.basis_vector(i), S.basis_vector(j)
-                lhs = C.mul(x, y)
-                rhs = S.mul(S.mul(e, x), S.mul(y, e))
-                if lhs != rhs:
-                    ok = False
-        if not ok:
+        # S twists C by the identity: x.y = (1*x)*(y*1), and e = 1 is checked above
+        if not check_remark_identities(S, identity_morphism(S), C).passed:
             failures.append((label, "x.y != (e*x)*(y*e)"))
     return {
         "id": 8,

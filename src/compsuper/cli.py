@@ -11,7 +11,7 @@ import os
 import sys
 
 from . import acceptance, catalog
-from .abelian import group_from_string
+from .abelian import group_from_string, group_ngens
 from .axioms import (
     check_composition_super,
     check_hurwitz,
@@ -220,14 +220,23 @@ def _grading_file(path, field_name):
         raise UsageError(
             f"--field {field_name} does not match the grading file's field {A.field.name}")
     grading = json_member(data, "grading", dict, "grading file")
-    G = group_from_string(json_member(grading, "group", str, "grading"))
+    group = json_member(grading, "group", str, "grading")
+    components = json_member(grading, "components", list, "grading")
+    if not components:
+        raise ValueError("grading.components must not be empty")
+    # the coords bound the generator count before the group's list of
+    # invariant factors is built
+    ngens = group_ngens(group)
+    for n, comp in enumerate(components):
+        coords = json_member(comp, "coords", list, f"grading.components[{n}]")
+        if len(coords) != ngens or not all(type(c) is int for c in coords):
+            raise ValueError(f"grading.components[{n}].coords must hold {ngens} integers "
+                             f"for {group.strip()}")
+    G = group_from_string(group)
     comps = []
-    for n, comp in enumerate(json_member(grading, "components", list, "grading")):
+    for n, comp in enumerate(components):
         where = f"grading.components[{n}]"
-        coords = json_member(comp, "coords", list, where)
-        if len(coords) != G.ngens or not all(type(c) is int for c in coords):
-            raise ValueError(f"{where}.coords must hold {G.ngens} integers for {G}")
-        deg = G.element(tuple(coords))
+        deg = G.element(tuple(comp["coords"]))
         vs = []
         for v in json_member(comp, "basis", list, where):
             if not isinstance(v, list) or len(v) != A.dim:

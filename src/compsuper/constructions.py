@@ -105,35 +105,22 @@ class CanonicalBasis:
         return ("e1", "e2")
 
     def verify(self):
-        """Exact table and norm check; raises NotSplit on mismatch."""
+        """True when the named vectors realize the split table and norm:
+        `is_morphism` finds the map from the split table algebra on
+        `names()`, with the vectors' parities, to be an algebra map and an
+        isometry.  Otherwise NotSplit names the first failing name or pair
+        in the order of `names()`."""
         A = self.algebra
-        F = A.field
         names = self.names()
-        vecs = self.vectors
-        for a in names:
-            for b in names:
-                terms = CAYLEY_TABLE.get((a, b), [])
-                want = linalg.lincomb(
-                    F, [F.from_int(sgn) for _, sgn in terms], [vecs[res] for res, _ in terms], A.dim
-                )
-                if A.mul(vecs[a], vecs[b]) != want:
-                    raise NotSplit(f"table mismatch at {a}*{b}")
-        for a in names:
-            pa = A.parity_of(vecs[a])
-            if pa is None:
-                raise NotSplit(f"{a} is not parity-homogeneous")
-            if A.parity_of(vecs[a]) == 0 and A.eval_q0(vecs[a]) != F.zero:
-                raise NotSplit(f"{a} is not isotropic")
-        for a in names:
-            for b in names:
-                want = F.zero
-                if (a, b) in CAYLEY_POLAR_PAIRS:
-                    want = F.one
-                elif (b, a) in CAYLEY_POLAR_PAIRS:
-                    both_odd = A.parity_of(vecs[a]) and A.parity_of(vecs[b])
-                    want = F.neg(F.one) if both_odd else F.one
-                if A.eval_b(vecs[a], vecs[b]) != want:
-                    raise NotSplit(f"norm mismatch at b({a},{b})")
+        images = tuple(self.vectors[nm] for nm in names)
+        parities = [A.parity_of(v) for v in images]
+        if None in parities:
+            raise NotSplit(f"{names[parities.index(None)]} is not parity-homogeneous")
+        try:
+            T = _table_algebra(A.field, names, parities, CAYLEY_TABLE, CAYLEY_POLAR_PAIRS)
+            is_morphism(Morphism(T, A, images), ("algebra-hom", "isometry"))
+        except ValueError as exc:  # a CheckFailed, or parities that break the table's grading
+            raise NotSplit(str(exc)) from None
         return True
 
 
@@ -268,34 +255,16 @@ def cayley_dickson(Q, alpha, super_grading):
     for i in range(n):
         bi = Q.basis_vector(i)
         for j in range(n):
-            bj = Q.basis_vector(j)
-            prod = Q.mul(bi, bj)  # a*c
-            for k, c in enumerate(prod):
-                table[i][j][k] = c
-            prod = Q.mul(bj, bi)  # d*a -> (a)(du) = (da)u
-            for k, c in enumerate(prod):
-                table[i][n + j][n + k] = c
-            prod = Q.mul(bi, conj_basis[j])  # b*conj(c) -> (bu)(c) = (b conj(c))u
-            for k, c in enumerate(prod):
-                table[n + i][j][n + k] = c
-            prod = Q.mul(conj_basis[j], bi)  # -alpha*conj(d)*b
-            for k, c in enumerate(prod):
-                table[n + i][n + j][k] = F.mul(neg_alpha, c)
-    polar = [[z] * dim for _ in range(dim)]
-    for i in range(n):
-        for j in range(n):
-            polar[i][j] = Q.polar[i][j]
-            polar[n + i][n + j] = F.mul(neg_alpha, Q.polar[i][j])
+            table[i][j][:n] = Q.table[i][j]  # a*c
+            table[i][n + j][n:] = Q.table[j][i]  # d*a -> (a)(du) = (da)u
+            table[n + i][j][n:] = Q.mul(bi, conj_basis[j])  # b*conj(c) -> (bu)(c) = (b conj(c))u
+            # -alpha*conj(d)*b
+            table[n + i][n + j][:n] = [F.mul(neg_alpha, c) for c in Q.mul(conj_basis[j], bi)]
+    polar = ([list(row) + [z] * n for row in Q.polar]
+             + [[z] * n + [F.mul(neg_alpha, c) for c in row] for row in Q.polar])
     q0 = list(Q.q0) + ([z] * n if super_grading else [F.mul(neg_alpha, c) for c in Q.q0])
-    return SuperAlgebra(
-        F,
-        parity,
-        table,
-        q0,
-        polar,
-        basis_names=names,
-        name=f"CD({Q.name or 'Q'},{F.fmt(alpha)})" + ("" if super_grading else "-plain"),
-    )
+    name = f"CD({Q.name or 'Q'},{F.fmt(alpha)})" + ("" if super_grading else "-plain")
+    return SuperAlgebra(F, parity, table, q0, polar, basis_names=names, name=name)
 
 
 def cayley_dickson_super(Q, alpha):
@@ -533,12 +502,6 @@ def peirce_decomposition(C, e1):
     n = C.dim
     basis = C.basis()
 
-    def solve_space(conds):
-        rows = []
-        for mat in conds:
-            rows.extend(mat)
-        return linalg.nullspace(F, rows)
-
     def rows_of(columns):
         return list(zip(*columns))
 
@@ -551,18 +514,41 @@ def peirce_decomposition(C, e1):
     def minus(Mat):
         return [tuple(F.sub(a, b) for a, b in zip(r1, r2)) for r1, r2 in zip(Mat, ident)]
 
-    U = solve_space([minus(L1), minus(R2), L2, R1])
-    V = solve_space([minus(L2), minus(R1), L1, R2])
+    U = linalg.nullspace(F, minus(L1) + minus(R2) + L2 + R1)
+    V = linalg.nullspace(F, minus(L2) + minus(R1) + L1 + R2)
     return PeirceDecomposition(e1=tuple(e1), e2=tuple(e2), K=[tuple(e1), tuple(e2)], U=U, V=V)
+
+
+def _least_solution(field, coeffs, vectors):
+    """vectors[J] / c_J, J the last index with c_J = coeffs[J] != 0, or
+    None: `vectors` combined by the first solution of c.x = 1."""
+    for j in reversed(range(len(coeffs))):
+        if coeffs[j] != field.zero:
+            return linalg.vec_scale(field, field.inv(coeffs[j]), vectors[j])
+    return None
 
 
 def canonical_basis_find(C, a):
     """Canonical basis of a split Cayley algebra from a nonzero isotropic seed.
 
-    Follows the classical procedure: pick b with q(a, conj(b)) = 1, set
-    e1 = ab, build the Peirce spaces, then choose u3 with q(u1 u2, u3) = 1
-    and take the dual v's.  Deterministic: the lexicographically first
-    valid b and u3 are used.
+    Follows the classical procedure: pick b with b(a, conj(b)) = 1, set
+    e1 = ab, build the Peirce spaces, then choose u3 in U with
+    b(u1 u2, u3) = 1 and take the dual v's.
+
+    Each choice solves one linear equation c.x = 1, and the solution
+    taken is s = e_J / c_J, J the last index with c_J != 0: the partner's
+    coordinates, for c_j = b(a, conj(e_j)), and u3's coefficients in the
+    basis U of the Peirce space, for c_i = b(u1 u2, U_i), so that
+    u3 = U_J / c_J.  This defines the basis over any field, Q included.
+    Over a finite field s is the lexicographically first solution, so the
+    basis is the one a scan of F^8 (`linalg.all_vectors`) or of the
+    nonzero combinations of U (`linalg.span_vectors`) finds first; that
+    order compares tuples from the first entry on, 0 the least element.
+    Proof: let x != s solve c.x = 1.  If x_j != 0 for some j < J, the
+    first such j is the first entry where x and s differ, and s_j = 0, so
+    s comes first.  Otherwise c_J x_J = 1, since c_j = 0 for j > J, so
+    x_J = s_J, and x first differs from s at some j > J, where s_j = 0;
+    again s comes first.
     """
     F = C.field
     if C.dim != 8:
@@ -572,11 +558,8 @@ def canonical_basis_find(C, a):
         raise NotIsotropic("seed must be nonzero")
     if C.eval_q0(a) != F.zero:
         raise NotIsotropic("seed must be isotropic")
-    bvec = None
-    for cand in linalg.all_vectors(F, C.dim):
-        if C.eval_b(a, C.conj(cand)) == F.one:
-            bvec = cand
-            break
+    basis = C.basis()
+    bvec = _least_solution(F, [C.eval_b(a, C.conj(e)) for e in basis], basis)
     if bvec is None:
         raise NotSplit("no partner with q(a, conj(b)) = 1; form is degenerate")
     e1 = C.mul(a, bvec)
@@ -588,7 +571,7 @@ def canonical_basis_find(C, a):
         raise NotSplit("Peirce spaces do not have dimension 3")
     u1, u2 = pd.U[0], pd.U[1]
     w = C.mul(u1, u2)
-    u3 = next((c for c in linalg.span_vectors(F, pd.U, C.dim) if C.eval_b(w, c) == F.one), None)
+    u3 = _least_solution(F, [C.eval_b(w, u) for u in pd.U], pd.U)
     if u3 is None:
         raise NotSplit("no u3 with q(u1 u2, u3) = 1")
     v1 = C.mul(u2, u3)

@@ -156,25 +156,25 @@ class SuperAlgebra:
                 continue
             row = sparse[i]
             for j, yj in enumerate(y):
-                if yj == z:
-                    continue
-                c = mul(xi, yj)
-                for k, ck in row[j]:
-                    acc[k] = add(acc[k], mul(c, ck))
+                terms = row[j]
+                if terms and yj != z:
+                    c = mul(xi, yj)
+                    for k, ck in terms:
+                        acc[k] = add(acc[k], mul(c, ck))
         return tuple(acc)
 
     def mul_entries(self, xs, ys):
         """x*y, as `mul` gives it, from the nonzero entries of the two
         factors: xs lists the (i, x_i) with x_i != 0, ys the (j, y_j).
 
-        A basis pair whose product e_i e_j is 0 costs no scalar
-        multiplication.  This pays when the caller lists each vector's
-        entries once and multiplies it many times, as the graded-map
-        search does with its slot vectors and accepted images.  `mul`
-        stays dense: its other callers mostly multiply a vector once, and
-        `mul` rewritten to list both factors' entries per call and call
-        this kernel made the `fineness` benchmark's wall time 10-15%
-        longer."""
+        As in `mul`, a basis pair whose product e_i e_j is 0 costs no
+        scalar multiplication.  Listing the entries pays when the caller
+        lists each vector's entries once and multiplies it many times, as
+        the graded-map search does with its slot vectors and accepted
+        images.  `mul` stays dense: its other callers mostly multiply a
+        vector once, and `mul` rewritten to list both factors' entries per
+        call and call this kernel made the `fineness` benchmark's wall
+        time 10-15% longer."""
         F = self.field
         add, mul = F.add, F.mul
         acc = [F.zero] * self.dim
@@ -325,13 +325,16 @@ class SuperAlgebra:
             if not all(type(t) is int and 0 <= t < n for t in (i, j, k)):
                 raise ValueError(f"structure entry {entry} has an index outside 0..{n - 1}")
             table[i][j][k] = json_scalar(F, c, "algebra.structure")
+        names = json_member(data, "basis", list, "algebra") if "basis" in data else None
+        if names is not None and not all(isinstance(nm, str) for nm in names):
+            raise ValueError("algebra.basis must be a list of strings")
         return SuperAlgebra(
             F,
             parity,
             table,
             [json_scalar(F, c, "algebra.q0_values") for c in q0],
             [[json_scalar(F, c, "algebra.polar") for c in row] for row in polar],
-            basis_names=json_member(data, "basis", list, "algebra") if "basis" in data else None,
+            basis_names=names,
             name=data.get("name", ""),
         )
 

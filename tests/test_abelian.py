@@ -11,6 +11,7 @@ from compsuper.abelian import (
     WrongGroup,
     _det_int,
     group_from_string,
+    group_ngens,
     invariant_factors_by_minors,
     presentation_to_group,
     smith_normal_form,
@@ -170,6 +171,14 @@ def test_group_strings():
     assert str(AbGroup(0, (2, 4))) == "Z2 x Z4"
     for s in ("0", "Z", "Z^2", "Z4", "Z2^2", "Z x Z2", "Z2 x Z4"):
         assert str(group_from_string(s)) == s
+
+
+def test_group_ngens_reads_the_count_without_building_the_group():
+    for s in ("0", "Z", "Z^2 x Z2^3 x Z4", "Z2 x Z4^2"):
+        assert group_ngens(s) == group_from_string(s).ngens
+    assert group_ngens("Z^3 x Z2^1000000000000") == 1000000000003
+    with pytest.raises(ValueError, match="negative exponent"):
+        group_ngens("Z2^-1")
 
 
 def test_element_arithmetic_and_order():

@@ -195,6 +195,31 @@ def test_decomposition_that_is_not_a_grading_exits_1(capsys, tmp_path, command):
     assert json.loads(captured.out) == {"valid": False, "witness": ["0 mod 2", "1 mod 2", "u1"]}
 
 
+def test_basis_names_must_be_strings(capsys, tmp_path):
+    """Names that are not strings exit 2 with one line, before `fine` would
+    print the witness of a decomposition that is not a grading through
+    them (split4/GF(3), the Z2 decomposition above)."""
+    from compsuper.abelian import AbGroup
+    from compsuper.constructions import split_hurwitz
+    from compsuper.fields import GF
+    from compsuper.gradings import grading_from_components
+
+    A, cb = split_hurwitz(4, GF(3))
+    G = AbGroup(0, (2,))
+    v = cb.vectors
+    g = grading_from_components(A, G, [(G.element(0), [v["e1"], v["u1"]]),
+                                       (G.element(1), [v["e2"], v["v1"]])])
+    algebra = A.to_json()
+    algebra["basis"] = [1, 2, 3, 4]
+    path = tmp_path / "grading.json"
+    path.write_text(json.dumps({"algebra": algebra, "grading": g.to_json()}))
+    code = run(["fine", "--grading-file", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error:") and len(captured.err.strip().splitlines()) == 1
+    assert "algebra.basis" in captured.err
+
+
 def test_grading_file_field_must_match_field_option(capsys, tmp_path):
     from compsuper.catalog import build_entry
     from compsuper.fields import GF
@@ -602,6 +627,41 @@ def test_grading_file_dim_is_checked_before_the_table(tmp_path, parity_too):
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error:") and len(proc.stderr.strip().splitlines()) == 1
     assert "algebra.dim" in proc.stderr and proc.stdout == ""
+
+
+def test_group_generators_are_checked_before_the_group_is_built(tmp_path):
+    """A group name of 10^8 generators against coords of one exits 2
+    before the list of its invariant factors is built, in a child process
+    under a 1 GiB address-space limit and a time limit."""
+    import subprocess
+    import sys
+
+    from compsuper.catalog import build_entry
+    from compsuper.fields import GF
+
+    A, g = build_entry("eq3", GF(3))
+    grading = g.to_json()
+    grading["group"] = "Z2^100000000"
+    path = tmp_path / "grading.json"
+    path.write_text(json.dumps({"algebra": A.to_json(), "grading": grading}))
+    child = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)); "
+             "from compsuper.cli import run; sys.exit(run(sys.argv[1:]))")
+    proc = subprocess.run([sys.executable, "-c", child, "universal-group", "--grading-file",
+                           str(path)], capture_output=True, text=True, env=_src_env(), timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error:") and len(proc.stderr.strip().splitlines()) == 1
+    assert "coords must hold 100000000 integers" in proc.stderr and proc.stdout == ""
+
+
+def test_a_grading_file_needs_a_component(capsys, tmp_path):
+    data = json.loads(json.dumps(ONE_DIM_GRADING_FILE))
+    data["grading"]["components"] = []
+    path = tmp_path / "grading.json"
+    path.write_text(json.dumps(data))
+    code = run(["universal-group", "--grading-file", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: grading.components must not be empty\n"
 
 
 def test_autos_over_q_exits_2(capsys, tmp_path):

@@ -6,6 +6,7 @@ from compsuper.constructions import (
     NoCubeRoot,
     NotHurwitz,
     NotIsotropic,
+    NotSplit,
     WrongCharacteristic,
     ZeroAlpha,
     b12,
@@ -301,6 +302,78 @@ def test_canonical_basis_find():
         canonical_basis_find(C, C.unit())  # q(1) = 1
     with pytest.raises(NotIsotropic):
         canonical_basis_find(C, C.zero())
+
+
+def _corrupted(cb, **vectors):
+    return constructions.CanonicalBasis(cb.algebra, {**cb.vectors, **vectors})
+
+
+def test_verify_rejects_corrupted_bases():
+    C, cb = split_hurwitz(8, F3)
+    v = cb.vectors
+    changed = linalg.vec_add(F3, v["u3"], v["e1"])  # one coordinate changed
+    # the first failing table pair, in the order of names()
+    with pytest.raises(NotSplit, match=r"'algebra-hom' failed at \('u3', 'e1'\)"):
+        _corrupted(cb, u3=changed).verify()
+    with pytest.raises(NotSplit, match=r"'algebra-hom' failed at \('e1', 'u1'\)"):
+        _corrupted(cb, u1=v["v1"], v1=v["u1"]).verify()  # two names swapped
+    # the split table with the norm negated: an algebra map, not an isometry
+    minus = {pair: -1 for pair in constructions.CAYLEY_POLAR_PAIRS}
+    N = constructions._table_algebra(F3, constructions.CAYLEY_NAMES, (0,) * 8,
+                                     constructions.CAYLEY_TABLE, minus)
+    with pytest.raises(NotSplit, match=r"'isometry' failed at \('e1', 'e2'\)"):
+        constructions.CanonicalBasis(N, {nm: N.basis_vector(i)
+                                         for i, nm in enumerate(constructions.CAYLEY_NAMES)}
+                                     ).verify()
+    S, scb = super_split_cayley(F2)
+    w = scb.vectors
+    with pytest.raises(NotSplit, match="u1 is not parity-homogeneous"):
+        _corrupted(scb, u1=linalg.vec_add(F2, w["u1"], w["e1"])).verify()
+    # u1 (odd) and u3 (even) swapped: the parities break the table's grading
+    with pytest.raises(NotSplit, match="violates parity"):
+        _corrupted(scb, u1=w["u3"], u3=w["u1"]).verify()
+    assert cb.verify() is True and scb.verify() is True
+
+
+def _scan_canonical_basis(C, a):
+    """Reference: the vectors of `canonical_basis_find` with the partner b
+    and u3 found by scanning F^8 and the nonzero combinations of U for the
+    first solution."""
+    F = C.field
+    b = next(x for x in linalg.all_vectors(F, 8) if C.eval_b(a, C.conj(x)) == F.one)
+    e1 = C.mul(a, b)
+    pd = peirce_decomposition(C, e1)
+    u1, u2 = pd.U[0], pd.U[1]
+    w = C.mul(u1, u2)
+    u3 = next(x for x in linalg.span_vectors(F, pd.U, 8) if C.eval_b(w, x) == F.one)
+    return {"e1": e1, "e2": pd.e2, "u1": u1, "u2": u2, "u3": u3,
+            "v1": C.mul(u2, u3), "v2": C.mul(u3, u1), "v3": C.mul(u1, u2)}
+
+
+@pytest.mark.parametrize("q, step", [(2, 1), (3, 7), (4, 53)])
+def test_closed_forms_give_the_first_basis_a_scan_finds(q, step):
+    """b = e_J / c_J and u3 = U_J / d_J are the first solutions in the
+    lexicographic order of the scans: every GF(2) seed, and every step-th
+    isotropic seed over GF(3) and GF(4)."""
+    C, _ = split_hurwitz(8, GF(q))
+    seeds = _isotropic_seeds(C)[::step]
+    assert len(seeds) > 60
+    for a in seeds:
+        assert canonical_basis_find(C, a).vectors == _scan_canonical_basis(C, a)
+
+
+def test_canonical_basis_find_over_q():
+    C, cb = split_hurwitz(8, QQ)
+    v = cb.vectors
+    half = QQ.parse_elt("1/2")
+    seeds = [v["u1"], linalg.vec_add(QQ, v["e1"], v["u2"]),
+             linalg.lincomb(QQ, (half, QQ.from_int(-3)), (v["u1"], v["v2"]), 8),
+             linalg.lincomb(QQ, (QQ.one, QQ.one, QQ.from_int(-1)), (v["e2"], v["v1"], v["u3"]), 8)]
+    for a in seeds:
+        assert C.eval_q0(a) == QQ.zero
+        got = canonical_basis_find(C, a)
+        assert got.verify() is True
+        assert linalg.rank(QQ, [got.vectors[nm] for nm in got.names()]) == 8
 
 
 def test_nonsplit_quadratic_is_anisotropic_over_gf2():
