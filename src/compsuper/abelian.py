@@ -6,6 +6,7 @@ reduced mod di.  Presented groups are canonicalized with an integer
 Smith normal form that tracks its unimodular transforms.
 """
 
+import re
 from dataclasses import dataclass
 from itertools import combinations, product
 from math import gcd, lcm
@@ -387,21 +388,26 @@ def presentation_to_group(n_generators, relations):
     return G, proj
 
 
+_GROUP_PART = re.compile(r"Z([0-9]*)(?:\^(-?[0-9]+))?")
+
+
 def _group_parts(s):
     """(rank, [(d, k), ...]) of a group name such as "Z^2 x Z2 x Z4^3":
-    its torsion parts Zd^k, read without expanding them."""
+    its torsion parts Zd^k, read without expanding them.  A name is "0"
+    or parts Z, Z^k, Zd and Zd^k, in ASCII digits, joined by " x ", as
+    str(AbGroup) prints them; anything else raises ValueError."""
     rank, parts = 0, []
-    for part in s.split(" x ") if s.strip() != "0" else ():
-        part = part.strip()
-        if part == "Z":
-            rank += 1
-        elif part.startswith("Z^"):
-            rank += int(part[2:])
+    for part in s.split(" x ") if s != "0" else ():
+        m = _GROUP_PART.fullmatch(part)
+        if m is None:
+            raise ValueError(f"{part!r} is not a group part Z, Z^k, Zd or Zd^k")
+        d, k = m.group(1), int(m.group(2) or 1)
+        if k < 0:
+            raise ValueError(f"{part!r} has a negative exponent")
+        if d:
+            parts.append((int(d), k))
         else:
-            d, hat, k = part[1:].partition("^")
-            parts.append((int(d), int(k) if hat else 1))
-            if parts[-1][1] < 0:
-                raise ValueError(f"{part!r} has a negative exponent")
+            rank += k
     return rank, parts
 
 

@@ -42,6 +42,7 @@ from itertools import combinations
 
 from . import linalg
 from .fields import InfiniteField
+from .gradings import displaced
 from .superalgebra import is_regular_superform
 
 MODE = "polarized"  # how the quadratic identities are proved, see above
@@ -463,14 +464,15 @@ def check_orthogonality(grading):
 
 
 def _invariance(name, grading, f):
-    """Whether the linear map f sends every component into itself; the
-    witness is the first basis vector whose image leaves its component."""
-    A = grading.algebra
-    for (g, vs), (rr, piv) in zip(grading.comps, grading.spans):
-        for v in vs:
-            if not linalg.in_span(A.field, rr, piv, f(v)):
-                return CheckReport(name, False, witness=(str(g), A.fmt(v)))
-    return CheckReport(name, True)
+    """Whether the linear map f sends every component into itself
+    (`displaced`); the witness is the degree and the first basis vector
+    whose image leaves its component."""
+    hit = displaced(f, grading, grading)
+    if hit is None:
+        return CheckReport(name, True)
+    d, v = hit
+    shown = "repeated degree" if v is None else grading.algebra.fmt(v)
+    return CheckReport(name, False, witness=(str(d), shown))
 
 
 def check_conjugation_invariance(grading):

@@ -279,7 +279,8 @@ def entry_context(id, field):
 
 
 def verify_entry(id, field):
-    """Exact verification of every claim an entry makes; returns a report."""
+    """Exact verification of every claim an entry makes; returns a report
+    whose `pass` is set, claim by claim, to whether all of them hold."""
     entry = ENTRIES[id]
     report = {"id": id, "field": field.name, "family": entry.family, "checks": {}, "pass": False}
     try:
@@ -292,36 +293,37 @@ def verify_entry(id, field):
     checks = report["checks"]
     ok, witness = validate(grading)
     checks["grading-valid"] = ok if witness is None else [ok, [str(w) for w in witness]]
+    passed = ok
     G, proj, injective = universal_group(grading)
+    match = str(G) == entry.claimed_group
     checks["universal-group"] = {
         "claimed": entry.claimed_group,
         "computed": str(G),
-        "match": str(G) == entry.claimed_group,
+        "match": match,
         "injective": injective,
     }
+    passed &= match and injective
     if entry.coarsening_of:
         try:
             _, parent = build_entry(entry.coarsening_of, field)
-            checks["coarsening-of"] = {
-                "parent": entry.coarsening_of,
-                "holds": is_refinement(parent, grading),
-            }
+            holds = is_refinement(parent, grading)
+            checks["coarsening-of"] = {"parent": entry.coarsening_of, "holds": holds}
+            passed &= holds
         except FieldConditionUnmet as exc:
             checks["coarsening-of"] = {"parent": entry.coarsening_of, "skipped": str(exc)}
-    orth = check_orthogonality(grading)
-    checks["orthogonality"] = orth.passed
+    checks["orthogonality"] = check_orthogonality(grading).passed
+    passed &= checks["orthogonality"]
     ctx = _family_algebra(entry.family, field)
     if entry.family.startswith("okubo"):
-        inv = check_phi_invariance(grading, ctx["phi"])
-        checks["phi-invariance"] = inv.passed
+        checks["phi-invariance"] = check_phi_invariance(grading, ctx["phi"]).passed
+        passed &= checks["phi-invariance"]
     else:
-        cinv = check_conjugation_invariance(grading)
-        checks["conjugation-invariance"] = cinv.passed
+        checks["conjugation-invariance"] = check_conjugation_invariance(grading).passed
         if "para" not in ctx:
             ctx["para"] = para_hurwitz(A)
         pgrading = grading_from_components(ctx["para"], grading.group, list(grading.comps))
-        pok, pwit = validate(pgrading)
-        checks["para-transfer"] = pok
+        checks["para-transfer"], _ = validate(pgrading)
+        passed &= checks["conjugation-invariance"] and checks["para-transfer"]
     if entry.id in ("eq6", "okuboeq1", "cor1eq3", "okuboeq2"):
         mul_alg = ctx.get("hurwitz", A)
         parts = _doubling_components(mul_alg)
@@ -331,34 +333,16 @@ def verify_entry(id, field):
         one = parts["K"][0]
         lhs = tuple(F.add(F.add(a, b), c) for a, b, c in zip(ww, w, one))
         checks["w^2+w+1=0"] = linalg.vec_is_zero(F, lhs)
+        passed &= checks["w^2+w+1=0"]
+        # informational: split and non-split K both occur legitimately
         checks["K-split"] = _k_is_split(mul_alg, parts["K"])
-    report["pass"] = _all_checks_pass(checks)
+    report["pass"] = passed
     return report
 
 
 def _k_is_split(A, K):
     """Whether the 2-dimensional subalgebra K contains a proper idempotent."""
     return any(A.mul(v, v) == v and v != A.unit() for v in linalg.span_vectors(A.field, K, A.dim))
-
-
-def _all_checks_pass(checks):
-    def ok(v):
-        if isinstance(v, bool):
-            return v
-        if isinstance(v, dict):
-            if "skipped" in v:
-                return True
-            if "match" in v:
-                return v["match"] and v["injective"]
-            if "holds" in v:
-                return v["holds"]
-            return all(ok(x) for x in v.values())
-        if isinstance(v, list):
-            return bool(v[0])
-        return True
-
-    # K-split is informational: split and non-split K both occur legitimately
-    return all(ok(v) for k, v in checks.items() if k != "K-split")
 
 
 def verify_catalog(field, ids=None):
@@ -397,10 +381,8 @@ def _signed_permutation(A, vectors, table):
     of `vectors` (name -> coordinate tuple, a basis of A)."""
     F = A.field
     minus = F.neg(F.one)
-    images = {}
-    for nm in vectors:
-        img, sign = table.get(nm, (nm, 1))
-        images[nm] = vectors[img] if sign == 1 else linalg.vec_scale(F, minus, vectors[img])
+    images = {nm: vectors[img] if sign == 1 else linalg.vec_scale(F, minus, vectors[img])
+              for nm, (img, sign) in table.items()}
     return _morphism_on_basis(A, vectors, images)
 
 

@@ -231,7 +231,7 @@ def _grading_file(path, field_name):
         coords = json_member(comp, "coords", list, f"grading.components[{n}]")
         if len(coords) != ngens or not all(type(c) is int for c in coords):
             raise ValueError(f"grading.components[{n}].coords must hold {ngens} integers "
-                             f"for {group.strip()}")
+                             f"for {group}")
     G = group_from_string(group)
     comps = []
     for n, comp in enumerate(components):

@@ -47,6 +47,7 @@ class NotSplit(ValueError):
 
 
 CAYLEY_NAMES = ("e1", "e2", "u1", "u2", "u3", "v1", "v2", "v3")
+SPLIT4_NAMES = ("e1", "e2", "u1", "v1")
 
 # (left, right) -> list of (result, integer sign)
 CAYLEY_TABLE = {
@@ -101,7 +102,7 @@ class CanonicalBasis:
         if "u2" in self.vectors:
             return CAYLEY_NAMES
         if "u1" in self.vectors:
-            return ("e1", "e2", "u1", "v1")
+            return SPLIT4_NAMES
         return ("e1", "e2")
 
     def verify(self):
@@ -168,22 +169,20 @@ def _table_algebra(field, names, parity, table_pairs, polar_pairs, q0_names=(), 
     return SuperAlgebra(field, parity, table, q0, polar, basis_names=names, name=name)
 
 
+def _split_table(field, names, parity, name):
+    """The split table algebra on `names` with the given parities, and its
+    canonical basis of standard basis vectors."""
+    A = _table_algebra(field, names, parity, CAYLEY_TABLE, CAYLEY_POLAR_PAIRS, name=name)
+    return A, CanonicalBasis(A, {nm: A.basis_vector(i) for i, nm in enumerate(names)})
+
+
 def split_hurwitz(dim, field):
     """Split Hurwitz algebra of dimension 2, 4 or 8 on its canonical basis
     (trivial odd part); works over any field."""
     if dim not in (2, 4, 8):
         raise ValueError(f"split Hurwitz algebras have dimension 2, 4 or 8, got {dim!r}")
-    names = {2: CAYLEY_NAMES[:2], 4: ("e1", "e2", "u1", "v1"), 8: CAYLEY_NAMES}[dim]
-    A = _table_algebra(
-        field,
-        names,
-        (0,) * dim,
-        CAYLEY_TABLE,
-        CAYLEY_POLAR_PAIRS,
-        name=f"split{dim}",
-    )
-    cb = CanonicalBasis(A, {nm: A.basis_vector(i) for i, nm in enumerate(names)})
-    return A, cb
+    names = {2: CAYLEY_NAMES[:2], 4: SPLIT4_NAMES, 8: CAYLEY_NAMES}[dim]
+    return _split_table(field, names, (0,) * dim, f"split{dim}")
 
 
 def super_split_cayley(field):
@@ -192,11 +191,7 @@ def super_split_cayley(field):
     if field.char != 2:
         raise WrongCharacteristic("the split Cayley superalgebra needs characteristic 2")
     parity = tuple(SUPER_CAYLEY_PARITY[nm] for nm in CAYLEY_NAMES)
-    A = _table_algebra(
-        field, CAYLEY_NAMES, parity, CAYLEY_TABLE, CAYLEY_POLAR_PAIRS, name="super-cayley"
-    )
-    cb = CanonicalBasis(A, {nm: A.basis_vector(i) for i, nm in enumerate(CAYLEY_NAMES)})
-    return A, cb
+    return _split_table(field, CAYLEY_NAMES, parity, "super-cayley")
 
 
 def super_split_quaternion(field):
@@ -204,12 +199,7 @@ def super_split_quaternion(field):
     odd part spanned by u1, v1; char 2 only."""
     if field.char != 2:
         raise WrongCharacteristic("the split quaternion superalgebra needs characteristic 2")
-    names = ("e1", "e2", "u1", "v1")
-    A = _table_algebra(
-        field, names, (0, 0, 1, 1), CAYLEY_TABLE, CAYLEY_POLAR_PAIRS, name="super-quaternion"
-    )
-    cb = CanonicalBasis(A, {nm: A.basis_vector(i) for i, nm in enumerate(names)})
-    return A, cb
+    return _split_table(field, SPLIT4_NAMES, (0, 0, 1, 1), "super-quaternion")
 
 
 def nonsplit_quadratic(field):
@@ -372,7 +362,8 @@ def petersson_twist(C, phi, name=None):
 
 def _morphism_on_basis(A, vectors, assignment):
     """The linear map A -> A sending each basis vector `vectors[name]` to
-    `assignment[name]` (both name -> coordinate tuple in A).
+    `assignment[name]` (both name -> coordinate tuple in A) and fixing
+    every name that `assignment` leaves out.
 
     Each standard basis vector of A is written in the basis `vectors` (a
     column of the basis inverse) and sent to the same combination of the
@@ -381,9 +372,11 @@ def _morphism_on_basis(A, vectors, assignment):
     twists: its maps are given on the canonical basis of that algebra.
     """
     F = A.field
-    basis = [vectors[nm] for nm in assignment]
-    inverse = linalg.basis_inverse(F, basis)
-    targets = list(assignment.values())
+    images = {**vectors, **assignment}  # in the order of `vectors`
+    if len(images) != len(vectors):
+        raise ValueError(f"{sorted(images.keys() - vectors.keys())} are not basis names")
+    inverse = linalg.basis_inverse(F, list(vectors.values()))
+    targets = list(images.values())
     return Morphism(A, A, tuple(linalg.lincomb(F, coeffs, targets, A.dim)
                                 for coeffs in zip(*inverse)))
 
@@ -391,16 +384,8 @@ def _morphism_on_basis(A, vectors, assignment):
 def tau_st(cb):
     """e_i fixed, u_i -> u_{i+1}, v_i -> v_{i+1} (indices mod 3); order 3."""
     v = cb.vectors
-    assignment = {
-        "e1": v["e1"],
-        "e2": v["e2"],
-        "u1": v["u2"],
-        "u2": v["u3"],
-        "u3": v["u1"],
-        "v1": v["v2"],
-        "v2": v["v3"],
-        "v3": v["v1"],
-    }
+    assignment = {"u1": v["u2"], "u2": v["u3"], "u3": v["u1"],
+                  "v1": v["v2"], "v2": v["v3"], "v3": v["v1"]}
     return _morphism_on_basis(cb.algebra, cb.vectors, assignment)
 
 
@@ -411,14 +396,10 @@ def tau_nst(cb):
     v = cb.vectors
     o, m = F.one, F.neg(F.one)
     assignment = {
-        "e1": v["e1"],
-        "e2": v["e2"],
         "u1": v["u2"],
         "u2": linalg.lincomb(F, (m, m), (v["u1"], v["u2"]), A.dim),
-        "u3": v["u3"],
         "v1": linalg.lincomb(F, (m, o), (v["v1"], v["v2"]), A.dim),
         "v2": linalg.vec_scale(F, m, v["v1"]),
-        "v3": v["v3"],
     }
     return _morphism_on_basis(cb.algebra, cb.vectors, assignment)
 
@@ -434,14 +415,10 @@ def tau_omega(cb):
     w2 = F.mul(omega, omega)
     v = cb.vectors
     assignment = {
-        "e1": v["e1"],
-        "e2": v["e2"],
         "u1": linalg.vec_scale(F, w1, v["u1"]),
         "u2": linalg.vec_scale(F, w2, v["u2"]),
-        "u3": v["u3"],
         "v1": linalg.vec_scale(F, w2, v["v1"]),
         "v2": linalg.vec_scale(F, w1, v["v2"]),
-        "v3": v["v3"],
     }
     return _morphism_on_basis(cb.algebra, cb.vectors, assignment)
 

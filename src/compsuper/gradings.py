@@ -505,6 +505,24 @@ def induce(grading, hom):
     return grading_from_components(grading.algebra, hom.target, [(d, merged[d]) for d in order])
 
 
+def displaced(f, ga, gb):
+    """The first (degree, vector) of ga whose image under the linear map f
+    (a callable on coordinate tuples) leaves the component of gb of the
+    same degree, or None when f sends every component into it.  A degree
+    that gb lacks, or whose component has another dimension, gives
+    (degree, None)."""
+    F = gb.algebra.field
+    for d, vs in ga.comps:
+        k = gb.index.get(d)
+        if k is None or len(vs) != len(gb.comps[k][1]):
+            return d, None
+        rr, piv = gb.spans[k]
+        for v in vs:
+            if not linalg.in_span(F, rr, piv, f(v)):
+                return d, v
+    return None
+
+
 def is_refinement(fine, coarse):
     """True when every component of `fine` sits inside a component of `coarse`."""
     if fine.algebra is not coarse.algebra:

@@ -12,7 +12,9 @@ from itertools import combinations, permutations
 
 from . import linalg
 from .abelian import presentation_to_group
-from .gradings import _RelationBuilder, _products, _relation_row, _separating_grading, validate
+from .gradings import (
+    _RelationBuilder, _products, _relation_row, _separating_grading, displaced, validate,
+)
 from .fields import InfiniteField
 from .superalgebra import CheckFailed, MixedAlgebras, Morphism, identity_morphism, is_morphism
 
@@ -318,21 +320,6 @@ def _checked_map(f, isometry):
         return None
 
 
-def _degree_preserving(f, ga, gb):
-    """True when f sends every component of ga into the component of gb of
-    the same degree, which must have the same dimension."""
-    F = f.target.field
-    for d, vs in ga.comps:
-        k = gb.index.get(d)
-        if k is None or len(vs) != len(gb.comps[k][1]):
-            return False
-        rr, piv = gb.spans[k]
-        for v in vs:
-            if not linalg.in_span(F, rr, piv, f.apply(v)):
-                return False
-    return True
-
-
 def try_verify_graded(f, ga, gb, isometry=True):
     """Verify a candidate map as a degree-preserving graded isomorphism;
     returns the tagged Morphism or None.
@@ -340,8 +327,8 @@ def try_verify_graded(f, ga, gb, isometry=True):
     The checks run in order of cost.  First the gradings must belong to
     f's source and target (ValueError otherwise) and the two algebras to
     one field (MixedAlgebras otherwise, as `is_morphism` raises).  Then
-    the degree test (`_degree_preserving`: one `apply` and one `in_span`
-    per component vector), and only if it passes `_checked_map`, the
+    the degree test (`displaced`: one `apply` and one `in_span` per
+    component vector), and only if it passes `_checked_map`, the
     algebra-map, parity, bijectivity and isometry checks of
     `is_morphism`.  Neither test has side effects and each only says yes
     or no, so the answer is the one either order gives: None when one of
@@ -353,7 +340,7 @@ def try_verify_graded(f, ga, gb, isometry=True):
         raise ValueError("try_verify_graded needs gradings of the map's source and target")
     if f.source.field != f.target.field:
         raise MixedAlgebras(f"a morphism needs one field, got {f.source.field} and {f.target.field}")
-    if not _degree_preserving(f, ga, gb):
+    if displaced(f.apply, ga, gb) is not None:
         return None
     return _checked_map(f, isometry)
 
@@ -439,7 +426,7 @@ def enumerate_automorphisms(S, constraints, budget=None):
     Each returned map is verified exactly once.  The identity goes through
     `try_verify_graded`.  A coset representative r_c has passed
     `_checked_map` at its search leaf, so it only takes the degree test
-    (`_degree_preserving`) on top.  Every other element is a composite
+    (`displaced`) on top.  Every other element is a composite
     r_c h with h != id in G_{t+1}, and goes through `try_verify_graded`.
     So `is_morphism` runs |G| times, and no map is taken on the strength
     of the coset argument alone.
@@ -447,9 +434,6 @@ def enumerate_automorphisms(S, constraints, budget=None):
     if constraints.algebra is not S:
         raise ValueError("enumerate_automorphisms needs a grading of S")
     budget = budget or SearchBudget()
-    F = S.field
-    if F.order is None:
-        raise InfiniteField(f"automorphism search needs a finite field, got {F}")
     g = constraints
 
     def verified(f):
@@ -461,7 +445,7 @@ def enumerate_automorphisms(S, constraints, budget=None):
     search = _GradedMapSearch(S, g, S, g, budget)
     comp_target = [g.index[d] for d, _ in g.comps]
     slots, slot_comp, by_depth, *_ = search.tables
-    z = F.zero
+    z = S.field.zero
     group = [verified(identity_morphism(S))]  # G_m
     for t in reversed(range(len(slots))):
         if any(i != t and j != t and coeffs[t] != z for i, j, coeffs, _ in by_depth[t]):
@@ -469,7 +453,7 @@ def enumerate_automorphisms(S, constraints, budget=None):
         cands = (c for c in search._targets(comp_target[slot_comp[t]]) if c != slots[t])
         reps = []
         search.run(comp_target, collect=reps, fixed=tuple((v,) for v in slots[:t]) + (cands,))
-        if not all(_degree_preserving(r, g, g) for r in reps):
+        if any(displaced(r.apply, g, g) is not None for r in reps):
             raise RuntimeError("a coset representative moved a degree")
         # G_t: G_{t+1} (c = v_t) and the cosets r_c G_{t+1}, as r_c after h
         group += reps + [verified(r.compose(h)) for r in reps for h in group[1:]]

@@ -169,8 +169,22 @@ def test_group_strings():
     assert str(AbGroup(0, (2, 2))) == "Z2^2"
     assert str(AbGroup(1, (2,))) == "Z x Z2"
     assert str(AbGroup(0, (2, 4))) == "Z2 x Z4"
-    for s in ("0", "Z", "Z^2", "Z4", "Z2^2", "Z x Z2", "Z2 x Z4"):
+    for s in ("0", "Z", "Z^2", "Z4", "Z2^2", "Z x Z2", "Z2 x Z4", "Z^3 x Z2^2 x Z4^3",
+              "Z10 x Z20^2"):
         assert str(group_from_string(s)) == s
+
+
+@pytest.mark.parametrize("name", [
+    "Q4", "W2 x Y2", "Z 3", "Z+3", "Z1_0", " Z2", "Z2 ", "Z2  x Z4", "Z2 x", "Z2xZ4", "z2",
+    "", "Z^", "Z2^", "Z\u0663", "Z^\u0662", "Z2 + Z4", "0 x Z2"])
+def test_a_name_outside_the_printed_grammar_is_refused(name):
+    """A group name is "0" or parts Z, Z^k, Zd and Zd^k in ASCII digits
+    joined by " x "; any first letter used to read as Z, and int() took
+    spaces, signs, underscores and other scripts' digits."""
+    with pytest.raises(ValueError, match="is not a group part"):
+        group_ngens(name)
+    with pytest.raises(ValueError, match="is not a group part"):
+        group_from_string(name)
 
 
 def test_group_ngens_reads_the_count_without_building_the_group():

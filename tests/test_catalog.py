@@ -248,3 +248,67 @@ def test_catalog_verify_output_is_deterministic():
     a = json.dumps(verify_entry("okuboeq9", F2), sort_keys=False)
     b = json.dumps(verify_entry("okuboeq9", F2), sort_keys=False)
     assert a == b
+
+
+def _walked_pass(checks):
+    """Whether every claim of a report's checks holds, read back from
+    their JSON shapes: the walker `verify_entry` used before it set `pass`
+    claim by claim."""
+    def ok(v):
+        if isinstance(v, bool):
+            return v
+        if isinstance(v, dict):
+            if "skipped" in v:
+                return True
+            if "match" in v:
+                return v["match"] and v["injective"]
+            if "holds" in v:
+                return v["holds"]
+            return all(ok(x) for x in v.values())
+        if isinstance(v, list):
+            return bool(v[0])
+        return True
+
+    return all(ok(v) for k, v in checks.items() if k != "K-split")
+
+
+def _failing(name):
+    from compsuper.axioms import CheckReport
+
+    return lambda *args: CheckReport(name, False)
+
+
+# name -> (catalog attribute, replacement): each breaks one kind of claim
+# (K-split is informational and breaks none)
+_BREAKERS = {
+    "none": None,
+    "validate": ("validate", lambda g: (False, ("broken",))),
+    "universal-group": ("universal_group", lambda g: (*universal_group(g)[:2], False)),
+    "coarsening-of": ("is_refinement", lambda fine, coarse: False),
+    "orthogonality": ("check_orthogonality", _failing("orthogonality")),
+    "conjugation-invariance": ("check_conjugation_invariance",
+                               _failing("conjugation-invariance")),
+    "phi-invariance": ("check_phi_invariance", _failing("phi-invariance")),
+    "K-split": ("_k_is_split", lambda A, K: None),
+}
+
+
+@pytest.mark.parametrize("breaker", list(_BREAKERS))
+def test_pass_is_every_claim_as_the_walker_reads_it(breaker, monkeypatch):
+    """On every id over GF(2), GF(3), GF(4) and GF(9), with one kind of
+    claim made to fail, `pass` equals the walk over the checks."""
+    from compsuper import catalog
+
+    if _BREAKERS[breaker]:
+        monkeypatch.setattr(catalog, *_BREAKERS[breaker])
+    verdicts = []
+    for F in (F2, F3, F4, F9):
+        for id in catalog_ids():
+            r = verify_entry(id, F)
+            if r["status"] == "built":
+                assert r["pass"] is _walked_pass(r["checks"]), (id, F.name)
+                verdicts.append(r["pass"])
+            else:
+                assert r["pass"] is False
+    assert len(verdicts) == 73
+    assert (False in verdicts) is (breaker not in ("none", "K-split"))

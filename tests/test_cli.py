@@ -435,10 +435,14 @@ def _first_component(data):
     (lambda d: d["algebra"]["q0_values"].__setitem__(0, "1_0"), "'1_0'"),
     (lambda d: d["algebra"]["structure"][0].__setitem__(3, "\u0661"), "structure"),
     (lambda d: _first_component(d)["basis"][0].__setitem__(0, " 1"), "basis"),
+    (lambda d: d["grading"].update(group="Q4"), "'Q4' is not a group part"),
+    (lambda d: d["grading"].update(group="Z 4"), "'Z 4' is not a group part"),
+    (lambda d: d["grading"].update(group="Z0_4"), "'Z0_4' is not a group part"),
 ], ids=["no-structure", "no-grading", "no-group", "no-basis", "empty-coords",
         "algebra-not-object", "one-entry-basis-vector", "list-q0-value",
         "float-structure-coefficient", "basis-names-not-list", "underscore-q0-value",
-        "arabic-indic-structure-coefficient", "spaced-basis-entry"])
+        "arabic-indic-structure-coefficient", "spaced-basis-entry", "misspelt-group",
+        "spaced-group", "underscore-group"])
 def test_malformed_grading_file_exits_2(capsys, tmp_path, edit, field):
     from compsuper.catalog import build_entry
     from compsuper.fields import GF
@@ -710,4 +714,3 @@ def test_a_closed_stdout_exits_141_without_an_error_line(stderr_too):
         os.close(w)
     assert proc.returncode == 141
     assert stderr_too or proc.stderr == b""
-

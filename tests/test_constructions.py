@@ -30,7 +30,7 @@ from compsuper.constructions import (
 )
 from compsuper.fields import GF, QQ
 from compsuper.search import find_graded_map
-from compsuper.superalgebra import identity_morphism, is_morphism
+from compsuper.superalgebra import Morphism, identity_morphism, is_morphism
 
 F2, F3, F4, F9 = GF(2), GF(3), GF(4), GF(9)
 
@@ -392,3 +392,93 @@ def test_super_split_quaternion_parity():
     assert cb.verify()
     with pytest.raises(WrongCharacteristic):
         super_split_quaternion(F3)
+
+
+def _on_every_name(A, vectors, assignment):
+    """The map sending vectors[name] to assignment[name], for an
+    assignment that lists every name of `vectors`, fixed ones included."""
+    F = A.field
+    inverse = linalg.basis_inverse(F, [vectors[nm] for nm in assignment])
+    targets = list(assignment.values())
+    return Morphism(A, A, tuple(linalg.lincomb(F, coeffs, targets, A.dim)
+                                for coeffs in zip(*inverse)))
+
+
+def _tau_on_every_name(kind, cb):
+    """tau_st, tau_nst or tau_omega with every basis name listed."""
+    A = cb.algebra
+    F = A.field
+    v = cb.vectors
+    o, m = F.one, F.neg(F.one)
+    if kind == "st":
+        images = {"e1": v["e1"], "e2": v["e2"], "u1": v["u2"], "u2": v["u3"], "u3": v["u1"],
+                  "v1": v["v2"], "v2": v["v3"], "v3": v["v1"]}
+    elif kind == "nst":
+        images = {"e1": v["e1"], "e2": v["e2"], "u1": v["u2"],
+                  "u2": linalg.lincomb(F, (m, m), (v["u1"], v["u2"]), A.dim), "u3": v["u3"],
+                  "v1": linalg.lincomb(F, (m, o), (v["v1"], v["v2"]), A.dim),
+                  "v2": linalg.vec_scale(F, m, v["v1"]), "v3": v["v3"]}
+    else:
+        w1 = F.primitive_cube_root_raw()
+        w2 = F.mul(w1, w1)
+        images = {"e1": v["e1"], "e2": v["e2"], "u1": linalg.vec_scale(F, w1, v["u1"]),
+                  "u2": linalg.vec_scale(F, w2, v["u2"]), "u3": v["u3"],
+                  "v1": linalg.vec_scale(F, w2, v["v1"]),
+                  "v2": linalg.vec_scale(F, w1, v["v2"]), "v3": v["v3"]}
+    return _on_every_name(A, v, images)
+
+
+def _signed_on_every_name(A, vectors, table):
+    """`catalog._signed_permutation` with every name listed."""
+    F = A.field
+    minus = F.neg(F.one)
+    images = {}
+    for nm in vectors:
+        img, sign = table.get(nm, (nm, 1))
+        images[nm] = vectors[img] if sign == 1 else linalg.vec_scale(F, minus, vectors[img])
+    return _on_every_name(A, vectors, images)
+
+
+def _dim8_bases(F):
+    """The standard canonical basis of split8 over F, two found from
+    isotropic seeds, and over characteristic 2 the super-Cayley one."""
+    C, cb = split_hurwitz(8, F)
+    v = cb.vectors
+    seeds = (v["v1"], linalg.vec_add(F, v["u1"], v["v2"]))
+    out = [cb] + [canonical_basis_find(C, a) for a in seeds]
+    return out + [super_split_cayley(F)[1]] if F.char == 2 else out
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_basis_maps_that_name_only_what_moves_fix_the_rest(q):
+    """The tau maps and the catalog's signed permutations, which name
+    only the basis vectors they move, equal the maps that list every
+    basis name, on standard and found canonical bases."""
+    from compsuper.catalog import (
+        _B12_FLIP, _B42_FLIP, _DIM8_CROSS, _DIM8_FLIP, _DIM8_SWAP, _signed_permutation)
+
+    F = GF(q)
+    bases = _dim8_bases(F)
+    assert len({tuple(cb.vectors.values()) for cb in bases}) >= 3
+    maps = 0
+    for cb in bases:
+        kinds = [("st", tau_st), ("nst", tau_nst)]
+        if F.primitive_cube_root_raw() is not None:
+            kinds.append(("omega", tau_omega))
+        for kind, tau in kinds:
+            assert tau(cb).images == _tau_on_every_name(kind, cb).images, (kind, cb.vectors)
+            maps += 1
+        for table in (_DIM8_SWAP, _DIM8_FLIP, _DIM8_CROSS):
+            assert (_signed_permutation(cb.algebra, cb.vectors, table).images
+                    == _signed_on_every_name(cb.algebra, cb.vectors, table).images)
+            maps += 1
+    if F.char == 3:
+        for A, table in ((b12(F), _B12_FLIP), (b42(F), _B42_FLIP)):
+            vectors = {nm: A.basis_vector(i) for i, nm in enumerate(A.basis_names)}
+            assert (_signed_permutation(A, vectors, table).images
+                    == _signed_on_every_name(A, vectors, table).images)
+            maps += 1
+    assert maps == {2: 20, 3: 17, 4: 24, 9: 17}[q]
+    cb = bases[0]
+    with pytest.raises(ValueError, match="not basis names"):
+        constructions._morphism_on_basis(cb.algebra, cb.vectors, {"u4": cb.vectors["u1"]})

@@ -16,6 +16,7 @@ from compsuper.gradings import (
     TripleNotZeroSum,
     _RelationBuilder,
     coarsenings_enum,
+    displaced,
     gamma_equiv,
     gamma_grading_b12,
     gamma_grading_b42,
@@ -29,6 +30,7 @@ from compsuper.gradings import (
     universal_group,
     validate,
 )
+from compsuper.superalgebra import Morphism, identity_morphism
 
 F2, F3, F4 = GF(2), GF(3), GF(4)
 Z = AbGroup(1)
@@ -633,3 +635,93 @@ def test_lookups_match_a_fresh_computation_and_are_computed_once(monkeypatch):
         B, Z, [(Z.element(0), [mixed]), (Z.element(1), [B.basis_vector(2)])])
     assert dict(g.census) == {Z.element(0): (0, 1), Z.element(1): (0, 1)}
     assert g.parities == ((None,), (1,)) and g.mixed == (Z.element(0), mixed)
+
+
+def _degree_preserving(f, ga, gb):
+    """The degree test of the graded-map searches before `displaced`."""
+    F = f.target.field
+    for d, vs in ga.comps:
+        k = gb.index.get(d)
+        if k is None or len(vs) != len(gb.comps[k][1]):
+            return False
+        rr, piv = gb.spans[k]
+        for v in vs:
+            if not linalg.in_span(F, rr, piv, f.apply(v)):
+                return False
+    return True
+
+
+def _invariance_witness(grading, f):
+    """The loop of the invariance checks before `displaced`: the first
+    (degree, basis vector) whose image under f leaves its component."""
+    F = grading.algebra.field
+    for (g, vs), (rr, piv) in zip(grading.comps, grading.spans):
+        for v in vs:
+            if not linalg.in_span(F, rr, piv, f(v)):
+                return g, v
+    return None
+
+
+def test_displaced_answers_as_the_degree_test_and_the_invariance_loop():
+    """`displaced` says no where the search's degree test did, and gives
+    the first witness of the invariance checks' loop: on every catalog
+    grading over its primary fields under conj (phi for Okubo), and under
+    criterion 6's explicit maps on every pair they are offered and on
+    each grading alone."""
+    from compsuper.catalog import (
+        ENTRIES, FieldConditionUnmet, _explicit_maps, _family_algebra, _ISO_KINDS, _offered,
+        build_entry, catalog_ids, entry_context, iso_test_groups)
+
+    seen = {"kept": 0, "moved": 0}
+
+    def same(f, ga, gb):
+        got = displaced(f.apply, ga, gb)
+        assert (got is None) is _degree_preserving(f, ga, gb)
+        if ga is gb:
+            assert got == _invariance_witness(ga, f.apply)
+        seen["kept" if got is None else "moved"] += 1
+
+    built = 0
+    for id in catalog_ids():
+        for F in ((GF(3), GF(9)) if ENTRIES[id].char == 3 else (GF(2), GF(4))):
+            try:
+                A, g = build_entry(id, F)
+            except FieldConditionUnmet:
+                continue
+            ctx = entry_context(id, F)
+            phi = ctx.get("phi") or Morphism(A, A, tuple(A.conj(v) for v in A.basis()))
+            same(phi, g, g)
+            built += 1
+    assert built == 73 and seen == {"kept": 73, "moved": 0}
+    for kind, F in (("b12", GF(3)), ("b12", GF(9)), ("b42", GF(9)), ("cayley", GF(2)),
+                    ("cayley", GF(4)), ("okubo", GF(4))):
+        spec = _ISO_KINDS[kind]
+        ctx = _family_algebra(spec.family, F)
+        maps = _explicit_maps(kind, ctx)
+        for G in iso_test_groups():
+            gradings = {t: spec.grading(ctx, G, t) for t in spec.labels(G)}
+            for t1, g1 in gradings.items():
+                for _, f in maps:
+                    same(f, g1, g1)
+                for t2, g2 in gradings.items():
+                    for f in _offered(maps, t1, t2):
+                        same(f, g1, g2)
+    assert seen["kept"] > 1000 and seen["moved"] > 1000
+
+
+def test_displaced_names_the_first_degree_an_identity_moves():
+    """The identity between two gradings of split4 that swap the degrees
+    of u1 and v1 moves u1 out of degree 1; a missing degree, or a
+    component of another dimension, gives the degree and None."""
+    A, _ = split_hurwitz(4, F3)
+    ident = identity_morphism(A)
+    g = grading_from_degrees(A, Z, [Z.element(d) for d in (0, 0, 1, -1)])
+    swapped = grading_from_degrees(A, Z, [Z.element(d) for d in (0, 0, -1, 1)])
+    wider = grading_from_degrees(A, Z, [Z.element(d) for d in (0, 1, 1, -1)])
+    shifted = grading_from_degrees(A, Z, [Z.element(d) for d in (0, 0, 2, -1)])
+    assert displaced(ident.apply, g, g) is None
+    assert displaced(ident.apply, g, swapped) == (Z.element(1), A.basis_vector(2))
+    assert displaced(ident.apply, g, wider) == (Z.element(0), None)
+    assert displaced(ident.apply, g, shifted) == (Z.element(1), None)
+    for other in (swapped, wider, shifted):
+        assert not _degree_preserving(ident, g, other)

@@ -41,6 +41,49 @@ def test_the_check_sees_an_unused_import():
         (1, "os"), (2, "d")]
 
 
+# Private names that one module of the package imports from another,
+# (importer, module, name), each with the reason it crosses; every other
+# name that crosses a module must be public.
+PRIVATE_IMPORTS = {
+    ("catalog", "constructions", "_morphism_on_basis"):
+        "the explicit iso-condition maps are signed permutations of a basis, "
+        "built as the tau maps are",
+    ("search", "gradings", "_RelationBuilder"):
+        "enumerate_all_gradings reads relations over the pieces of its block listings, "
+        "which are not a grading's components",
+    ("search", "gradings", "_products"):
+        "_split_relations forms the products that involve a part of the split",
+    ("search", "gradings", "_relation_row"):
+        "_split_relations writes the relation of each pair the split touches",
+    ("search", "gradings", "_separating_grading"):
+        "fine_check grades a split's components by its presentation's group",
+}
+
+
+def _private_imports(modules):
+    """(importer, module, name) for each `from .module import _name` in
+    `modules` (label -> source): a private name crossing modules."""
+    out = []
+    for label, source in modules.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                out += [(label, node.module, alias.name) for alias in node.names
+                        if alias.name.startswith("_")]
+    return sorted(out)
+
+
+def test_every_private_name_that_crosses_modules_is_listed():
+    modules = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert _private_imports(modules) == sorted(PRIVATE_IMPORTS)
+
+
+def test_the_check_sees_a_private_name_crossing_modules():
+    source = ("from . import linalg\nfrom .gradings import _products, validate\n"
+              "from os import _exit\n\n\ndef f():\n    from .search import _halves as h\n")
+    assert _private_imports({"m": source, "n": "import re\n"}) == [
+        ("m", "gradings", "_products"), ("m", "search", "_halves")]
+
+
 def _non_stdlib_imports(source):
     """(line, module) for each absolute import, at any depth, whose
     top-level package is not in the standard library.  Relative imports

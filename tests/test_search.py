@@ -15,6 +15,7 @@ from compsuper.constructions import (
     para_hurwitz,
     split_hurwitz,
     super_split_cayley,
+    super_split_quaternion,
     tau_nst,
 )
 from compsuper.fields import GF, QQ, InfiniteField
@@ -23,6 +24,7 @@ from compsuper.gradings import (
     _separating_grading,
     coarsenings_enum,
     _products,
+    displaced,
     gamma_grading_b12,
     grading_from_components,
     grading_from_degrees,
@@ -358,7 +360,7 @@ def test_a_rejected_identity_try_makes_no_morphism_check(monkeypatch):
 
     def morphism_first(f, ga, gb):
         f = search._checked_map(f, True)
-        return f if f is not None and search._degree_preserving(f, ga, gb) else None
+        return f if f is not None and displaced(f.apply, ga, gb) is None else None
 
     want = [morphism_first(ident, g1, g2) for g1 in gs for g2 in gs]
     calls = []
@@ -1665,3 +1667,53 @@ def test_induced_coarsenings_of_the_cartan_grading_always_validate():
         assert injective
 
     run()
+
+
+def _lattice_algebras():
+    """The 17 algebras of dim <= 4 whose complete grading listings are the
+    lattice oracle, by label."""
+    out = [(f"split2/GF({q})", split_hurwitz(2, GF(q))[0]) for q in (2, 3, 4, 9)]
+    out += [(f"split4/GF({q})", split_hurwitz(4, GF(q))[0]) for q in (2, 3)]
+    out.append(("para-split4/GF(2)", para_hurwitz(split_hurwitz(4, F2)[0])))
+    out += [(f"B(1,2)/GF({q})", b12(GF(q))) for q in (3, 9)]
+    for q in (2, 4):
+        F = GF(q)
+        out += [(f"K/GF({q})", nonsplit_quadratic(F)),
+                (f"CD(split2,1)/GF({q})", cayley_dickson_super(split_hurwitz(2, F)[0], F.one)),
+                (f"CD(K,1)/GF({q})", cayley_dickson_super(nonsplit_quadratic(F), F.one)),
+                (f"super-quaternion/GF({q})", super_split_quaternion(F)[0])]
+    return out
+
+
+# fine_check's false "fine" verdicts on the lattice: the Z2-gradings [2, 2]
+# of split4/GF(3), whose Pauli refinement splits both components at once
+# (ROADMAP Finding on fine_check)
+LATTICE_FALSE_FINE = [("split4/GF(3)", "Z2", [2, 2])] * 3
+
+
+def test_the_dim_4_lattice_decides_coarsenings_and_fineness():
+    """`enumerate_all_gradings` is complete in dim <= 4, so its listing
+    decides, with no catalog input: the coarsenings of a grading are the
+    listed gradings it refines, and it is fine iff no listed grading
+    properly refines it.  `coarsenings_enum` agrees on every grading, and
+    `fine_check` on every grading but the pinned false "fine" ones."""
+    total = 0
+    disagree = []
+    for label, S in _lattice_algebras():
+        res = enumerate_all_gradings(S)
+        assert res.complete, label
+        listed = res.gradings
+        total += len(listed)
+        for g in listed:
+            keys = g.component_keys()
+            coarser = [c.component_keys() for c in coarsenings_enum(g)]
+            assert len(set(coarser)) == len(coarser), label
+            assert set(coarser) == {h.component_keys() for h in listed
+                                    if is_refinement(g, h)}, (label, str(g.group))
+            refined = any(is_refinement(h, g) and h.component_keys() != keys for h in listed)
+            status, _ = fine_check(g)
+            if (status == "fine") == refined:
+                assert status == "fine", (label, str(g.group))
+                disagree.append((label, str(g.group), sorted(g.dims())))
+    assert total == 116
+    assert disagree == LATTICE_FALSE_FINE
